@@ -1,8 +1,8 @@
 """Fixed-capacity bit vector for factor-hash membership.
 
-A filter holds exactly ``2**alpha`` bits, packed into ``2**alpha / word_bits``
-storage words. Bits can be set and tested but never cleared: once a hash value
-has been admitted it stays admitted. Construction and population are
+A filter holds exactly ``2**alpha`` bits, packed into ``2**alpha / 64``
+storage words of 64 bits. Bits can be set and tested but never cleared: once a
+hash value has been admitted it stays admitted. Construction and population are
 single-writer; a fully populated filter is immutable in practice and safe for
 any number of concurrent readers.
 """
@@ -19,17 +19,14 @@ ALPHA_MAX = 30
 
 @dataclass(frozen=True)
 class FilterParams:
-    """Tunable constants for factor hashing and filter layout.
+    """Tunable constants for factor hashing and filter size.
 
     alpha: bit width of hash values; the filter holds ``2**alpha`` bits.
     shift_s: bits shifted in per character when a hash is extended.
-    word_bits: bits per storage word; must be a power of two dividing
-        ``2**alpha``. The default is the natural 64-bit machine word.
     """
 
     alpha: int = 16
     shift_s: int = 2
-    word_bits: int = 64
 
     def __post_init__(self) -> None:
         if not ALPHA_MIN <= self.alpha <= ALPHA_MAX:
@@ -38,11 +35,6 @@ class FilterParams:
             )
         if self.shift_s not in (1, 2):
             raise ConfigurationError(f"shift_s must be 1 or 2, got {self.shift_s}")
-        w = self.word_bits
-        if w < 1 or w & (w - 1) or (1 << self.alpha) % w:
-            raise ConfigurationError(
-                f"word_bits must be a power of two dividing 2**alpha, got {w}"
-            )
 
     @property
     def table_bits(self) -> int:
@@ -58,19 +50,18 @@ class FilterParams:
 class FactorFilter:
     """Membership table over factor hashes.
 
-    Freshly created, every bit is zero. ``set_bit``/``test_bit`` address a
-    single bit ``v`` via its word index ``v // word_bits`` and in-word offset
-    ``v % word_bits``; the packing is an implementation detail and never
-    observable through the bit-level API.
+    Freshly created, every bit is zero. Bit ``v`` lives in 64-bit word
+    ``words[v >> 6]`` at offset ``v & 63``. ``pattern`` is the pattern whose
+    factors were admitted, recorded by :func:`wfr.engine.preprocess`; it is
+    ``None`` for a filter populated by hand.
     """
 
-    __slots__ = ("params", "words", "_word_shift", "_word_mask")
+    __slots__ = ("params", "words", "pattern")
 
     def __init__(self, params: FilterParams | None = None) -> None:
         self.params = params if params is not None else FilterParams()
-        self._word_shift = self.params.word_bits.bit_length() - 1
-        self._word_mask = self.params.word_bits - 1
-        self.words: list[int] = [0] * (self.params.table_bits >> self._word_shift)
+        self.words: list[int] = [0] * (self.params.table_bits >> 6)
+        self.pattern: bytes | None = None
 
     def _index(self, v: int) -> int:
         if not 0 <= v < self.params.table_bits:
@@ -80,12 +71,12 @@ class FactorFilter:
     def set_bit(self, v: int) -> None:
         """Set bit ``v``. Idempotent; no other bit changes."""
         v = self._index(v)
-        self.words[v >> self._word_shift] |= 1 << (v & self._word_mask)
+        self.words[v >> 6] |= 1 << (v & 63)
 
     def test_bit(self, v: int) -> bool:
         """True iff bit ``v`` has been set."""
         v = self._index(v)
-        return bool(self.words[v >> self._word_shift] & (1 << (v & self._word_mask)))
+        return bool(self.words[v >> 6] & (1 << (v & 63)))
 
     def popcount(self) -> int:
         """Number of set bits."""

@@ -13,6 +13,7 @@ import sys
 import click
 
 from .bitvector import FilterParams
+from .engine import search
 from .errors import ConfigurationError, CorrectnessViolation, InvalidPatternError
 from .harness import (
     BenchConfig,
@@ -117,15 +118,10 @@ def cmd_search(text_file, pattern, pattern_file, algo, k, alpha, shift_s):
     with open(text_file, "rb") as fh:
         text = fh.read()
     if algo == "wfr":
-        if not 1 <= k <= 4:
-            raise ConfigurationError(f"k must be in [1, 4], got {k}")
-        if k > len(needle):
-            raise ConfigurationError(f"k={k} exceeds pattern length m={len(needle)}")
         params = FilterParams(alpha=_resolve_alpha(alpha), shift_s=shift_s)
-        algorithm = make_algorithm("wfr" if k == 1 else f"wfr{k}", params.alpha, params.shift_s)
+        outcome = search(needle, text, params=params, k=k)
     else:
-        algorithm = make_algorithm(algo)
-    outcome = algorithm.run(needle, text)
+        outcome = make_algorithm(algo).run(needle, text)
     for position in outcome.positions:
         click.echo(position)
     click.echo(f"occurrences={outcome.occurrence_count} verifications={outcome.verification_count}")

@@ -98,23 +98,23 @@ def extend_hash(v: int, c: int, params: FilterParams = DEFAULT_PARAMS) -> int:
 def preprocess(pattern: bytes, params: FilterParams = DEFAULT_PARAMS) -> FactorFilter:
     """Build the factor filter of ``pattern``: every nonempty factor's hash bit set.
 
-    Costs O(m^2) time and ``2**alpha`` bits of space. The returned filter can
-    be reused across any number of searches for the same pattern.
+    Costs O(m^2) time and ``2**alpha`` bits of space. The returned filter
+    records the pattern and can be reused across any number of searches for
+    that same pattern.
     """
     m = len(pattern)
     if m == 0:
         raise InvalidPatternError("pattern must be at least one byte")
     flt = FactorFilter(params)
+    flt.pattern = bytes(pattern)
     words = flt.words
-    wshift = flt._word_shift
-    wmask = flt._word_mask
     s = params.shift_s
     mask = params.hash_mask
     for i in range(m - 1, -1, -1):
         v = 0
         for j in range(i, -1, -1):
             v = ((v << s) + pattern[j]) & mask
-            words[v >> wshift] |= 1 << (v & wmask)
+            words[v >> 6] |= 1 << (v & 63)
     return flt
 
 
@@ -152,17 +152,21 @@ def search(
     ``k`` is the chained-loop width: the filter is probed once per ``k``
     characters folded into the window hash (``k == 1`` probes after every
     character). ``factors`` may carry a prebuilt filter from
-    :func:`preprocess` to amortize preprocessing across texts; its params
-    then govern the run, and a conflicting ``params`` argument is rejected.
+    :func:`preprocess` of this same pattern to amortize preprocessing across
+    texts; its params then govern the run, and a conflicting ``params``
+    argument is rejected.
 
     Returns a :class:`SearchOutcome`; if ``m > n`` the outcome is empty with
     zero attempts. Raises :class:`InvalidPatternError` for an empty pattern
-    and :class:`ConfigurationError` for ``k`` outside ``[1, 4]`` or ``k > m``.
+    and :class:`ConfigurationError` for ``k`` outside ``[1, 4]``, ``k > m``,
+    or a ``factors`` filter not built from ``pattern``.
     """
     m = len(pattern)
     if m == 0:
         raise InvalidPatternError("pattern must be at least one byte")
     if factors is not None:
+        if factors.pattern != pattern:
+            raise ConfigurationError("prebuilt filter was not built from this pattern")
         if params is not None and params != factors.params:
             raise ConfigurationError("params conflict with the prebuilt filter's params")
         params = factors.params
@@ -182,8 +186,6 @@ def search(
 
     # Hot loop: everything bound to locals, bit test inlined.
     words = factors.words
-    wshift = factors._word_shift
-    wmask = factors._word_mask
     s = params.shift_s
     hmask = params.hash_mask
     x = pattern
@@ -201,10 +203,10 @@ def search(
             i = j - m + 1
             cursor = j
             v = y[j]
-            while cursor > i and words[v >> wshift] & (1 << (v & wmask)):
+            while cursor > i and words[v >> 6] & (1 << (v & 63)):
                 cursor -= 1
                 v = ((v << s) + y[cursor]) & hmask
-            if cursor == i and words[v >> wshift] & (1 << (v & wmask)):
+            if cursor == i and words[v >> 6] & (1 << (v & 63)):
                 verifications += 1
                 t = _match_len(x, y, i)
                 comparisons += t if t == m else t + 1
@@ -223,7 +225,7 @@ def search(
             while cursor > stop:
                 cursor -= 1
                 v = ((v << s) + y[cursor]) & hmask
-            if words[v >> wshift] & (1 << (v & wmask)):
+            if words[v >> 6] & (1 << (v & 63)):
                 remaining = m - k
                 while remaining:
                     if remaining >= k:
@@ -235,7 +237,7 @@ def search(
                     while cursor > stop:
                         cursor -= 1
                         v = ((v << s) + y[cursor]) & hmask
-                    if not words[v >> wshift] & (1 << (v & wmask)):
+                    if not words[v >> 6] & (1 << (v & 63)):
                         break
                 else:
                     verifications += 1

@@ -19,7 +19,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from .baselines import horspool_search, naive_search
 from .bitvector import FilterParams
@@ -168,6 +168,23 @@ class BenchRow:
     algorithm: str
     cells: dict[int, BenchCell] = field(default_factory=dict)
 
+    # emit_table layout: (csv header, field) for the label and for each value
+    # column, then (label suffix, field, number format) per markdown line.
+    LABEL: ClassVar = ("algo", "algorithm")
+    COLUMNS: ClassVar = (
+        ("mean_ms", "mean_ms"),
+        ("verifications", "mean_verifications"),
+        ("occurrences", "mean_occurrences"),
+        ("mean_shift", "mean_shift"),
+    )
+    MARKDOWN: ClassVar = (("", "mean_ms", ".3f"),)
+
+    def records(self) -> dict[int, dict[str, float]]:
+        """Column values per pattern length, in ``COLUMNS`` order."""
+        return {
+            m: {name: getattr(cell, name) for _, name in self.COLUMNS} for m, cell in self.cells.items()
+        }
+
 
 @dataclass
 class StatsRow:
@@ -178,6 +195,23 @@ class StatsRow:
     corpus: str
     occurrences_per_mib: dict[int, float] = field(default_factory=dict)
     verifications_per_mib: dict[int, float] = field(default_factory=dict)
+
+    # emit_table layout, as for BenchRow; each field maps m to a value.
+    LABEL: ClassVar = ("corpus", "corpus")
+    COLUMNS: ClassVar = (
+        ("occurrences_per_mib", "occurrences_per_mib"),
+        ("verifications_per_mib", "verifications_per_mib"),
+    )
+    MARKDOWN: ClassVar = (
+        ("-occ", "occurrences_per_mib", ".2f"),
+        ("-ver", "verifications_per_mib", ".2f"),
+    )
+
+    def records(self) -> dict[int, dict[str, float]]:
+        """Column values per pattern length, in ``COLUMNS`` order."""
+        return {
+            m: {name: getattr(self, name)[m] for _, name in self.COLUMNS} for m in self.occurrences_per_mib
+        }
 
 
 def time_run(algorithm: Algorithm, pattern: bytes, text: bytes) -> tuple[float, SearchOutcome]:
@@ -272,133 +306,39 @@ def verification_stats(
     return [row]
 
 
-def _emit_bench_csv(rows: Sequence[BenchRow]) -> str:
-    lines = ["algo,m,mean_ms,verifications,occurrences,mean_shift"]
-    for row in rows:
-        for m in sorted(row.cells):
-            c = row.cells[m]
-            lines.append(
-                f"{row.algorithm},{m},{c.mean_ms!r},{c.mean_verifications!r},"
-                f"{c.mean_occurrences!r},{c.mean_shift!r}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def _emit_stats_csv(rows: Sequence[StatsRow]) -> str:
-    lines = ["corpus,m,occurrences_per_mib,verifications_per_mib"]
-    for row in rows:
-        for m in sorted(row.occurrences_per_mib):
-            lines.append(
-                f"{row.corpus},{m},{row.occurrences_per_mib[m]!r},{row.verifications_per_mib[m]!r}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def _markdown_table(m_values: Sequence[int], body: Sequence[tuple[str, list[str]]]) -> str:
-    header = ["m"] + [str(m) for m in m_values]
-    lines = ["| " + " | ".join(header) + " |", "| " + " | ".join(["---"] * len(header)) + " |"]
-    for label, cells in body:
-        lines.append("| " + " | ".join([label] + cells) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_bench_markdown(rows: Sequence[BenchRow]) -> str:
-    m_values = sorted({m for row in rows for m in row.cells})
-    body = [
-        (row.algorithm, [f"{row.cells[m].mean_ms:.3f}" if m in row.cells else "-" for m in m_values])
-        for row in rows
-    ]
-    return _markdown_table(m_values, body)
-
-
-def _emit_stats_markdown(rows: Sequence[StatsRow]) -> str:
-    m_values = sorted({m for row in rows for m in row.occurrences_per_mib})
-    body = []
-    for row in rows:
-        body.append(
-            (f"{row.corpus}-occ", [f"{row.occurrences_per_mib[m]:.2f}" for m in m_values])
-        )
-        body.append(
-            (f"{row.corpus}-ver", [f"{row.verifications_per_mib[m]:.2f}" for m in m_values])
-        )
-    return _markdown_table(m_values, body)
-
-
-def _emit_bench_json(rows: Sequence[BenchRow]) -> str:
-    payload = [
-        {
-            "algorithm": row.algorithm,
-            "cells": [
-                {
-                    "m": m,
-                    "mean_ms": row.cells[m].mean_ms,
-                    "mean_verifications": row.cells[m].mean_verifications,
-                    "mean_occurrences": row.cells[m].mean_occurrences,
-                    "mean_shift": row.cells[m].mean_shift,
-                }
-                for m in sorted(row.cells)
-            ],
-        }
-        for row in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _emit_stats_json(rows: Sequence[StatsRow]) -> str:
-    payload = [
-        {
-            "corpus": row.corpus,
-            "cells": [
-                {
-                    "m": m,
-                    "occurrences_per_mib": row.occurrences_per_mib[m],
-                    "verifications_per_mib": row.verifications_per_mib[m],
-                }
-                for m in sorted(row.occurrences_per_mib)
-            ],
-        }
-        for row in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def emit_table(rows: Sequence[BenchRow] | Sequence[StatsRow], format: str = "markdown") -> str:
     """Render rows as ``csv``, ``markdown``, or ``json``.
 
     csv and json carry full float precision; markdown mirrors the classic
-    layout with algorithms (or corpus-occ/corpus-ver) as rows and pattern
-    lengths as columns. Output is deterministic for identical rows.
+    layout with algorithms (or corpus-occ/corpus-ver) as rows, pattern
+    lengths as columns and ``-`` where a row has no cell. The columns come
+    from the row class's ``LABEL``, ``COLUMNS`` and ``MARKDOWN``. Output is
+    deterministic for identical rows.
     """
     if not rows:
         raise ConfigurationError("no rows to emit")
-    is_stats = isinstance(rows[0], StatsRow)
+    kind = type(rows[0])
+    label_header, label_key = kind.LABEL
+    table = [(getattr(row, label_key), row.records()) for row in rows]
     if format == "csv":
-        return _emit_stats_csv(rows) if is_stats else _emit_bench_csv(rows)
+        lines = [",".join([label_header, "m", *(header for header, _ in kind.COLUMNS)])]
+        for label, records in table:
+            for m in sorted(records):
+                lines.append(",".join([label, str(m), *map(repr, records[m].values())]))
+        return "\n".join(lines) + "\n"
     if format == "markdown":
-        return _emit_stats_markdown(rows) if is_stats else _emit_bench_markdown(rows)
+        m_values = sorted({m for _, records in table for m in records})
+        header = ["m", *map(str, m_values)]
+        lines = [header, ["---"] * len(header)]
+        for label, records in table:
+            for suffix, name, spec in kind.MARKDOWN:
+                cells = [f"{records[m][name]:{spec}}" if m in records else "-" for m in m_values]
+                lines.append([label + suffix, *cells])
+        return "".join("| " + " | ".join(line) + " |\n" for line in lines)
     if format == "json":
-        return _emit_stats_json(rows) if is_stats else _emit_bench_json(rows)
+        payload = [
+            {label_key: label, "cells": [{"m": m, **records[m]} for m in sorted(records)]}
+            for label, records in table
+        ]
+        return json.dumps(payload, indent=2) + "\n"
     raise ConfigurationError(f"unknown table format {format!r}")
-
-
-def rows_from_json(text: str) -> list[BenchRow] | list[StatsRow]:
-    """Parse ``emit_table(rows, "json")`` output back into row objects."""
-    payload = json.loads(text)
-    rows: list = []
-    for entry in payload:
-        if "algorithm" in entry:
-            row = BenchRow(algorithm=entry["algorithm"])
-            for cell in entry["cells"]:
-                row.cells[cell["m"]] = BenchCell(
-                    mean_ms=cell["mean_ms"],
-                    mean_verifications=cell["mean_verifications"],
-                    mean_occurrences=cell["mean_occurrences"],
-                    mean_shift=cell["mean_shift"],
-                )
-        else:
-            row = StatsRow(corpus=entry["corpus"])
-            for cell in entry["cells"]:
-                row.occurrences_per_mib[cell["m"]] = cell["occurrences_per_mib"]
-                row.verifications_per_mib[cell["m"]] = cell["verifications_per_mib"]
-        rows.append(row)
-    return rows

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wfr import (
     ConfigurationError,
+    FactorFilter,
     FilterParams,
     InvalidPatternError,
     check,
@@ -220,6 +221,15 @@ def test_search_with_prebuilt_filter():
     assert reused.verification_count == fresh.verification_count
     # one filter, many texts
     assert search(b"aab", b"xxaabxx", factors=flt).positions == [2]
+
+
+def test_search_prebuilt_filter_for_other_pattern_rejected():
+    # Searching with another pattern's filter would silently miss [2, 4].
+    with pytest.raises(ConfigurationError):
+        search(b"abab", b"xxababab", factors=preprocess(b"zzzz"))
+    with pytest.raises(ConfigurationError):
+        search(b"abab", b"xxababab", factors=FactorFilter())
+    assert search(bytearray(b"abab"), b"xxababab", factors=preprocess(b"abab")).positions == [2, 4]
 
 
 def test_search_prebuilt_filter_param_conflict():

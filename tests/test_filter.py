@@ -1,4 +1,4 @@
-"""Tests for the word-packed membership bit vector."""
+"""Tests for the membership bit vector."""
 
 import random
 
@@ -25,20 +25,6 @@ def test_alpha_out_of_range_rejected(alpha):
 def test_bad_shift_rejected(shift_s):
     with pytest.raises(ConfigurationError):
         FilterParams(shift_s=shift_s)
-
-
-@pytest.mark.parametrize("word_bits", [0, 48, 100])
-def test_bad_word_bits_rejected(word_bits):
-    with pytest.raises(ConfigurationError):
-        FilterParams(word_bits=word_bits)
-
-
-def test_word_bits_must_divide_table():
-    with pytest.raises(ConfigurationError):
-        FilterParams(alpha=8, word_bits=512)
-    # 256 bits in 4 words of 64, or one word of 256: both legal
-    FilterParams(alpha=8, word_bits=64)
-    FilterParams(alpha=8, word_bits=256)
 
 
 def test_fresh_filter_all_zero():
@@ -96,19 +82,6 @@ def test_membership_matches_reference_set():
     assert flt.popcount() == len(reference)
     for v in range(1 << 12):
         assert flt.test_bit(v) == (v in reference)
-
-
-def test_word_packing_unobservable():
-    rng = random.Random(7)
-    values = [rng.randrange(1 << 10) for _ in range(300)]
-    probes = [rng.randrange(1 << 10) for _ in range(300)]
-    results = []
-    for word_bits in (8, 16, 32, 64):
-        flt = FactorFilter(FilterParams(alpha=10, word_bits=word_bits))
-        for v in values:
-            flt.set_bit(v)
-        results.append(([flt.test_bit(v) for v in probes], flt.popcount()))
-    assert all(r == results[0] for r in results[1:])
 
 
 def test_out_of_range_bit_rejected():

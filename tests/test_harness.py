@@ -5,13 +5,14 @@ import pytest
 from wfr import ConfigurationError, CorrectnessViolation, SearchOutcome, naive_search
 from wfr.harness import (
     Algorithm,
+    BenchCell,
     BenchConfig,
+    BenchRow,
     Corpus,
     StatsRow,
     emit_table,
     load_corpus,
     make_algorithm,
-    rows_from_json,
     run_benchmark,
     sample_patterns,
     synth_corpus,
@@ -242,18 +243,145 @@ def test_csv_header(bench_rows):
     assert lines[1].startswith("wfr,4,")
 
 
-def test_json_round_trip(bench_rows):
-    assert rows_from_json(emit_table(bench_rows, "json")) == bench_rows
+def test_json_round_trip():
+    assert emit_table(GOLDEN_BENCH_ROWS, "json") == GOLDEN_BENCH_JSON
 
 
 def test_stats_rows_render_and_round_trip():
     row = StatsRow(corpus="c", occurrences_per_mib={4: 1.5}, verifications_per_mib={4: 2.5})
     text = emit_table([row], "csv")
     assert text.splitlines()[0] == "corpus,m,occurrences_per_mib,verifications_per_mib"
-    assert rows_from_json(emit_table([row], "json")) == [row]
+    assert emit_table(GOLDEN_STATS_ROWS, "json") == GOLDEN_STATS_JSON
     markdown = emit_table([row], "markdown")
     assert "| m | 4 |" in markdown
     assert "c-occ" in markdown and "c-ver" in markdown
+
+
+# Golden pins: hand-set floats, including 1/3 and 1e-9, so that csv and json
+# are checked at full repr precision and markdown at its fixed decimals.
+GOLDEN_BENCH_ROWS = [
+    BenchRow("wfr", {4: BenchCell(1 / 3, 2.0, 1.0, 3.5), 16: BenchCell(1e-9, 0.1, 0.0, 12.25)}),
+    BenchRow("naive", {4: BenchCell(12.5, 997.0, 1.0, 1.0), 16: BenchCell(2 / 3, 985.0, 0.0, 1.0)}),
+]
+
+GOLDEN_STATS_ROWS = [
+    StatsRow("synth-s4", {4: 4096.5, 16: 1 / 3}, {4: 4100.0, 16: 1e-9}),
+]
+
+GOLDEN_TEXT = {
+    ("bench", "csv"): """\
+algo,m,mean_ms,verifications,occurrences,mean_shift
+wfr,4,0.3333333333333333,2.0,1.0,3.5
+wfr,16,1e-09,0.1,0.0,12.25
+naive,4,12.5,997.0,1.0,1.0
+naive,16,0.6666666666666666,985.0,0.0,1.0
+""",
+    ("bench", "markdown"): """\
+| m | 4 | 16 |
+| --- | --- | --- |
+| wfr | 0.333 | 0.000 |
+| naive | 12.500 | 0.667 |
+""",
+    ("stats", "csv"): """\
+corpus,m,occurrences_per_mib,verifications_per_mib
+synth-s4,4,4096.5,4100.0
+synth-s4,16,0.3333333333333333,1e-09
+""",
+    ("stats", "markdown"): """\
+| m | 4 | 16 |
+| --- | --- | --- |
+| synth-s4-occ | 4096.50 | 0.33 |
+| synth-s4-ver | 4100.00 | 0.00 |
+""",
+}
+
+GOLDEN_BENCH_JSON = """\
+[
+  {
+    "algorithm": "wfr",
+    "cells": [
+      {
+        "m": 4,
+        "mean_ms": 0.3333333333333333,
+        "mean_verifications": 2.0,
+        "mean_occurrences": 1.0,
+        "mean_shift": 3.5
+      },
+      {
+        "m": 16,
+        "mean_ms": 1e-09,
+        "mean_verifications": 0.1,
+        "mean_occurrences": 0.0,
+        "mean_shift": 12.25
+      }
+    ]
+  },
+  {
+    "algorithm": "naive",
+    "cells": [
+      {
+        "m": 4,
+        "mean_ms": 12.5,
+        "mean_verifications": 997.0,
+        "mean_occurrences": 1.0,
+        "mean_shift": 1.0
+      },
+      {
+        "m": 16,
+        "mean_ms": 0.6666666666666666,
+        "mean_verifications": 985.0,
+        "mean_occurrences": 0.0,
+        "mean_shift": 1.0
+      }
+    ]
+  }
+]
+"""
+
+GOLDEN_STATS_JSON = """\
+[
+  {
+    "corpus": "synth-s4",
+    "cells": [
+      {
+        "m": 4,
+        "occurrences_per_mib": 4096.5,
+        "verifications_per_mib": 4100.0
+      },
+      {
+        "m": 16,
+        "occurrences_per_mib": 0.3333333333333333,
+        "verifications_per_mib": 1e-09
+      }
+    ]
+  }
+]
+"""
+
+
+@pytest.mark.parametrize("kind, fmt", sorted(GOLDEN_TEXT))
+def test_emit_table_golden(kind, fmt):
+    rows = GOLDEN_BENCH_ROWS if kind == "bench" else GOLDEN_STATS_ROWS
+    assert emit_table(rows, fmt) == GOLDEN_TEXT[kind, fmt]
+
+
+def test_markdown_ragged_rows_show_dash():
+    # A row without a cell for some m renders "-" there, for both row kinds.
+    bench = [BenchRow("wfr", {4: BenchCell(1.0, 0, 0, 0)}), BenchRow("naive", {8: BenchCell(2.0, 0, 0, 0)})]
+    assert emit_table(bench, "markdown").splitlines()[2:] == [
+        "| wfr | 1.000 | - |",
+        "| naive | - | 2.000 |",
+    ]
+    stats = [
+        StatsRow("a", {4: 1.0, 8: 2.0}, {4: 3.0, 8: 4.0}),
+        StatsRow("b", {4: 5.0}, {4: 6.0}),
+    ]
+    assert emit_table(stats, "markdown").splitlines()[2:] == [
+        "| a-occ | 1.00 | 2.00 |",
+        "| a-ver | 3.00 | 4.00 |",
+        "| b-occ | 5.00 | - |",
+        "| b-ver | 6.00 | - |",
+    ]
 
 
 def test_emit_rejects_bad_input(bench_rows):
