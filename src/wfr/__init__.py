@@ -1,8 +1,16 @@
 """Factor-hash exact string search with baselines and a benchmark harness."""
 
 from .baselines import horspool_search, naive_search
-from .bitvector import FactorFilter, FilterParams
-from .engine import SearchOutcome, check, extend_hash, hash_factor, preprocess, search
+from .engine import (
+    FactorFilter,
+    FilterParams,
+    SearchOutcome,
+    check,
+    extend_hash,
+    hash_factor,
+    preprocess,
+    search,
+)
 from .errors import ConfigurationError, CorrectnessViolation, InvalidPatternError
 
 __version__ = "0.1.0"

@@ -12,8 +12,7 @@ import sys
 
 import click
 
-from .bitvector import FilterParams
-from .engine import search
+from .engine import FilterParams, search
 from .errors import ConfigurationError, CorrectnessViolation, InvalidPatternError
 from .harness import (
     BenchConfig,

@@ -3,7 +3,7 @@
 The engine finds every (possibly overlapping) occurrence of a byte pattern
 ``x`` of length ``m`` in a byte text ``y`` of length ``n``. Preprocessing
 hashes all ``m*(m+1)/2`` nonempty factors (contiguous substrings) of the
-pattern into a :class:`~wfr.bitvector.FactorFilter`: if ``z`` is a factor of
+pattern into a :class:`FactorFilter`: if ``z`` is a factor of
 ``x`` then the bit at ``hash_factor(z)`` is set. The converse need not hold,
 so the filter recognizes a superset of the factor set: false positives are
 possible, false negatives are not.
@@ -29,13 +29,46 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bitvector import FactorFilter, FilterParams
 from .errors import ConfigurationError, InvalidPatternError
 
-DEFAULT_PARAMS = FilterParams()
+ALPHA_MIN = 8
+ALPHA_MAX = 30
 
 K_MIN = 1
 K_MAX = 4
+
+
+@dataclass(frozen=True)
+class FilterParams:
+    """Tunable constants for factor hashing and filter size.
+
+    alpha: bit width of hash values; the filter holds ``2**alpha`` bits.
+    shift_s: bits shifted in per character when a hash is extended.
+    """
+
+    alpha: int = 16
+    shift_s: int = 2
+
+    def __post_init__(self) -> None:
+        if not ALPHA_MIN <= self.alpha <= ALPHA_MAX:
+            raise ConfigurationError(
+                f"alpha must be in [{ALPHA_MIN}, {ALPHA_MAX}], got {self.alpha}"
+            )
+        if self.shift_s not in (1, 2):
+            raise ConfigurationError(f"shift_s must be 1 or 2, got {self.shift_s}")
+
+    @property
+    def table_bits(self) -> int:
+        """Total number of bits in a filter built with these params."""
+        return 1 << self.alpha
+
+    @property
+    def hash_mask(self) -> int:
+        """Mask reducing an integer modulo ``2**alpha``."""
+        return (1 << self.alpha) - 1
+
+
+DEFAULT_PARAMS = FilterParams()
 
 
 @dataclass
@@ -95,27 +128,54 @@ def extend_hash(v: int, c: int, params: FilterParams = DEFAULT_PARAMS) -> int:
     return ((v << params.shift_s) + c) & params.hash_mask
 
 
-def preprocess(pattern: bytes, params: FilterParams = DEFAULT_PARAMS) -> FactorFilter:
-    """Build the factor filter of ``pattern``: every nonempty factor's hash bit set.
+class FactorFilter:
+    """The factor filter of one pattern: a ``2**alpha``-bit membership table.
 
-    Costs O(m^2) time and ``2**alpha`` bits of space. The returned filter
-    records the pattern and can be reused across any number of searches for
-    that same pattern.
+    Built only from its pattern: the constructor sets bit ``hash_factor(z)``
+    for every nonempty factor ``z`` of ``pattern`` in O(m^2) time, and no
+    method sets or clears a bit afterwards, so the table always belongs to
+    ``pattern``. A built filter is safe for any number of concurrent readers.
+
+    Bit ``v`` lives in 64-bit word ``words[v >> 6]`` at offset ``v & 63``.
+    The table costs ``2**(alpha-6)`` list slots (8 KiB at alpha=16, 2 MiB at
+    24, 128 MiB at 30) plus one int object per non-zero word.
     """
-    m = len(pattern)
-    if m == 0:
-        raise InvalidPatternError("pattern must be at least one byte")
-    flt = FactorFilter(params)
-    flt.pattern = bytes(pattern)
-    words = flt.words
-    s = params.shift_s
-    mask = params.hash_mask
-    for i in range(m - 1, -1, -1):
-        v = 0
-        for j in range(i, -1, -1):
-            v = ((v << s) + pattern[j]) & mask
-            words[v >> 6] |= 1 << (v & 63)
-    return flt
+
+    __slots__ = ("params", "words", "pattern")
+
+    def __init__(self, pattern: bytes, params: FilterParams = DEFAULT_PARAMS) -> None:
+        m = len(pattern)
+        if m == 0:
+            raise InvalidPatternError("pattern must be at least one byte")
+        self.params = params
+        self.pattern = bytes(pattern)
+        self.words = words = [0] * (params.table_bits >> 6)
+        s = params.shift_s
+        mask = params.hash_mask
+        for i in range(m - 1, -1, -1):
+            v = 0
+            for j in range(i, -1, -1):
+                v = ((v << s) + pattern[j]) & mask
+                words[v >> 6] |= 1 << (v & 63)
+
+    def test_bit(self, v: int) -> bool:
+        """True iff bit ``v`` is set; ``ValueError`` outside ``[0, 2**alpha)``."""
+        if not 0 <= v < self.params.table_bits:
+            raise ValueError(f"bit index {v} outside [0, 2**{self.params.alpha})")
+        return bool(self.words[v >> 6] & (1 << (v & 63)))
+
+    def popcount(self) -> int:
+        """Number of set bits."""
+        return sum(w.bit_count() for w in self.words)
+
+
+def preprocess(pattern: bytes, params: FilterParams = DEFAULT_PARAMS) -> FactorFilter:
+    """Build the factor filter of ``pattern``; see :class:`FactorFilter`.
+
+    The returned filter can be reused across any number of searches for that
+    same pattern.
+    """
+    return FactorFilter(pattern, params)
 
 
 def _match_len(x: bytes, y: bytes, i: int) -> int:
@@ -157,10 +217,16 @@ def search(
     argument is rejected.
 
     Returns a :class:`SearchOutcome`; if ``m > n`` the outcome is empty with
-    zero attempts. Raises :class:`InvalidPatternError` for an empty pattern
-    and :class:`ConfigurationError` for ``k`` outside ``[1, 4]``, ``k > m``,
-    or a ``factors`` filter not built from ``pattern``.
+    zero attempts. Raises ``TypeError`` for a pattern or text that is not
+    bytes-like, :class:`InvalidPatternError` for an empty pattern and
+    :class:`ConfigurationError` for ``k`` outside ``[1, 4]``, ``k > m``, or a
+    ``factors`` filter not built from ``pattern``.
     """
+    for name, arg in (("pattern", pattern), ("text", text)):
+        try:
+            memoryview(arg)
+        except TypeError:
+            raise TypeError(f"{name} must be bytes-like, not {type(arg).__name__}") from None
     m = len(pattern)
     if m == 0:
         raise InvalidPatternError("pattern must be at least one byte")
@@ -182,7 +248,7 @@ def search(
     if m > n:
         return outcome
     if factors is None:
-        factors = preprocess(pattern, params)
+        factors = FactorFilter(pattern, params)
 
     # Hot loop: everything bound to locals, bit test inlined.
     words = factors.words
@@ -218,33 +284,25 @@ def search(
         while j < n:
             attempts += 1
             i = j - m + 1
-            # First group of k characters is folded before any filter probe.
+            # Fold up to k characters, probe once; verify when the window is used up.
             cursor = j + 1
-            stop = cursor - k
             v = 0
-            while cursor > stop:
-                cursor -= 1
-                v = ((v << s) + y[cursor]) & hmask
-            if words[v >> 6] & (1 << (v & 63)):
-                remaining = m - k
-                while remaining:
-                    if remaining >= k:
-                        stop = cursor - k
-                        remaining -= k
-                    else:
-                        stop = cursor - remaining
-                        remaining = 0
-                    while cursor > stop:
-                        cursor -= 1
-                        v = ((v << s) + y[cursor]) & hmask
-                    if not words[v >> 6] & (1 << (v & 63)):
-                        break
-                else:
+            while True:
+                stop = cursor - k
+                if stop < i:
+                    stop = i
+                while cursor > stop:
+                    cursor -= 1
+                    v = ((v << s) + y[cursor]) & hmask
+                if not words[v >> 6] & (1 << (v & 63)):
+                    break
+                if cursor == i:
                     verifications += 1
                     t = _match_len(x, y, i)
                     comparisons += t if t == m else t + 1
                     if t == m:
                         positions.append(i)
+                    break
             j = cursor + m
             shifts += cursor + 1 - i
 

@@ -22,8 +22,7 @@ from pathlib import Path
 from typing import Callable, ClassVar, Sequence
 
 from .baselines import horspool_search, naive_search
-from .bitvector import FilterParams
-from .engine import SearchOutcome, search
+from .engine import FilterParams, SearchOutcome, search
 from .errors import ConfigurationError, CorrectnessViolation
 
 MIB = 1_048_576

@@ -1,5 +1,7 @@
 """Engine tests: factor hashing, preprocessing, verification, and search."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 
 from wfr import (
     ConfigurationError,
-    FactorFilter,
     FilterParams,
     InvalidPatternError,
     check,
@@ -227,9 +228,18 @@ def test_search_prebuilt_filter_for_other_pattern_rejected():
     # Searching with another pattern's filter would silently miss [2, 4].
     with pytest.raises(ConfigurationError):
         search(b"abab", b"xxababab", factors=preprocess(b"zzzz"))
-    with pytest.raises(ConfigurationError):
-        search(b"abab", b"xxababab", factors=FactorFilter())
     assert search(bytearray(b"abab"), b"xxababab", factors=preprocess(b"abab")).positions == [2, 4]
+
+
+def test_search_rejects_str_inputs():
+    # A str reaches three places: the m > n early return, the scan, and the
+    # filter constructor.
+    with pytest.raises(TypeError, match="text must be bytes-like, not str"):
+        search(b"abc", "ab")
+    with pytest.raises(TypeError, match="text must be bytes-like, not str"):
+        search(b"ab", "xab")
+    with pytest.raises(TypeError, match="pattern must be bytes-like, not str"):
+        search("ab", b"xab")
 
 
 def test_search_prebuilt_filter_param_conflict():
@@ -294,3 +304,46 @@ def test_verification_soundness_randomized():
         for p in outcome.positions:
             assert check(pattern, text, p)
         assert outcome.positions == sorted(set(outcome.positions))
+
+
+# Digest of positions and all four counters over a seeded sweep. The counters
+# are the paper's reproduced quantities, so a refactor of the scan or the
+# filter must leave every one of them unchanged; recompute the constant only
+# for a deliberate change of behaviour.
+COUNTER_SWEEP_SHA256 = "c5139a22a0da5b8721f26ed99d2fce1534694c8ef87ec9c9ec4fd85119258651"
+
+
+def _counter_sweep():
+    rng = random.Random(0xC0DE)
+    records = []
+    for sigma in (2, 4, 20, 64, 256):
+        for alpha in (8, 12, 16, 24):
+            for shift_s in (1, 2):
+                params = FilterParams(alpha=alpha, shift_s=shift_s)
+                for _ in range(5):
+                    m = rng.randint(1, 48)
+                    n = rng.randint(0, 3000)
+                    text = bytes(rng.choices(range(sigma), k=n))
+                    if n >= m and rng.random() < 0.5:
+                        off = rng.randint(0, n - m)
+                        pattern = text[off : off + m]
+                    else:
+                        pattern = bytes(rng.choices(range(sigma), k=m))
+                    for k in range(1, min(4, m) + 1):
+                        out = search(pattern, text, params=params, k=k)
+                        records.append(
+                            [
+                                out.positions,
+                                out.verification_count,
+                                out.attempt_count,
+                                out.total_shift,
+                                out.check_comparisons,
+                            ]
+                        )
+    return records
+
+
+def test_counter_sweep_pinned():
+    records = _counter_sweep()
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == COUNTER_SWEEP_SHA256

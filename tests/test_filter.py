@@ -1,10 +1,17 @@
-"""Tests for the membership bit vector."""
+"""Tests for the factor filter and its params."""
 
 import random
 
 import pytest
 
-from wfr import ConfigurationError, FactorFilter, FilterParams, preprocess
+from wfr import (
+    ConfigurationError,
+    FactorFilter,
+    FilterParams,
+    InvalidPatternError,
+    hash_factor,
+    preprocess,
+)
 
 
 def test_default_params():
@@ -27,67 +34,73 @@ def test_bad_shift_rejected(shift_s):
         FilterParams(shift_s=shift_s)
 
 
+def _set_values(flt):
+    return {v for v in range(flt.params.table_bits) if flt.test_bit(v)}
+
+
+def _factor_hashes(pattern, params):
+    m = len(pattern)
+    return {hash_factor(pattern[i:j], params) for i in range(m) for j in range(i + 1, m + 1)}
+
+
 def test_fresh_filter_all_zero():
-    flt = FactorFilter(FilterParams(alpha=8))
-    assert flt.popcount() == 0
-    assert all(not flt.test_bit(v) for v in range(256))
-    assert FactorFilter(FilterParams(alpha=16)).popcount() == 0
+    # A new filter holds its pattern's factor bits and nothing else.
+    flt = preprocess(b"a", FilterParams(alpha=8))
+    assert flt.popcount() == 1
+    assert all(not flt.test_bit(v) for v in range(256) if v != 97)
 
 
 def test_set_then_test():
-    flt = FactorFilter()
-    flt.set_bit(0)
-    assert flt.test_bit(0)
+    # The factor b"\x00" hashes to 0.
+    assert preprocess(b"\x00").test_bit(0)
 
 
 def test_neighbor_untouched():
-    flt = FactorFilter()
-    flt.set_bit(97)
+    flt = preprocess(b"a")
+    assert flt.test_bit(97)
     assert not flt.test_bit(96)
     assert not flt.test_bit(98)
 
 
 def test_set_idempotent():
-    flt = FactorFilter()
-    flt.set_bit(489)
-    flt.set_bit(489)
-    assert flt.popcount() == 1
+    # "a", "b" and "ab" occur twice in "abab" but set one bit each.
+    flt = preprocess(b"abab")
+    assert flt.popcount() == len(_factor_hashes(b"abab", flt.params)) == 7
 
 
 def test_selected_members_only():
-    flt = FactorFilter()
-    for v in (1, 5, 9):
-        flt.set_bit(v)
-    assert flt.test_bit(5)
-    assert not flt.test_bit(6)
+    flt = preprocess(b"ab")
+    assert flt.test_bit(98)
+    assert not flt.test_bit(99)
 
 
 def test_exhaustive_alpha8():
-    # Exhaustive loop oracle: setting every value saturates the table.
-    flt = FactorFilter(FilterParams(alpha=8))
-    for v in range(256):
-        flt.set_bit(v)
+    # Every single-byte factor hashes to its own value: 256 bytes saturate alpha=8.
+    flt = preprocess(bytes(range(256)), FilterParams(alpha=8))
     assert flt.popcount() == 256
     assert all(flt.test_bit(v) for v in range(256))
 
 
 def test_membership_matches_reference_set():
-    rng = random.Random(42)
-    flt = FactorFilter(FilterParams(alpha=12))
-    reference = set()
-    for _ in range(500):
-        v = rng.randrange(1 << 12)
-        flt.set_bit(v)
-        reference.add(v)
-    assert flt.popcount() == len(reference)
-    for v in range(1 << 12):
-        assert flt.test_bit(v) == (v in reference)
+    # Exact contents: every factor hash is set and no other bit is.
+    rng = random.Random(7)
+    cases = [(rng.randbytes(40), FilterParams(alpha=12))]
+    for _ in range(60):
+        sigma = rng.choice([2, 4, 20, 256])
+        pattern = bytes(rng.choices(range(sigma), k=rng.randint(1, 32)))
+        params = FilterParams(alpha=rng.choice([8, 12, 16]), shift_s=rng.choice([1, 2]))
+        cases.append((pattern, params))
+    for pattern, params in cases:
+        flt = preprocess(pattern, params)
+        reference = _factor_hashes(pattern, params)
+        assert _set_values(flt) == reference
+        assert flt.popcount() == len(reference)
 
 
 def test_out_of_range_bit_rejected():
-    flt = FactorFilter(FilterParams(alpha=8))
+    flt = preprocess(b"a", FilterParams(alpha=8))
     with pytest.raises(ValueError):
-        flt.set_bit(256)
+        flt.test_bit(256)
     with pytest.raises(ValueError):
         flt.test_bit(-1)
 
@@ -95,3 +108,13 @@ def test_out_of_range_bit_rejected():
 def test_preprocess_ab_popcount():
     # Factors of "ab" are "a", "b", "ab": three distinct hashes.
     assert preprocess(b"ab").popcount() == 3
+
+
+def test_filter_built_from_its_pattern():
+    flt = FactorFilter(b"aab")
+    assert flt.pattern == b"aab"
+    assert _set_values(flt) == _set_values(preprocess(b"aab"))
+    with pytest.raises(TypeError):
+        FactorFilter()
+    with pytest.raises(InvalidPatternError):
+        FactorFilter(b"")
