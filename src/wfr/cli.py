@@ -29,6 +29,10 @@ EXIT_NO_MATCH = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+# Positions printed per write. One echo per position costs seconds on a text
+# with ~10^5 matches; much larger chunks raise peak memory by megabytes.
+ECHO_CHUNK = 1024
+
 ALPHA_ENV = "WFR_DEFAULT_ALPHA"
 
 
@@ -121,8 +125,9 @@ def cmd_search(text_file, pattern, pattern_file, algo, k, alpha, shift_s):
         outcome = search(needle, text, params=params, k=k)
     else:
         outcome = make_algorithm(algo).run(needle, text)
-    for position in outcome.positions:
-        click.echo(position)
+    positions = outcome.positions
+    for at in range(0, len(positions), ECHO_CHUNK):
+        click.echo("\n".join(map(str, positions[at : at + ECHO_CHUNK])))
     click.echo(f"occurrences={outcome.occurrence_count} verifications={outcome.verification_count}")
     if outcome.occurrence_count == 0:
         sys.exit(EXIT_NO_MATCH)

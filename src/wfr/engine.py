@@ -2,8 +2,8 @@
 
 The engine finds every (possibly overlapping) occurrence of a byte pattern
 ``x`` of length ``m`` in a byte text ``y`` of length ``n``. Preprocessing
-hashes all ``m*(m+1)/2`` nonempty factors (contiguous substrings) of the
-pattern into a :class:`FactorFilter`: if ``z`` is a factor of
+hashes the nonempty factors (contiguous substrings) of the pattern into a
+:class:`FactorFilter`: if ``z`` is a factor of
 ``x`` then the bit at ``hash_factor(z)`` is set. The converse need not hold,
 so the filter recognizes a superset of the factor set: false positives are
 possible, false negatives are not.
@@ -23,10 +23,26 @@ the left of a suffix with hash ``v`` costs one shift-add,
 ``k`` characters between consecutive filter tests instead of one, trading
 slightly shorter shifts for fewer table probes; the hash stream itself is
 identical, so no occurrence can be missed for any ``k``.
+
+Two backends run the same algorithm over the same filter layout and give
+identical positions and counters. The native backend is the C kernel in
+``_kernel.c``: on the first import after the source changes it is compiled
+with ``cc -O2 -shared -fPIC`` into
+``__pycache__/_kernel-<cache tag>-<crc32 of the source>.so`` beside this
+module and loaded with :mod:`ctypes`. When that fails (no compiler, a
+read-only package directory, a load error) the pure-Python loops below run
+instead; they are also the reference the tests compare the kernel against.
+:attr:`SearchOutcome.backend` names the backend that ran. The kernel reads
+a ``bytes`` text in place; any other bytes-like text is copied once into a
+``bytes`` object first.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import sys
+import zlib
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError, InvalidPatternError
@@ -36,6 +52,69 @@ ALPHA_MAX = 30
 
 K_MIN = 1
 K_MAX = 4
+
+KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+# Positions the kernel writes per call; bounds the scan buffer for any text.
+_POSITIONS_PER_CALL = 4096
+
+
+def _build_kernel(source: str, library: str) -> None:
+    """Compile ``source`` into ``library``; ``OSError`` on any failure.
+
+    The output goes to a per-process temporary name and is then renamed, so
+    concurrent first imports never load a half-written library.
+    """
+    import subprocess  # only here: most imports find the library cached
+
+    os.makedirs(os.path.dirname(library), exist_ok=True)
+    tmp = f"{library}.{os.getpid()}.tmp"
+    try:
+        subprocess.run(
+            ["cc", "-O2", "-shared", "-fPIC", "-o", tmp, source],
+            check=True,
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=120,
+        )
+        os.replace(tmp, library)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"cc failed on {source}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load_kernel(source: str = KERNEL_SOURCE) -> ctypes.CDLL | None:
+    """The native kernel built from ``source``, or None when it cannot be
+    built or loaded; never raises."""
+    try:
+        with open(source, "rb") as fh:
+            crc = zlib.crc32(fh.read())
+        library = os.path.join(
+            os.path.dirname(source),
+            "__pycache__",
+            f"_kernel-{sys.implementation.cache_tag}-{crc:08x}.so",
+        )
+        if not os.path.exists(library):
+            _build_kernel(source, library)
+        lib = ctypes.CDLL(library)
+        i64, ptr = ctypes.c_int64, ctypes.POINTER(ctypes.c_int64)
+        lib.wfr_build.argtypes = [
+            ctypes.c_char_p, i64, ctypes.c_char_p, ctypes.c_int, ctypes.c_uint64, i64,
+        ]
+        lib.wfr_build.restype = None
+        lib.wfr_scan.argtypes = [
+            ctypes.c_char_p, i64, ctypes.c_char_p, i64, ctypes.c_char_p,
+            ctypes.c_int, ctypes.c_uint64, ctypes.c_int, ptr, i64, ptr,
+        ]
+        lib.wfr_scan.restype = i64
+    except (OSError, AttributeError):  # AttributeError: a symbol is missing
+        return None
+    return lib
+
+
+_native = _load_kernel()
 
 
 @dataclass(frozen=True)
@@ -81,6 +160,8 @@ class SearchOutcome:
     total_shift: sum of window advances in bytes, including the final
         advance that moves the window past the end of the text.
     check_comparisons: total byte comparisons spent in verifications.
+    backend: ``"native"`` or ``"python"``, the engine that ran; not part of
+        equality, because both give the same result.
     """
 
     positions: list[int] = field(default_factory=list)
@@ -88,6 +169,7 @@ class SearchOutcome:
     attempt_count: int = 0
     total_shift: int = 0
     check_comparisons: int = 0
+    backend: str = field(default="python", compare=False)
 
     @property
     def occurrence_count(self) -> int:
@@ -132,41 +214,66 @@ class FactorFilter:
     """The factor filter of one pattern: a ``2**alpha``-bit membership table.
 
     Built only from its pattern: the constructor sets bit ``hash_factor(z)``
-    for every nonempty factor ``z`` of ``pattern`` in O(m^2) time, and no
-    method sets or clears a bit afterwards, so the table always belongs to
-    ``pattern``. A built filter is safe for any number of concurrent readers.
+    for every nonempty factor ``z`` of ``pattern``, and the filter is
+    immutable afterwards (assigning an attribute raises ``AttributeError``),
+    so the table always belongs to ``pattern``. A built filter is safe for
+    any number of concurrent readers.
 
-    Bit ``v`` lives in 64-bit word ``words[v >> 6]`` at offset ``v & 63``.
-    The table costs ``2**(alpha-6)`` list slots (8 KiB at alpha=16, 2 MiB at
-    24, 128 MiB at 30) plus one int object per non-zero word.
+    The table is a ``bytes`` bitset, the one layout both backends read in
+    place: bit ``v`` is ``bits[v >> 3] & (1 << (v & 7))``. It costs
+    ``2**(alpha-3)`` bytes (8 KiB at alpha=16, 2 MiB at 24, 128 MiB at 30)
+    and no per-word objects. Only factors up to ``L = ceil(alpha/shift_s)``
+    bytes long are hashed, in O(m*L) time: a hash depends only on the first
+    ``L`` bytes of a factor, and that prefix is itself a factor.
     """
 
-    __slots__ = ("params", "words", "pattern")
+    __slots__ = ("params", "bits", "pattern")
 
     def __init__(self, pattern: bytes, params: FilterParams = DEFAULT_PARAMS) -> None:
+        pattern = bytes(pattern)
         m = len(pattern)
         if m == 0:
             raise InvalidPatternError("pattern must be at least one byte")
-        self.params = params
-        self.pattern = bytes(pattern)
-        self.words = words = [0] * (params.table_bits >> 6)
         s = params.shift_s
         mask = params.hash_mask
-        for i in range(m - 1, -1, -1):
-            v = 0
-            for j in range(i, -1, -1):
-                v = ((v << s) + pattern[j]) & mask
-                words[v >> 6] |= 1 << (v & 63)
+        longest = -(-params.alpha // s)
+        if _native is not None:
+            # A fresh object no one else holds yet: the kernel fills it in
+            # place, which saves copying the whole table.
+            bits = bytes(params.table_bits >> 3)
+            _native.wfr_build(pattern, m, bits, s, mask, longest)
+        else:
+            table = bytearray(params.table_bits >> 3)
+            for i in range(m - 1, -1, -1):
+                v = 0
+                for j in range(i, max(i - longest, -1), -1):
+                    v = ((v << s) + pattern[j]) & mask
+                    table[v >> 3] |= 1 << (v & 7)
+            bits = bytes(table)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "bits", bits)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"FactorFilter is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"FactorFilter is immutable; cannot delete {name!r}")
 
     def test_bit(self, v: int) -> bool:
         """True iff bit ``v`` is set; ``ValueError`` outside ``[0, 2**alpha)``."""
         if not 0 <= v < self.params.table_bits:
             raise ValueError(f"bit index {v} outside [0, 2**{self.params.alpha})")
-        return bool(self.words[v >> 6] & (1 << (v & 63)))
+        return bool(self.bits[v >> 3] & (1 << (v & 7)))
 
     def popcount(self) -> int:
         """Number of set bits."""
-        return sum(w.bit_count() for w in self.words)
+        bits = self.bits
+        step = 1 << 16  # bounds the temporary int at alpha=30
+        return sum(
+            int.from_bytes(bits[at : at + step], "little").bit_count()
+            for at in range(0, len(bits), step)
+        )
 
 
 def preprocess(pattern: bytes, params: FilterParams = DEFAULT_PARAMS) -> FactorFilter:
@@ -200,6 +307,19 @@ def check(pattern: bytes, text: bytes, i: int) -> bool:
     return _match_len(pattern, text, i) == m
 
 
+def _byte_sequence(arg, name: str):
+    """``arg`` when indexing it yields its bytes, else a ``bytes`` copy of
+    its buffer (a multi-byte or multi-dimensional view), so both backends
+    see the same bytes. ``TypeError`` when ``arg`` is not bytes-like."""
+    try:
+        view = memoryview(arg)
+    except TypeError:
+        raise TypeError(f"{name} must be bytes-like, not {type(arg).__name__}") from None
+    if view.format == "B" and view.ndim == 1:
+        return arg
+    return view.tobytes()
+
+
 def search(
     pattern: bytes,
     text: bytes,
@@ -221,12 +341,12 @@ def search(
     bytes-like, :class:`InvalidPatternError` for an empty pattern and
     :class:`ConfigurationError` for ``k`` outside ``[1, 4]``, ``k > m``, or a
     ``factors`` filter not built from ``pattern``.
+
+    The native backend scans a ``bytes`` text in place and copies any other
+    bytes-like text (``bytearray``, ``memoryview``, ``mmap``) once.
     """
-    for name, arg in (("pattern", pattern), ("text", text)):
-        try:
-            memoryview(arg)
-        except TypeError:
-            raise TypeError(f"{name} must be bytes-like, not {type(arg).__name__}") from None
+    pattern = _byte_sequence(pattern, "pattern")
+    text = _byte_sequence(text, "text")
     m = len(pattern)
     if m == 0:
         raise InvalidPatternError("pattern must be at least one byte")
@@ -243,20 +363,42 @@ def search(
     if k > m:
         raise ConfigurationError(f"k={k} exceeds pattern length m={m}")
 
-    outcome = SearchOutcome()
     n = len(text)
     if m > n:
-        return outcome
+        return SearchOutcome(backend="python" if _native is None else "native")
     if factors is None:
         factors = FactorFilter(pattern, params)
+    if len(factors.bits) != params.table_bits >> 3:
+        raise ConfigurationError("filter table size does not match its params")
+    if _native is None:
+        return _scan_python(factors.pattern, text, factors.bits, params, k)
+    return _scan_native(factors.pattern, text, factors.bits, params, k)
 
+
+def _scan_native(x: bytes, y, bits: bytes, params: FilterParams, k: int) -> SearchOutcome:
+    """The scan in the C kernel, resumed until the text is used up."""
+    if not isinstance(y, bytes):
+        y = bytes(y)  # the kernel needs one contiguous buffer it can point at
+    m, n = len(x), len(y)
+    state = (ctypes.c_int64 * 5)(m - 1)  # window end, then the four counters
+    buf = (ctypes.c_int64 * _POSITIONS_PER_CALL)()
+    positions: list[int] = []
+    while state[0] < n:
+        found = _native.wfr_scan(
+            x, m, y, n, bits, params.shift_s, params.hash_mask, k, buf, _POSITIONS_PER_CALL, state
+        )
+        positions.extend(buf[:found])
+    return SearchOutcome(positions, state[1], state[2], state[3], state[4], backend="native")
+
+
+def _scan_python(x: bytes, y, bits: bytes, params: FilterParams, k: int) -> SearchOutcome:
+    """The reference scan: the same loops as the kernel, in Python."""
     # Hot loop: everything bound to locals, bit test inlined.
-    words = factors.words
     s = params.shift_s
     hmask = params.hash_mask
-    x = pattern
-    y = text
-    positions = outcome.positions
+    m = len(x)
+    n = len(y)
+    positions = []
     verifications = 0
     attempts = 0
     shifts = 0
@@ -269,10 +411,10 @@ def search(
             i = j - m + 1
             cursor = j
             v = y[j]
-            while cursor > i and words[v >> 6] & (1 << (v & 63)):
+            while cursor > i and bits[v >> 3] & (1 << (v & 7)):
                 cursor -= 1
                 v = ((v << s) + y[cursor]) & hmask
-            if cursor == i and words[v >> 6] & (1 << (v & 63)):
+            if cursor == i and bits[v >> 3] & (1 << (v & 7)):
                 verifications += 1
                 t = _match_len(x, y, i)
                 comparisons += t if t == m else t + 1
@@ -294,7 +436,7 @@ def search(
                 while cursor > stop:
                     cursor -= 1
                     v = ((v << s) + y[cursor]) & hmask
-                if not words[v >> 6] & (1 << (v & 63)):
+                if not bits[v >> 3] & (1 << (v & 7)):
                     break
                 if cursor == i:
                     verifications += 1
@@ -306,8 +448,4 @@ def search(
             j = cursor + m
             shifts += cursor + 1 - i
 
-    outcome.verification_count = verifications
-    outcome.attempt_count = attempts
-    outcome.total_shift = shifts
-    outcome.check_comparisons = comparisons
-    return outcome
+    return SearchOutcome(positions, verifications, attempts, shifts, comparisons, backend="python")

@@ -193,3 +193,13 @@ def test_stats_markdown_rows(runner):
 def test_stats_deterministic(runner):
     args = ["stats", "--synth", "4,65536", "--m", "4,8", "--runs", "3", "--seed", "4", "--format", "csv"]
     assert runner.invoke(main, args).stdout == runner.invoke(main, args).stdout
+
+
+def test_search_prints_positions_across_chunks(runner, tmp_path):
+    # More positions than one write holds: the lines stay one per position.
+    text = tmp_path / "text.bin"
+    text.write_bytes(b"a" * 70_000)
+    result = runner.invoke(main, ["search", "--pattern", "a", str(text)])
+    expected = "".join(f"{i}\n" for i in range(70_000))
+    assert result.stdout == expected + "occurrences=70000 verifications=70000\n"
+    assert result.exit_code == 0

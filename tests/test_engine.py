@@ -1,7 +1,9 @@
 """Engine tests: factor hashing, preprocessing, verification, and search."""
 
+import array
 import hashlib
 import json
+import os
 import random
 
 import pytest
@@ -10,9 +12,12 @@ from hypothesis import strategies as st
 
 from wfr import (
     ConfigurationError,
+    FactorFilter,
     FilterParams,
     InvalidPatternError,
+    SearchOutcome,
     check,
+    engine,
     extend_hash,
     hash_factor,
     naive_search,
@@ -343,7 +348,130 @@ def _counter_sweep():
     return records
 
 
-def test_counter_sweep_pinned():
+def test_counter_sweep_pinned(backend):
     records = _counter_sweep()
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == COUNTER_SWEEP_SHA256
+    assert search(b"ab", b"xab").backend == backend
+
+
+# --- native kernel vs the pure-Python reference -------------------------------
+
+
+def _record(out):
+    return [
+        out.positions,
+        out.verification_count,
+        out.attempt_count,
+        out.total_shift,
+        out.check_comparisons,
+    ]
+
+
+def _edge_cases():
+    """m == n, m == 1, k == m, and position counts at and around the kernel's
+    per-call buffer, which make the scan resume."""
+    cap = engine._POSITIONS_PER_CALL
+    return [
+        (b"abcab", b"abcab", 1),
+        (b"abcab", b"abcab", 4),
+        (b"abcd", b"xabcdabcd", 4),
+        (b"a", b"banana", 1),
+        (b"a", b"a" * cap, 1),
+        (b"a", b"a" * (cap + 1), 1),
+        (b"a" * 4, b"a" * (cap + 3), 3),
+        (b"a", b"a" * 20_000, 1),
+    ]
+
+
+def test_native_matches_python_reference(monkeypatch):
+    """Positions, all four counters and the filter bits agree between the two
+    backends over a seeded c1-style sweep plus the edge cases."""
+    if engine._native is None:
+        pytest.skip("native kernel unavailable: cc missing or the build failed")
+    rng = random.Random(0xD1FF)
+    cases = [(p, t, k, FilterParams()) for p, t, k in _edge_cases()]
+    for sigma in (2, 4, 64, 256):
+        pool = bytes(rng.choices(range(sigma), k=8000))
+        for alpha in (8, 16, 24):
+            for shift_s in (1, 2):
+                params = FilterParams(alpha=alpha, shift_s=shift_s)
+                for _ in range(8):
+                    m = rng.randint(1, 64)
+                    n = m + int((4000 - m) * rng.random() ** 2)
+                    off = rng.randint(0, len(pool) - n)
+                    text = pool[off : off + n]
+                    if rng.random() < 0.5:
+                        start = rng.randint(0, n - m)
+                        pattern = text[start : start + m]
+                    else:
+                        pattern = bytes(rng.choices(range(sigma), k=m))
+                    cases.extend((pattern, text, k, params) for k in range(1, min(4, m) + 1))
+    for pattern, text, k, params in cases:
+        native = search(pattern, text, params=params, k=k)
+        native_bits = FactorFilter(pattern, params).bits
+        with monkeypatch.context() as patched:
+            patched.setattr(engine, "_native", None)
+            python = search(pattern, text, params=params, k=k)
+            python_bits = FactorFilter(pattern, params).bits
+        assert (native.backend, python.backend) == ("native", "python")
+        assert _record(native) == _record(python), (pattern, len(text), k, params)
+        assert native_bits == python_bits
+    assert len(cases) > 600
+
+
+def test_edge_cases_against_oracle(backend):
+    for pattern, text, k in _edge_cases():
+        out = search(pattern, text, k=k)
+        assert out.positions == naive_search(pattern, text)
+        assert out.backend == backend
+    out = search(b"a", b"a" * 20_000)
+    assert out.verification_count == out.check_comparisons == out.attempt_count == 20_000
+
+
+def test_bytes_like_inputs_searched_as_bytes(backend):
+    text = b"xxababab"
+    for view in (bytearray(text), memoryview(text), memoryview(b"--" + text)[2:]):
+        assert search(b"abab", view) == search(b"abab", text)
+        assert search(b"abab", view).positions == [2, 4]
+    # Multi-byte items are searched by their bytes, as the kernel reads them.
+    wide = array.array("H", [1, 2, 1, 2])
+    assert search(array.array("H", [1, 2]), wide).positions == [0, 4]
+    assert search(b"\x02\x00\x01", memoryview(wide)).positions == [2]
+    assert preprocess(array.array("H", [1, 2])).bits == preprocess(b"\x01\x00\x02\x00").bits
+
+
+def test_backend_not_part_of_equality():
+    assert SearchOutcome([1], backend="native") == SearchOutcome([1], backend="python")
+
+
+def test_kernel_build_failure_falls_back(tmp_path, monkeypatch):
+    # A missing source, a compiler error and a PATH without cc each give None.
+    assert engine._load_kernel(str(tmp_path / "missing.c")) is None
+    broken = tmp_path / "broken" / "_kernel.c"
+    broken.parent.mkdir()
+    broken.write_text("this is not C\n")
+    assert engine._load_kernel(str(broken)) is None
+    assert os.listdir(broken.parent / "__pycache__") == []
+    source = tmp_path / "_kernel.c"
+    with open(engine.KERNEL_SOURCE, "rb") as fh:
+        source.write_bytes(fh.read())
+    with monkeypatch.context() as patched:
+        patched.setenv("PATH", str(tmp_path))
+        lib = engine._load_kernel(str(source))
+    assert lib is None
+    monkeypatch.setattr(engine, "_native", lib)
+    out = search(b"abab", b"xxababab")
+    assert out.positions == naive_search(b"abab", b"xxababab") == [2, 4]
+    assert out.backend == "python"
+
+
+def test_kernel_builds_into_pycache(tmp_path):
+    if engine._native is None:
+        pytest.skip("native kernel unavailable: cc missing or the build failed")
+    source = tmp_path / "_kernel.c"
+    with open(engine.KERNEL_SOURCE, "rb") as fh:
+        source.write_bytes(fh.read())
+    assert engine._load_kernel(str(source)) is not None
+    (built,) = os.listdir(tmp_path / "__pycache__")
+    assert built.startswith("_kernel-") and built.endswith(".so")

@@ -11,6 +11,7 @@ from wfr import (
     InvalidPatternError,
     hash_factor,
     preprocess,
+    search,
 )
 
 
@@ -118,3 +119,29 @@ def test_filter_built_from_its_pattern():
         FactorFilter()
     with pytest.raises(InvalidPatternError):
         FactorFilter(b"")
+
+
+def test_filter_is_immutable():
+    # Reassigning the pattern would make search miss [2, 4] with the bits of b"zzzz".
+    flt = preprocess(b"zzzz")
+    assert isinstance(flt.bits, bytes) and len(flt.bits) == flt.params.table_bits >> 3
+    for name, value in (
+        ("pattern", b"abab"),
+        ("bits", preprocess(b"abab").bits),
+        ("params", FilterParams(alpha=8)),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(flt, name, value)
+    with pytest.raises(AttributeError):
+        del flt.pattern
+    assert flt.pattern == b"zzzz"
+    with pytest.raises(ConfigurationError):
+        search(b"abab", b"xxababab", factors=flt)
+
+
+def test_table_size_checked_before_scan():
+    # The scan never reads past a table that does not match its params.
+    flt = preprocess(b"ab")
+    object.__setattr__(flt, "bits", b"\xff")
+    with pytest.raises(ConfigurationError):
+        search(b"ab", b"xxab", factors=flt)
