@@ -7,23 +7,16 @@ error, 3 I/O error.
 from __future__ import annotations
 
 import functools
-import os
 import sys
 
 import click
 
+from . import engine
 from .engine import FilterParams, search
 from .errors import ConfigurationError, CorrectnessViolation, InvalidPatternError
-from .harness import (
-    BenchConfig,
-    DEFAULT_PATTERN_LENGTHS,
-    emit_table,
-    load_corpus,
-    make_algorithm,
-    run_benchmark,
-    synth_corpus,
-    verification_stats,
-)
+
+# wfr.harness (json, random, pathlib) is imported only by the commands that
+# use it, so `wfr search` does not pay for it.
 
 EXIT_NO_MATCH = 1
 EXIT_USAGE = 2
@@ -33,7 +26,8 @@ EXIT_IO = 3
 # with ~10^5 matches; much larger chunks raise peak memory by megabytes.
 ECHO_CHUNK = 1024
 
-ALPHA_ENV = "WFR_DEFAULT_ALPHA"
+# harness.DEFAULT_PATTERN_LENGTHS as an option default, without importing harness.
+DEFAULT_M = "4,8,16,32,64,128,256,512,1024"
 
 
 def _mapped_errors(fn):
@@ -53,17 +47,9 @@ def _mapped_errors(fn):
     return wrapper
 
 
-def _resolve_alpha(alpha: int | None) -> int:
-    """Flag value if given, else WFR_DEFAULT_ALPHA from the environment, else 16."""
-    if alpha is not None:
-        return alpha
-    raw = os.environ.get(ALPHA_ENV)
-    if raw is None:
-        return 16
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigurationError(f"{ALPHA_ENV} must be an integer, got {raw!r}") from None
+def _backend() -> str:
+    """The engine backend in use now, for the bench and stats headers."""
+    return "python" if engine._native is None else "native"
 
 
 def _read_pattern(pattern: str | None, pattern_file: str | None) -> bytes:
@@ -86,6 +72,8 @@ def _parse_m_list(raw: str) -> tuple[int, ...]:
 
 
 def _resolve_corpus(text_path: str | None, synth: str | None, seed: int):
+    from .harness import load_corpus, synth_corpus
+
     if (text_path is None) == (synth is None):
         raise ConfigurationError("exactly one of --text or --synth is required")
     if text_path is not None:
@@ -109,7 +97,7 @@ def main():
 @click.option("--pattern-file", default=None, type=click.Path(), help="Read the pattern from a file (binary-safe).")
 @click.option("--algo", type=click.Choice(["wfr", "naive", "horspool"]), default="wfr", help="Algorithm to run.")
 @click.option("--k", type=int, default=1, help="Chained-loop width for wfr (1-4).")
-@click.option("--alpha", type=int, default=None, help="Hash bit width for wfr (default 16 or WFR_DEFAULT_ALPHA).")
+@click.option("--alpha", type=int, default=16, show_default=True, help="Hash bit width for wfr.")
 @click.option("--shift", "shift_s", type=int, default=2, help="Hash shift per character for wfr (1 or 2).")
 @_mapped_errors
 def cmd_search(text_file, pattern, pattern_file, algo, k, alpha, shift_s):
@@ -121,9 +109,10 @@ def cmd_search(text_file, pattern, pattern_file, algo, k, alpha, shift_s):
     with open(text_file, "rb") as fh:
         text = fh.read()
     if algo == "wfr":
-        params = FilterParams(alpha=_resolve_alpha(alpha), shift_s=shift_s)
-        outcome = search(needle, text, params=params, k=k)
+        outcome = search(needle, text, params=FilterParams(alpha=alpha, shift_s=shift_s), k=k)
     else:
+        from .harness import make_algorithm
+
         outcome = make_algorithm(algo).run(needle, text)
     positions = outcome.positions
     for at in range(0, len(positions), ECHO_CHUNK):
@@ -136,29 +125,31 @@ def cmd_search(text_file, pattern, pattern_file, algo, k, alpha, shift_s):
 @main.command("bench")
 @click.option("--text", "text_path", default=None, type=click.Path(), help="Corpus file (raw bytes).")
 @click.option("--synth", default=None, metavar="SIGMA,LENGTH", help="Synthetic corpus instead of a file.")
-@click.option("--m", "m_spec", default=",".join(str(m) for m in DEFAULT_PATTERN_LENGTHS), show_default=True, help="Comma-separated pattern lengths.")
+@click.option("--m", "m_spec", default=DEFAULT_M, show_default=True, help="Comma-separated pattern lengths.")
 @click.option("--runs", type=int, default=50, show_default=True, help="Patterns sampled per length.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for corpus synthesis and pattern sampling.")
 @click.option("--algos", default="wfr,naive", show_default=True, help="Comma-separated algorithm names (wfr, wfr2-wfr4, naive, horspool).")
-@click.option("--alpha", type=int, default=None, help="Hash bit width for wfr variants.")
+@click.option("--alpha", type=int, default=16, show_default=True, help="Hash bit width for wfr variants.")
 @click.option("--shift", "shift_s", type=int, default=2, help="Hash shift per character for wfr variants.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "markdown", "json"]), default="markdown", show_default=True, help="Output format.")
 @_mapped_errors
 def cmd_bench(text_path, synth, m_spec, runs, seed, algos, alpha, shift_s, fmt):
     """Benchmark algorithms over seeded random patterns; timings include
     preprocessing. Means per (algorithm, length) go to standard output."""
+    from .harness import BenchConfig, emit_table, run_benchmark
+
     corpus = _resolve_corpus(text_path, synth, seed)
     config = BenchConfig(
         pattern_lengths=_parse_m_list(m_spec),
         runs_per_length=runs,
         seed=seed,
         algorithms=tuple(name.strip() for name in algos.split(",") if name.strip()),
-        alpha=_resolve_alpha(alpha),
+        alpha=alpha,
         shift_s=shift_s,
     )
     click.echo(
         f"corpus={corpus.source} runs={config.runs_per_length} seed={config.seed} "
-        f"alpha={config.alpha} shift_s={config.shift_s}",
+        f"alpha={config.alpha} shift_s={config.shift_s} backend={_backend()}",
         err=True,
     )
     rows = run_benchmark(config, corpus)
@@ -168,22 +159,24 @@ def cmd_bench(text_path, synth, m_spec, runs, seed, algos, alpha, shift_s, fmt):
 @main.command("stats")
 @click.option("--text", "text_path", default=None, type=click.Path(), help="Corpus file (raw bytes).")
 @click.option("--synth", default=None, metavar="SIGMA,LENGTH", help="Synthetic corpus instead of a file.")
-@click.option("--m", "m_spec", default=",".join(str(m) for m in DEFAULT_PATTERN_LENGTHS), show_default=True, help="Comma-separated pattern lengths.")
+@click.option("--m", "m_spec", default=DEFAULT_M, show_default=True, help="Comma-separated pattern lengths.")
 @click.option("--runs", type=int, default=50, show_default=True, help="Patterns sampled per length.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for corpus synthesis and pattern sampling.")
 @click.option("--k", type=int, default=1, show_default=True, help="Chained-loop width.")
-@click.option("--alpha", type=int, default=None, help="Hash bit width.")
+@click.option("--alpha", type=int, default=16, show_default=True, help="Hash bit width.")
 @click.option("--shift", "shift_s", type=int, default=2, help="Hash shift per character.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "markdown", "json"]), default="markdown", show_default=True, help="Output format.")
 @_mapped_errors
 def cmd_stats(text_path, synth, m_spec, runs, seed, k, alpha, shift_s, fmt):
     """Report mean occurrences and verifications per 1,048,576 bytes for
     seeded random patterns of each length."""
+    from .harness import emit_table, verification_stats
+
     corpus = _resolve_corpus(text_path, synth, seed)
-    params = FilterParams(alpha=_resolve_alpha(alpha), shift_s=shift_s)
+    params = FilterParams(alpha=alpha, shift_s=shift_s)
     click.echo(
         f"corpus={corpus.source} runs={runs} seed={seed} alpha={params.alpha} "
-        f"shift_s={params.shift_s} k={k}",
+        f"shift_s={params.shift_s} k={k} backend={_backend()}",
         err=True,
     )
     rows = verification_stats(corpus, _parse_m_list(m_spec), runs, seed, params=params, k=k)

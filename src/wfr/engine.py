@@ -32,9 +32,13 @@ with ``cc -O2 -shared -fPIC`` into
 module and loaded with :mod:`ctypes`. When that fails (no compiler, a
 read-only package directory, a load error) the pure-Python loops below run
 instead; they are also the reference the tests compare the kernel against.
-:attr:`SearchOutcome.backend` names the backend that ran. The kernel reads
-a ``bytes`` text in place; any other bytes-like text is copied once into a
-``bytes`` object first.
+:attr:`SearchOutcome.backend` names the backend that ran.
+
+The algorithm's two phases are two calls: ``preprocess(pattern, params)``
+builds the :class:`FactorFilter`, and its ``search(text, k)`` validates
+``k``, picks the backend and scans. Module-level :func:`search` composes the
+two. A ``bytes`` pattern or text is read in place; any other bytes-like one
+is copied once into ``bytes``, so both backends see the same bytes.
 """
 
 from __future__ import annotations
@@ -210,14 +214,27 @@ def extend_hash(v: int, c: int, params: FilterParams = DEFAULT_PARAMS) -> int:
     return ((v << params.shift_s) + c) & params.hash_mask
 
 
+def _as_bytes(arg, name: str) -> bytes:
+    """``arg`` itself when it is ``bytes``, else a ``bytes`` copy of its
+    buffer (multi-byte items become their bytes); ``TypeError`` when ``arg``
+    is not bytes-like."""
+    if type(arg) is bytes:
+        return arg
+    try:
+        return memoryview(arg).tobytes()
+    except TypeError:
+        raise TypeError(f"{name} must be bytes-like, not {type(arg).__name__}") from None
+
+
 class FactorFilter:
     """The factor filter of one pattern: a ``2**alpha``-bit membership table.
 
     Built only from its pattern: the constructor sets bit ``hash_factor(z)``
     for every nonempty factor ``z`` of ``pattern``, and the filter is
     immutable afterwards (assigning an attribute raises ``AttributeError``),
-    so the table always belongs to ``pattern``. A built filter is safe for
-    any number of concurrent readers.
+    so the table always belongs to ``pattern``. :meth:`search` scans any
+    number of texts with it, and a built filter is safe for any number of
+    concurrent searches.
 
     The table is a ``bytes`` bitset, the one layout both backends read in
     place: bit ``v`` is ``bits[v >> 3] & (1 << (v & 7))``. It costs
@@ -230,7 +247,7 @@ class FactorFilter:
     __slots__ = ("params", "bits", "pattern")
 
     def __init__(self, pattern: bytes, params: FilterParams = DEFAULT_PARAMS) -> None:
-        pattern = bytes(pattern)
+        pattern = _as_bytes(pattern, "pattern")
         m = len(pattern)
         if m == 0:
             raise InvalidPatternError("pattern must be at least one byte")
@@ -275,12 +292,36 @@ class FactorFilter:
             for at in range(0, len(bits), step)
         )
 
+    def search(self, text: bytes, k: int = 1) -> SearchOutcome:
+        """Find all occurrences of this filter's pattern in ``text``.
+
+        ``k`` is the chained-loop width: the filter is probed once per ``k``
+        characters folded into the window hash. If ``m > n`` the outcome is
+        empty with zero attempts. Raises ``TypeError`` for a text that is not
+        bytes-like and :class:`ConfigurationError` for ``k`` outside
+        ``[1, 4]`` or ``k > m``. A text that is not ``bytes`` is copied once.
+        """
+        text = _as_bytes(text, "text")
+        m = len(self.pattern)
+        if not K_MIN <= k <= K_MAX:
+            raise ConfigurationError(f"k must be in [{K_MIN}, {K_MAX}], got {k}")
+        if k > m:
+            raise ConfigurationError(f"k={k} exceeds pattern length m={m}")
+        # The scans index the table without bounds checks.
+        if len(self.bits) != self.params.table_bits >> 3:
+            raise ConfigurationError("filter table size does not match its params")
+        if m > len(text):
+            return SearchOutcome(backend="python" if _native is None else "native")
+        if _native is None:
+            return _scan_python(self, text, k)
+        return _scan_native(self, text, k)
+
 
 def preprocess(pattern: bytes, params: FilterParams = DEFAULT_PARAMS) -> FactorFilter:
     """Build the factor filter of ``pattern``; see :class:`FactorFilter`.
 
-    The returned filter can be reused across any number of searches for that
-    same pattern.
+    ``preprocess(pattern, params).search(text, k)`` is the search; the
+    filter can be reused across any number of texts.
     """
     return FactorFilter(pattern, params)
 
@@ -307,19 +348,6 @@ def check(pattern: bytes, text: bytes, i: int) -> bool:
     return _match_len(pattern, text, i) == m
 
 
-def _byte_sequence(arg, name: str):
-    """``arg`` when indexing it yields its bytes, else a ``bytes`` copy of
-    its buffer (a multi-byte or multi-dimensional view), so both backends
-    see the same bytes. ``TypeError`` when ``arg`` is not bytes-like."""
-    try:
-        view = memoryview(arg)
-    except TypeError:
-        raise TypeError(f"{name} must be bytes-like, not {type(arg).__name__}") from None
-    if view.format == "B" and view.ndim == 1:
-        return arg
-    return view.tobytes()
-
-
 def search(
     pattern: bytes,
     text: bytes,
@@ -327,58 +355,24 @@ def search(
     k: int = 1,
     factors: FactorFilter | None = None,
 ) -> SearchOutcome:
-    """Find all occurrences of ``pattern`` in ``text``.
+    """``preprocess(pattern, params).search(text, k)``; see
+    :meth:`FactorFilter.search`. :class:`InvalidPatternError` for an empty
+    pattern.
 
-    ``k`` is the chained-loop width: the filter is probed once per ``k``
-    characters folded into the window hash (``k == 1`` probes after every
-    character). ``factors`` may carry a prebuilt filter from
-    :func:`preprocess` of this same pattern to amortize preprocessing across
-    texts; its params then govern the run, and a conflicting ``params``
-    argument is rejected.
-
-    Returns a :class:`SearchOutcome`; if ``m > n`` the outcome is empty with
-    zero attempts. Raises ``TypeError`` for a pattern or text that is not
-    bytes-like, :class:`InvalidPatternError` for an empty pattern and
-    :class:`ConfigurationError` for ``k`` outside ``[1, 4]``, ``k > m``, or a
-    ``factors`` filter not built from ``pattern``.
-
-    The native backend scans a ``bytes`` text in place and copies any other
-    bytes-like text (``bytearray``, ``memoryview``, ``mmap``) once.
+    ``factors`` may carry a prebuilt filter of this same pattern, whose
+    params then govern the run; a filter built from another pattern, or a
+    ``params`` that differs from its own, raises :class:`ConfigurationError`.
     """
-    pattern = _byte_sequence(pattern, "pattern")
-    text = _byte_sequence(text, "text")
-    m = len(pattern)
-    if m == 0:
-        raise InvalidPatternError("pattern must be at least one byte")
-    if factors is not None:
-        if factors.pattern != pattern:
-            raise ConfigurationError("prebuilt filter was not built from this pattern")
-        if params is not None and params != factors.params:
-            raise ConfigurationError("params conflict with the prebuilt filter's params")
-        params = factors.params
-    elif params is None:
-        params = DEFAULT_PARAMS
-    if not K_MIN <= k <= K_MAX:
-        raise ConfigurationError(f"k must be in [{K_MIN}, {K_MAX}], got {k}")
-    if k > m:
-        raise ConfigurationError(f"k={k} exceeds pattern length m={m}")
-
-    n = len(text)
-    if m > n:
-        return SearchOutcome(backend="python" if _native is None else "native")
     if factors is None:
-        factors = FactorFilter(pattern, params)
-    if len(factors.bits) != params.table_bits >> 3:
-        raise ConfigurationError("filter table size does not match its params")
-    if _native is None:
-        return _scan_python(factors.pattern, text, factors.bits, params, k)
-    return _scan_native(factors.pattern, text, factors.bits, params, k)
+        factors = FactorFilter(pattern, params or DEFAULT_PARAMS)
+    elif factors.pattern != _as_bytes(pattern, "pattern") or params not in (None, factors.params):
+        raise ConfigurationError("prebuilt filter was not built from this pattern with these params")
+    return factors.search(text, k)
 
 
-def _scan_native(x: bytes, y, bits: bytes, params: FilterParams, k: int) -> SearchOutcome:
+def _scan_native(flt: FactorFilter, y: bytes, k: int) -> SearchOutcome:
     """The scan in the C kernel, resumed until the text is used up."""
-    if not isinstance(y, bytes):
-        y = bytes(y)  # the kernel needs one contiguous buffer it can point at
+    x, bits, params = flt.pattern, flt.bits, flt.params
     m, n = len(x), len(y)
     state = (ctypes.c_int64 * 5)(m - 1)  # window end, then the four counters
     buf = (ctypes.c_int64 * _POSITIONS_PER_CALL)()
@@ -391,9 +385,10 @@ def _scan_native(x: bytes, y, bits: bytes, params: FilterParams, k: int) -> Sear
     return SearchOutcome(positions, state[1], state[2], state[3], state[4], backend="native")
 
 
-def _scan_python(x: bytes, y, bits: bytes, params: FilterParams, k: int) -> SearchOutcome:
+def _scan_python(flt: FactorFilter, y: bytes, k: int) -> SearchOutcome:
     """The reference scan: the same loops as the kernel, in Python."""
     # Hot loop: everything bound to locals, bit test inlined.
+    x, bits, params = flt.pattern, flt.bits, flt.params
     s = params.shift_s
     hmask = params.hash_mask
     m = len(x)

@@ -1,10 +1,15 @@
 """CLI tests: golden outputs, exit codes, flag handling."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from click.testing import CliRunner
 
 from wfr import search
-from wfr.cli import main
+from wfr.cli import DEFAULT_M, _parse_m_list, main
+from wfr.harness import DEFAULT_PATTERN_LENGTHS
 
 
 @pytest.fixture
@@ -81,20 +86,20 @@ def test_search_unknown_flag_rejected(runner, aabaab):
     assert runner.invoke(main, ["search", "--wat", "1", aabaab]).exit_code == 2
 
 
-def test_search_alpha_env_default(runner, aabaab, monkeypatch):
-    monkeypatch.setenv("WFR_DEFAULT_ALPHA", "12")
-    result = runner.invoke(main, ["search", "--pattern", "aab", aabaab])
-    assert result.stdout.splitlines()[:2] == ["0", "3"]
+@pytest.mark.parametrize("command", ["bench", "stats"])
+def test_header_names_backend(runner, backend, command):
+    result = runner.invoke(main, [command, "--synth", "4,4096", "--m", "4", "--runs", "2"])
     assert result.exit_code == 0
+    assert result.stderr.splitlines()[0].endswith(f" backend={backend}")
 
-    monkeypatch.setenv("WFR_DEFAULT_ALPHA", "99")
-    assert runner.invoke(main, ["search", "--pattern", "aab", aabaab]).exit_code == 2
-    # explicit flag wins over the broken env value
-    result = runner.invoke(main, ["search", "--pattern", "aab", "--alpha", "16", aabaab])
-    assert result.exit_code == 0
 
-    monkeypatch.setenv("WFR_DEFAULT_ALPHA", "lots")
-    assert runner.invoke(main, ["search", "--pattern", "aab", aabaab]).exit_code == 2
+def test_search_does_not_import_harness():
+    code = "import sys, wfr.cli; print('wfr.harness' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+    # The --m default stands in for the harness constant it must not import.
+    assert _parse_m_list(DEFAULT_M) == DEFAULT_PATTERN_LENGTHS
 
 
 def test_bench_csv_shape(runner):

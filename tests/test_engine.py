@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,13 @@ def test_preprocess_aa_exact_bits():
 def test_preprocess_empty_pattern_rejected():
     with pytest.raises(InvalidPatternError):
         preprocess(b"")
+
+
+def test_preprocess_rejects_non_bytes_like():
+    # bytes(5) would be five zero bytes, and bytes("ab") asks for an encoding.
+    for pattern in (5, "ab"):
+        with pytest.raises(TypeError, match="pattern must be bytes-like"):
+            preprocess(pattern)
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,14 +228,15 @@ def test_search_k_exceeding_m_rejected():
 
 
 def test_search_with_prebuilt_filter():
-    params = FilterParams()
+    # One filter, many texts: the method equals module-level search.
+    params = FilterParams(alpha=12)
     flt = preprocess(b"aab", params)
-    fresh = search(b"aab", b"aabaab", params=params)
-    reused = search(b"aab", b"aabaab", factors=flt)
-    assert reused.positions == fresh.positions
-    assert reused.verification_count == fresh.verification_count
-    # one filter, many texts
-    assert search(b"aab", b"xxaabxx", factors=flt).positions == [2]
+    for text in (b"aabaab", b"xxaabxx", b"", b"aa", bytearray(b"aabaab"), b"aab" * 500):
+        for k in (1, 2, 3):
+            assert flt.search(text, k) == search(b"aab", text, params=params, k=k)
+    assert flt.search(b"xxaabxx", k=2).positions == [2]
+    with pytest.raises(ConfigurationError):
+        flt.search(b"aabaab", k=4)
 
 
 def test_search_prebuilt_filter_for_other_pattern_rejected():
@@ -439,6 +449,41 @@ def test_bytes_like_inputs_searched_as_bytes(backend):
     assert search(array.array("H", [1, 2]), wide).positions == [0, 4]
     assert search(b"\x02\x00\x01", memoryview(wide)).positions == [2]
     assert preprocess(array.array("H", [1, 2])).bits == preprocess(b"\x01\x00\x02\x00").bits
+
+
+def test_shared_matcher_concurrent_searches(backend):
+    # Each search allocates its own scan buffers, so threads sharing one
+    # matcher get a serial run's results (the native scan releases the GIL).
+    rng = random.Random(5)
+    flt = preprocess(b"abab", FilterParams(alpha=12))
+    n = 200_000 if backend == "native" else 20_000
+    texts = [bytes(rng.choices(b"abc", k=n)) for _ in range(4)]
+    ks = (1, 2, 4)
+    serial = [[_record(flt.search(text, k)) for k in ks] for text in texts]
+    results = [[] for _ in texts]
+    errors = []
+
+    def worker(i):
+        try:
+            for _ in range(3):
+                results[i].append([_record(flt.search(texts[i], k)) for k in ks])
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(texts))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for got, want in zip(results, serial):
+        assert got == [want] * 3
 
 
 def test_backend_not_part_of_equality():

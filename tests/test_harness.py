@@ -117,6 +117,8 @@ def test_time_run_duration_and_agreement():
     assert seconds > 0
     _, reference = time_run(naive, pattern, text)
     assert outcome.positions == reference.positions
+    # The oracle reports positions only, no counters it did not measure.
+    assert reference == SearchOutcome(naive_search(pattern, text))
 
 
 def test_time_run_counters_repeatable():
@@ -137,11 +139,16 @@ def test_run_benchmark_smoke():
     )
     rows = run_benchmark(config, corpus)
     assert [row.algorithm for row in rows] == ["wfr", "naive"]
+    wfr_row, naive_row = rows
     for row in rows:
         assert sorted(row.cells) == [4, 8]
         for cell in row.cells.values():
             assert cell.mean_ms > 0
-            assert cell.mean_verifications >= cell.mean_occurrences >= 0
+    for m, cell in wfr_row.cells.items():
+        assert cell.mean_verifications >= cell.mean_occurrences >= 0
+        # The oracle measures positions only, so it reports no verifications.
+        assert naive_row.cells[m].mean_occurrences == cell.mean_occurrences
+        assert naive_row.cells[m].mean_verifications == 0
 
 
 def test_run_benchmark_counters_deterministic():
