@@ -29,11 +29,12 @@ void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, uint64_t mask, 
 /* Scan windows of y[0..n) ending at st[0] and onwards. st holds, in order,
  * the next window end j and the running verification, attempt, shift and
  * comparison counters; the scan updates them in place. Writes at most cap
- * occurrence positions to pos and returns how many it wrote. The scan is
- * finished when st[0] >= n; otherwise the caller drains pos and calls again. */
+ * occurrence positions, each plus base (the offset of y[0] in the whole
+ * text), to pos and returns how many it wrote. The scan of y is finished
+ * when st[0] >= n; otherwise the caller drains pos and calls again. */
 int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
                  const uint8_t *tbl, int s, uint64_t mask, int k,
-                 int64_t *pos, int64_t cap, int64_t *st)
+                 int64_t *pos, int64_t cap, int64_t *st, int64_t base)
 {
     int64_t j = st[0], ver = st[1], att = st[2], shift = st[3], cmp = st[4];
     int64_t found = 0;
@@ -74,7 +75,7 @@ int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
                 t++;
             cmp += t == m ? t : t + 1;
             if (t == m)
-                pos[found++] = i;
+                pos[found++] = i + base;
         }
         j = cursor + m;
         shift += cursor + 1 - i;

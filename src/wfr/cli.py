@@ -12,7 +12,7 @@ import sys
 import click
 
 from . import engine
-from .engine import FilterParams, search
+from .engine import FilterParams, preprocess
 from .errors import ConfigurationError, CorrectnessViolation, InvalidPatternError
 
 # wfr.harness (json, random, pathlib) is imported only by the commands that
@@ -92,7 +92,7 @@ def main():
 
 
 @main.command("search")
-@click.argument("text_file", type=click.Path())
+@click.argument("text_file", type=click.Path(allow_dash=True))
 @click.option("--pattern", default=None, help="Pattern string (bytes taken verbatim).")
 @click.option("--pattern-file", default=None, type=click.Path(), help="Read the pattern from a file (binary-safe).")
 @click.option("--algo", type=click.Choice(["wfr", "naive", "horspool"]), default="wfr", help="Algorithm to run.")
@@ -101,19 +101,19 @@ def main():
 @click.option("--shift", "shift_s", type=int, default=2, help="Hash shift per character for wfr (1 or 2).")
 @_mapped_errors
 def cmd_search(text_file, pattern, pattern_file, algo, k, alpha, shift_s):
-    """Print every occurrence of a pattern in TEXT_FILE, one 0-based byte
-    offset per line, then a summary line. Exits 1 when there is no match."""
+    """Print every occurrence of a pattern in TEXT_FILE (- for standard
+    input), one 0-based byte offset per line, then a summary line. Exits 1
+    when there is no match. wfr reads the text in 1 MiB chunks."""
     needle = _read_pattern(pattern, pattern_file)
-    if not needle:
-        raise InvalidPatternError("pattern must be at least one byte")
-    with open(text_file, "rb") as fh:
-        text = fh.read()
     if algo == "wfr":
-        outcome = search(needle, text, params=FilterParams(alpha=alpha, shift_s=shift_s), k=k)
+        matcher = preprocess(needle, FilterParams(alpha=alpha, shift_s=shift_s))
+        with click.open_file(text_file, "rb") as fh:
+            outcome = matcher.search_file(fh, k)
     else:
         from .harness import make_algorithm
 
-        outcome = make_algorithm(algo).run(needle, text)
+        with click.open_file(text_file, "rb") as fh:
+            outcome = make_algorithm(algo).run(needle, fh.read())
     positions = outcome.positions
     for at in range(0, len(positions), ECHO_CHUNK):
         click.echo("\n".join(map(str, positions[at : at + ECHO_CHUNK])))

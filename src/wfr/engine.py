@@ -39,6 +39,14 @@ builds the :class:`FactorFilter`, and its ``search(text, k)`` validates
 ``k``, picks the backend and scans. Module-level :func:`search` composes the
 two. A ``bytes`` pattern or text is read in place; any other bytes-like one
 is copied once into ``bytes``, so both backends see the same bytes.
+
+The scan is resumable: both backends scan one window of the text at a time
+and carry the next window end and the four counters in a 5-slot state. A
+window reads only its own ``m`` bytes and the next window end is never
+before the end of the scanned bytes, so ``search_file(fh, k)`` reads a file
+in 1 MiB chunks, scans the last ``m-1`` bytes of the previous window plus
+each chunk, and gets the positions and counters of a whole-text search.
+``search(text, k)`` is the same driver with the text as its only window.
 """
 
 from __future__ import annotations
@@ -60,6 +68,10 @@ K_MAX = 4
 KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 # Positions the kernel writes per call; bounds the scan buffer for any text.
 _POSITIONS_PER_CALL = 4096
+# Bytes :meth:`FactorFilter.search_file` reads per call; it bounds the memory.
+# 256 KiB, 1 MiB and 4 MiB chunks scanned a 16 MiB sigma=4 file in 28.5-29.7 ms
+# on a 2-vCPU VM, so the size is set by memory alone.
+_CHUNK_BYTES = 1 << 20
 
 
 def _build_kernel(source: str, library: str) -> None:
@@ -110,7 +122,7 @@ def _load_kernel(source: str = KERNEL_SOURCE) -> ctypes.CDLL | None:
         lib.wfr_build.restype = None
         lib.wfr_scan.argtypes = [
             ctypes.c_char_p, i64, ctypes.c_char_p, i64, ctypes.c_char_p,
-            ctypes.c_int, ctypes.c_uint64, ctypes.c_int, ptr, i64, ptr,
+            ctypes.c_int, ctypes.c_uint64, ctypes.c_int, ptr, i64, ptr, i64,
         ]
         lib.wfr_scan.restype = i64
     except (OSError, AttributeError):  # AttributeError: a symbol is missing
@@ -232,9 +244,9 @@ class FactorFilter:
     Built only from its pattern: the constructor sets bit ``hash_factor(z)``
     for every nonempty factor ``z`` of ``pattern``, and the filter is
     immutable afterwards (assigning an attribute raises ``AttributeError``),
-    so the table always belongs to ``pattern``. :meth:`search` scans any
-    number of texts with it, and a built filter is safe for any number of
-    concurrent searches.
+    so the table always belongs to ``pattern``. :meth:`search` and
+    :meth:`search_file` scan any number of texts with it, and a built filter
+    is safe for any number of concurrent searches.
 
     The table is a ``bytes`` bitset, the one layout both backends read in
     place: bit ``v`` is ``bits[v >> 3] & (1 << (v & 7))``. It costs
@@ -301,7 +313,27 @@ class FactorFilter:
         bytes-like and :class:`ConfigurationError` for ``k`` outside
         ``[1, 4]`` or ``k > m``. A text that is not ``bytes`` is copied once.
         """
-        text = _as_bytes(text, "text")
+        return self._search_chunks((_as_bytes(text, "text"),), k)
+
+    def search_file(self, fh, k: int = 1) -> SearchOutcome:
+        """:meth:`search` over the bytes a binary file ``fh`` yields.
+
+        Reads ``fh`` in chunks of at most 1 MiB until it returns ``b""``, so
+        it holds about one chunk plus ``m-1`` bytes of the text at a time;
+        a short read (from a pipe) is just a smaller chunk. Positions and
+        all four counters equal those of ``search(fh.read(), k)``.
+        """
+        return self._search_chunks(iter(lambda: fh.read(_CHUNK_BYTES), b""), k)
+
+    def _search_chunks(self, chunks, k: int) -> SearchOutcome:
+        """The one scan driver: validate ``k`` and the table, then scan the
+        text that ``chunks`` yields in order, as one resumable scan.
+
+        Each window is the last ``m-1`` bytes of the previous window plus
+        the next chunk, so every alignment lies whole in some window; a
+        lone chunk is scanned in place. The backend state carries the next
+        window end and the four counters from one window to the next.
+        """
         m = len(self.pattern)
         if not K_MIN <= k <= K_MAX:
             raise ConfigurationError(f"k must be in [{K_MIN}, {K_MAX}], got {k}")
@@ -310,11 +342,24 @@ class FactorFilter:
         # The scans index the table without bounds checks.
         if len(self.bits) != self.params.table_bits >> 3:
             raise ConfigurationError("filter table size does not match its params")
-        if m > len(text):
-            return SearchOutcome(backend="python" if _native is None else "native")
         if _native is None:
-            return _scan_python(self, text, k)
-        return _scan_native(self, text, k)
+            scan, backend = _scan_python, "python"
+        else:
+            scan, backend = _scan_native, "native"
+        state = (ctypes.c_int64 * 5)(m - 1)  # window end, then the four counters
+        positions: list[int] = []
+        base = 0  # offset of the window's first byte in the text
+        carry = b""
+        for chunk in chunks:
+            window = carry + chunk  # no copy while carry is empty
+            scan(self, window, k, state, base, positions)
+            # The next window end is at or past len(window), so a window not
+            # yet scanned starts in the last m-1 bytes or later.
+            dropped = max(len(window) - (m - 1), 0)
+            state[0] -= dropped
+            base += dropped
+            carry = window[dropped:]
+        return SearchOutcome(positions, state[1], state[2], state[3], state[4], backend=backend)
 
 
 def preprocess(pattern: bytes, params: FilterParams = DEFAULT_PARAMS) -> FactorFilter:
@@ -370,36 +415,30 @@ def search(
     return factors.search(text, k)
 
 
-def _scan_native(flt: FactorFilter, y: bytes, k: int) -> SearchOutcome:
-    """The scan in the C kernel, resumed until the text is used up."""
+def _scan_native(flt: FactorFilter, y: bytes, k: int, state, base: int, positions: list[int]) -> None:
+    """Scan window ``y`` in the C kernel from window end ``state[0]`` until
+    ``state[0] >= len(y)``, updating ``state`` (the window end, then the four
+    counters) and appending each position plus ``base`` to ``positions``."""
     x, bits, params = flt.pattern, flt.bits, flt.params
     m, n = len(x), len(y)
-    state = (ctypes.c_int64 * 5)(m - 1)  # window end, then the four counters
     buf = (ctypes.c_int64 * _POSITIONS_PER_CALL)()
-    positions: list[int] = []
     while state[0] < n:
         found = _native.wfr_scan(
-            x, m, y, n, bits, params.shift_s, params.hash_mask, k, buf, _POSITIONS_PER_CALL, state
+            x, m, y, n, bits, params.shift_s, params.hash_mask, k, buf, _POSITIONS_PER_CALL, state, base
         )
         positions.extend(buf[:found])
-    return SearchOutcome(positions, state[1], state[2], state[3], state[4], backend="native")
 
 
-def _scan_python(flt: FactorFilter, y: bytes, k: int) -> SearchOutcome:
-    """The reference scan: the same loops as the kernel, in Python."""
+def _scan_python(flt: FactorFilter, y: bytes, k: int, state, base: int, positions: list[int]) -> None:
+    """The reference scan: the same loops and state as the kernel, in Python."""
     # Hot loop: everything bound to locals, bit test inlined.
     x, bits, params = flt.pattern, flt.bits, flt.params
     s = params.shift_s
     hmask = params.hash_mask
     m = len(x)
     n = len(y)
-    positions = []
-    verifications = 0
-    attempts = 0
-    shifts = 0
-    comparisons = 0
+    j, verifications, attempts, shifts, comparisons = state
 
-    j = m - 1
     if k == 1:
         while j < n:
             attempts += 1
@@ -414,7 +453,7 @@ def _scan_python(flt: FactorFilter, y: bytes, k: int) -> SearchOutcome:
                 t = _match_len(x, y, i)
                 comparisons += t if t == m else t + 1
                 if t == m:
-                    positions.append(i)
+                    positions.append(i + base)
             j = cursor + m
             shifts += cursor + 1 - i
     else:
@@ -438,9 +477,9 @@ def _scan_python(flt: FactorFilter, y: bytes, k: int) -> SearchOutcome:
                     t = _match_len(x, y, i)
                     comparisons += t if t == m else t + 1
                     if t == m:
-                        positions.append(i)
+                        positions.append(i + base)
                     break
             j = cursor + m
             shifts += cursor + 1 - i
 
-    return SearchOutcome(positions, verifications, attempts, shifts, comparisons, backend="python")
+    state[:] = (j, verifications, attempts, shifts, comparisons)

@@ -1,13 +1,15 @@
 """CLI tests: golden outputs, exit codes, flag handling."""
 
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
 
-from wfr import search
+import wfr
+from wfr import engine, search
 from wfr.cli import DEFAULT_M, _parse_m_list, main
 from wfr.harness import DEFAULT_PATTERN_LENGTHS
 
@@ -75,6 +77,64 @@ def test_search_empty_pattern_rejected(runner, aabaab):
 def test_search_unreadable_text(runner, tmp_path):
     result = runner.invoke(main, ["search", "--pattern", "x", str(tmp_path / "missing.bin")])
     assert result.exit_code == 3
+
+
+def test_search_checks_wfr_arguments_before_opening_text(runner, tmp_path):
+    missing = str(tmp_path / "missing.bin")
+    assert runner.invoke(main, ["search", "--pattern", "", missing]).exit_code == 2
+    assert runner.invoke(main, ["search", "--pattern", "x", "--alpha", "31", missing]).exit_code == 2
+    # The byte-string baselines read the text first.
+    assert runner.invoke(main, ["search", "--algo", "naive", "--pattern", "", missing]).exit_code == 3
+
+
+def test_search_stdin_equals_path(runner, tmp_path):
+    # More than one read chunk, with an occurrence across the chunk boundary.
+    rng = random.Random(3)
+    data = bytes(rng.choices(b"acgt", k=engine._CHUNK_BYTES + 5000))
+    path = tmp_path / "text.bin"
+    path.write_bytes(data)
+    needle = data[engine._CHUNK_BYTES - 6 : engine._CHUNK_BYTES + 6].decode()
+    by_path = runner.invoke(main, ["search", "--pattern", needle, str(path)])
+    from_stdin = runner.invoke(main, ["search", "--pattern", needle, "-"], input=data)
+    assert by_path.exit_code == from_stdin.exit_code == 0
+    assert str(engine._CHUNK_BYTES - 6) in by_path.stdout.splitlines()
+    assert from_stdin.stdout == by_path.stdout
+
+
+# Runs a command and prints its exit code and peak RSS in KiB. It is spawned
+# from this small interpreter because on Linux a child's ru_maxrss starts
+# from the RSS of the process that spawned it.
+_PEAK_RSS = """
+import os, sys
+out = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=out)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="peak RSS is read from ru_maxrss as Linux reports it")
+def test_search_memory_bounded_by_chunk(tmp_path):
+    # A 48 MiB text must not be held whole: the search peaks within a few
+    # MiB of a bare import of the CLI.
+    text = tmp_path / "zeros.bin"
+    with open(text, "wb") as fh:
+        fh.seek((48 << 20) - 3)
+        fh.write(b"xyz")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(wfr.__file__))}
+
+    def peak_mib(*argv):
+        out = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, sys.executable, *argv],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        code, maxrss_kib = map(int, out.stdout.split())
+        return code, maxrss_kib / 1024
+
+    _, imported = peak_mib("-c", "import wfr.cli")
+    code, searched = peak_mib("-m", "wfr.cli", "search", "--pattern", "xyz", str(text))
+    assert code == 0
+    assert searched - imported < 8, (imported, searched)
 
 
 def test_search_bad_alpha(runner, aabaab):

@@ -2,6 +2,7 @@
 
 import array
 import hashlib
+import io
 import json
 import os
 import random
@@ -247,7 +248,7 @@ def test_search_prebuilt_filter_for_other_pattern_rejected():
 
 
 def test_search_rejects_str_inputs():
-    # A str reaches three places: the m > n early return, the scan, and the
+    # A str text is refused whether or not m > n, and a str pattern by the
     # filter constructor.
     with pytest.raises(TypeError, match="text must be bytes-like, not str"):
         search(b"abc", "ab")
@@ -328,7 +329,8 @@ def test_verification_soundness_randomized():
 COUNTER_SWEEP_SHA256 = "c5139a22a0da5b8721f26ed99d2fce1534694c8ef87ec9c9ec4fd85119258651"
 
 
-def _counter_sweep():
+def _counter_sweep(run=search):
+    """Records of ``run(pattern, text, params, k)`` over the seeded sweep."""
     rng = random.Random(0xC0DE)
     records = []
     for sigma in (2, 4, 20, 64, 256):
@@ -345,7 +347,7 @@ def _counter_sweep():
                     else:
                         pattern = bytes(rng.choices(range(sigma), k=m))
                     for k in range(1, min(4, m) + 1):
-                        out = search(pattern, text, params=params, k=k)
+                        out = run(pattern, text, params=params, k=k)
                         records.append(
                             [
                                 out.positions,
@@ -365,6 +367,48 @@ def test_counter_sweep_pinned(backend):
     assert search(b"ab", b"xab").backend == backend
 
 
+class _ShortReads(io.RawIOBase):
+    """A binary stream whose reads return at most ``most`` bytes, as a pipe's may."""
+
+    def __init__(self, data, most):
+        self._data = data
+        self._at = 0
+        self._most = most
+
+    def readable(self):
+        return True
+
+    def read(self, size=-1):
+        size = self._most if size < 0 else min(size, self._most)
+        out = self._data[self._at : self._at + size]
+        self._at += len(out)
+        return out
+
+
+def test_counter_sweep_chunked(backend):
+    """The chunked scan gives the pinned positions and counters for chunks
+    shorter than, equal to and longer than the pattern."""
+    for chunk in (lambda m: max(m - 1, 1), lambda m: m, lambda m: m + 1, lambda m: 97, lambda m: 4096):
+
+        def run(pattern, text, params, k):
+            reads = _ShortReads(text, chunk(len(pattern)))
+            return preprocess(pattern, params).search_file(reads, k)
+
+        records = _counter_sweep(run)
+        assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == COUNTER_SWEEP_SHA256
+    # One byte per read: every window is m bytes.
+    rng = random.Random(11)
+    for _ in range(30):
+        m = rng.randint(1, 12)
+        text = bytes(rng.choices(b"ab", k=rng.randint(0, 300)))
+        pattern = bytes(rng.choices(b"ab", k=m))
+        flt = preprocess(pattern, FilterParams(alpha=rng.choice([8, 16]), shift_s=rng.choice([1, 2])))
+        for k in range(1, min(4, m) + 1):
+            assert flt.search_file(_ShortReads(text, 1), k) == flt.search(text, k)
+    with open(os.devnull, "rb") as empty:
+        assert preprocess(b"ab").search_file(empty) == SearchOutcome()
+
+
 # --- native kernel vs the pure-Python reference -------------------------------
 
 
@@ -379,14 +423,16 @@ def _record(out):
 
 
 def _edge_cases():
-    """m == n, m == 1, k == m, and position counts at and around the kernel's
-    per-call buffer, which make the scan resume."""
+    """m == n, m == 1, k == m, m > n, and position counts at and around the
+    kernel's per-call buffer, which make the scan resume."""
     cap = engine._POSITIONS_PER_CALL
     return [
         (b"abcab", b"abcab", 1),
         (b"abcab", b"abcab", 4),
         (b"abcd", b"xabcdabcd", 4),
         (b"a", b"banana", 1),
+        (b"abcd", b"abc", 1),
+        (b"abcd", b"", 1),
         (b"a", b"a" * cap, 1),
         (b"a", b"a" * (cap + 1), 1),
         (b"a" * 4, b"a" * (cap + 3), 3),
