@@ -26,8 +26,6 @@ def horspool_search(pattern: bytes, text: bytes) -> SearchOutcome:
     if m == 0:
         raise InvalidPatternError("pattern must be at least one byte")
     outcome = SearchOutcome()
-    if m > n:
-        return outcome
 
     shift = [m] * 256
     for t in range(m - 1):

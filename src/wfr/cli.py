@@ -96,7 +96,7 @@ def main():
 @click.option("--pattern", default=None, help="Pattern string (bytes taken verbatim).")
 @click.option("--pattern-file", default=None, type=click.Path(), help="Read the pattern from a file (binary-safe).")
 @click.option("--algo", type=click.Choice(["wfr", "naive", "horspool"]), default="wfr", help="Algorithm to run.")
-@click.option("--k", type=int, default=1, help="Chained-loop width for wfr (1-4).")
+@click.option("--k", type=int, default=1, help="Characters folded per filter probe for wfr (1-4).")
 @click.option("--alpha", type=int, default=16, show_default=True, help="Hash bit width for wfr.")
 @click.option("--shift", "shift_s", type=int, default=2, help="Hash shift per character for wfr (1 or 2).")
 @_mapped_errors
@@ -162,7 +162,7 @@ def cmd_bench(text_path, synth, m_spec, runs, seed, algos, alpha, shift_s, fmt):
 @click.option("--m", "m_spec", default=DEFAULT_M, show_default=True, help="Comma-separated pattern lengths.")
 @click.option("--runs", type=int, default=50, show_default=True, help="Patterns sampled per length.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for corpus synthesis and pattern sampling.")
-@click.option("--k", type=int, default=1, show_default=True, help="Chained-loop width.")
+@click.option("--k", type=int, default=1, show_default=True, help="Characters folded per filter probe (1-4).")
 @click.option("--alpha", type=int, default=16, show_default=True, help="Hash bit width.")
 @click.option("--shift", "shift_s", type=int, default=2, help="Hash shift per character.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "markdown", "json"]), default="markdown", show_default=True, help="Output format.")

@@ -19,10 +19,12 @@ which is what makes the worst case (e.g. ``a^m`` in ``a^n``) cost O(n*m).
 
 The suffix hash is built incrementally: folding one more character ``c`` on
 the left of a suffix with hash ``v`` costs one shift-add,
-``((v << shift_s) + c) mod 2**alpha``. The chained variant (``k > 1``) folds
-``k`` characters between consecutive filter tests instead of one, trading
-slightly shorter shifts for fewer table probes; the hash stream itself is
-identical, so no occurrence can be missed for any ``k``.
+``((v << shift_s) + c) mod 2**alpha``. The scan folds ``k`` characters
+(fewer at the window's left end) between consecutive filter tests; ``k=1``
+probes after every character, and the chained variants (``k > 1``) trade
+slightly shorter shifts for fewer table probes. It is one loop for every
+``k``, and the hash stream is the same, so no occurrence can be missed for
+any ``k``.
 
 Two backends run the same algorithm over the same filter layout and give
 identical positions and counters. The native backend is the C kernel in
@@ -307,13 +309,13 @@ class FactorFilter:
     def search(self, text: bytes, k: int = 1) -> SearchOutcome:
         """Find all occurrences of this filter's pattern in ``text``.
 
-        ``k`` is the chained-loop width: the filter is probed once per ``k``
-        characters folded into the window hash. If ``m > n`` the outcome is
-        empty with zero attempts. Raises ``TypeError`` for a text that is not
-        bytes-like and :class:`ConfigurationError` for ``k`` outside
-        ``[1, 4]`` or ``k > m``. A text that is not ``bytes`` is copied once.
+        ``k`` is the number of characters folded into the window hash per
+        filter probe. If ``m > n`` the outcome is empty with zero attempts.
+        Raises :class:`ConfigurationError` for ``k`` outside ``[1, 4]`` or
+        ``k > m``, and then ``TypeError`` for a text that is not bytes-like.
+        A text that is not ``bytes`` is copied once.
         """
-        return self._search_chunks((_as_bytes(text, "text"),), k)
+        return self._search_chunks((text,), k)
 
     def search_file(self, fh, k: int = 1) -> SearchOutcome:
         """:meth:`search` over the bytes a binary file ``fh`` yields.
@@ -327,7 +329,8 @@ class FactorFilter:
 
     def _search_chunks(self, chunks, k: int) -> SearchOutcome:
         """The one scan driver: validate ``k`` and the table, then scan the
-        text that ``chunks`` yields in order, as one resumable scan.
+        text that ``chunks`` yields in order, as one resumable scan. Each
+        chunk must be bytes-like (``TypeError`` otherwise).
 
         Each window is the last ``m-1`` bytes of the previous window plus
         the next chunk, so every alignment lies whole in some window; a
@@ -351,7 +354,7 @@ class FactorFilter:
         base = 0  # offset of the window's first byte in the text
         carry = b""
         for chunk in chunks:
-            window = carry + chunk  # no copy while carry is empty
+            window = carry + _as_bytes(chunk, "text")  # no copy while carry is empty
             scan(self, window, k, state, base, positions)
             # The next window end is at or past len(window), so a window not
             # yet scanned starts in the last m-1 bytes or later.
@@ -430,7 +433,8 @@ def _scan_native(flt: FactorFilter, y: bytes, k: int, state, base: int, position
 
 
 def _scan_python(flt: FactorFilter, y: bytes, k: int, state, base: int, positions: list[int]) -> None:
-    """The reference scan: the same loops and state as the kernel, in Python."""
+    """The reference scan: the same loop and state as the kernel, in Python.
+    One loop serves every ``k``; ``k=1`` probes after every character."""
     # Hot loop: everything bound to locals, bit test inlined.
     x, bits, params = flt.pattern, flt.bits, flt.params
     s = params.shift_s
@@ -439,47 +443,29 @@ def _scan_python(flt: FactorFilter, y: bytes, k: int, state, base: int, position
     n = len(y)
     j, verifications, attempts, shifts, comparisons = state
 
-    if k == 1:
-        while j < n:
-            attempts += 1
-            i = j - m + 1
-            cursor = j
-            v = y[j]
-            while cursor > i and bits[v >> 3] & (1 << (v & 7)):
+    while j < n:
+        attempts += 1
+        i = j - m + 1
+        # Fold up to k characters, probe once; repeat while the probe passes
+        # and the window is not used up; verify when the probe at i passes.
+        cursor = j + 1
+        v = 0
+        while True:
+            stop = cursor - k
+            if stop < i:
+                stop = i
+            while cursor > stop:
                 cursor -= 1
                 v = ((v << s) + y[cursor]) & hmask
-            if cursor == i and bits[v >> 3] & (1 << (v & 7)):
-                verifications += 1
-                t = _match_len(x, y, i)
-                comparisons += t if t == m else t + 1
-                if t == m:
-                    positions.append(i + base)
-            j = cursor + m
-            shifts += cursor + 1 - i
-    else:
-        while j < n:
-            attempts += 1
-            i = j - m + 1
-            # Fold up to k characters, probe once; verify when the window is used up.
-            cursor = j + 1
-            v = 0
-            while True:
-                stop = cursor - k
-                if stop < i:
-                    stop = i
-                while cursor > stop:
-                    cursor -= 1
-                    v = ((v << s) + y[cursor]) & hmask
-                if not bits[v >> 3] & (1 << (v & 7)):
-                    break
-                if cursor == i:
-                    verifications += 1
-                    t = _match_len(x, y, i)
-                    comparisons += t if t == m else t + 1
-                    if t == m:
-                        positions.append(i + base)
-                    break
-            j = cursor + m
-            shifts += cursor + 1 - i
+            if cursor == i or not bits[v >> 3] & (1 << (v & 7)):
+                break
+        if cursor == i and bits[v >> 3] & (1 << (v & 7)):
+            verifications += 1
+            t = _match_len(x, y, i)
+            comparisons += t if t == m else t + 1
+            if t == m:
+                positions.append(i + base)
+        j = cursor + m
+        shifts += cursor + 1 - i
 
     state[:] = (j, verifications, attempts, shifts, comparisons)

@@ -186,13 +186,18 @@ def test_search_chained_matches_base():
     assert search(b"aab", b"aabaab", k=2).positions == [0, 3]
 
 
-def test_search_instrumentation_aabaab():
-    outcome = search(b"aab", b"aabaab")
-    assert outcome.attempt_count == 3
+@pytest.mark.parametrize("k, attempts", [(1, 3), (2, 3), (3, 4)])
+def test_search_instrumentation_aabaab(backend, k, attempts):
+    # k=1 and k=2: windows 0 and 3 match, and window 1 ("aba") fails on its
+    # suffix "ba" and jumps 2. k=3: the one probe over the whole of "aba"
+    # fails at the window start, so that window shifts by 1, and window 2
+    # ("baa") fails the same way.
+    outcome = search(b"aab", b"aabaab", k=k)
+    assert outcome.attempt_count == attempts
     assert outcome.total_shift == 4
     assert outcome.check_comparisons == 6
     assert outcome.occurrence_count == 2
-    assert outcome.mean_shift == pytest.approx(4 / 3)
+    assert outcome.mean_shift == pytest.approx(4 / attempts)
 
 
 def test_search_single_byte_pattern():
@@ -256,6 +261,9 @@ def test_search_rejects_str_inputs():
         search(b"ab", "xab")
     with pytest.raises(TypeError, match="pattern must be bytes-like, not str"):
         search("ab", b"xab")
+    # A text-mode file yields str chunks; they are refused the same way.
+    with pytest.raises(TypeError, match="text must be bytes-like, not str"):
+        preprocess(b"ab").search_file(io.StringIO("xxab"))
 
 
 def test_search_prebuilt_filter_param_conflict():
