@@ -7,6 +7,7 @@ error, 3 I/O error.
 from __future__ import annotations
 
 import functools
+import os
 import sys
 
 import click
@@ -56,7 +57,7 @@ def _read_pattern(pattern: str | None, pattern_file: str | None) -> bytes:
     if (pattern is None) == (pattern_file is None):
         raise ConfigurationError("exactly one of --pattern or --pattern-file is required")
     if pattern is not None:
-        return pattern.encode()
+        return os.fsencode(pattern)
     with open(pattern_file, "rb") as fh:
         return fh.read()
 
@@ -144,12 +145,11 @@ def cmd_bench(text_path, synth, m_spec, runs, seed, algos, alpha, shift_s, fmt):
         runs_per_length=runs,
         seed=seed,
         algorithms=tuple(name.strip() for name in algos.split(",") if name.strip()),
-        alpha=alpha,
-        shift_s=shift_s,
+        params=FilterParams(alpha=alpha, shift_s=shift_s),
     )
     click.echo(
         f"corpus={corpus.source} runs={config.runs_per_length} seed={config.seed} "
-        f"alpha={config.alpha} shift_s={config.shift_s} backend={_backend()}",
+        f"alpha={config.params.alpha} shift_s={config.params.shift_s} backend={_backend()}",
         err=True,
     )
     rows = run_benchmark(config, corpus)
@@ -168,8 +168,9 @@ def cmd_bench(text_path, synth, m_spec, runs, seed, algos, alpha, shift_s, fmt):
 @click.option("--format", "fmt", type=click.Choice(["csv", "markdown", "json"]), default="markdown", show_default=True, help="Output format.")
 @_mapped_errors
 def cmd_stats(text_path, synth, m_spec, runs, seed, k, alpha, shift_s, fmt):
-    """Report mean occurrences and verifications per 1,048,576 bytes for
-    seeded random patterns of each length."""
+    """Report the benchmark's mean occurrences and verifications for wfr
+    with one --k over seeded random patterns of each length, scaled to
+    1,048,576 bytes of text."""
     from .harness import emit_table, verification_stats
 
     corpus = _resolve_corpus(text_path, synth, seed)

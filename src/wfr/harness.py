@@ -4,9 +4,10 @@ Reproduces the classic search-benchmark methodology at desk scale: load or
 synthesize a corpus, extract seeded random patterns of each length, time each
 registered algorithm over many runs (preprocessing included), cross-check
 that all algorithms report identical occurrences, and emit the results as
-csv, markdown, or json. A separate statistics mode reports mean occurrences
-and mean verifications per 1,048,576 bytes of text, the standard measure of
-filter false-positive pressure.
+csv, markdown, or json. The statistics mode is a view of one such run: the
+mean occurrences and mean verifications of wfr with one ``k``, scaled to
+1,048,576 bytes of text, the standard measure of filter false-positive
+pressure.
 
 Pattern sampling and statistics are deterministic for a fixed seed; timed
 runs execute serially so timings stay honest.
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import Callable, ClassVar, Sequence
 
 from .baselines import horspool_search, naive_search
-from .engine import FilterParams, SearchOutcome, search
+from .engine import DEFAULT_PARAMS, FilterParams, SearchOutcome, search
 from .errors import ConfigurationError, CorrectnessViolation
 
 MIB = 1_048_576
@@ -97,11 +98,11 @@ class Algorithm:
     run: Callable[[bytes, bytes], SearchOutcome]
 
 
-def make_algorithm(name: str, alpha: int = 16, shift_s: int = 2) -> Algorithm:
+def make_algorithm(name: str, params: FilterParams = DEFAULT_PARAMS) -> Algorithm:
     """Resolve a registry name to a runnable Algorithm.
 
     Names: "wfr" (k=1), "wfr2".."wfr4" (chained), "naive", "horspool".
-    ``alpha`` and ``shift_s`` apply to the wfr variants only.
+    ``params`` apply to the wfr variants only.
     """
     if name == "naive":
         # The oracle measures positions only; its counters stay 0.
@@ -110,25 +111,20 @@ def make_algorithm(name: str, alpha: int = 16, shift_s: int = 2) -> Algorithm:
         return Algorithm("horspool", horspool_search)
     if name in ("wfr", "wfr2", "wfr3", "wfr4"):
         k = 1 if name == "wfr" else int(name[3:])
-        params = FilterParams(alpha=alpha, shift_s=shift_s)
-
-        def run(pattern: bytes, text: bytes, _params=params, _k=k) -> SearchOutcome:
-            return search(pattern, text, params=_params, k=_k)
-
-        return Algorithm(name, run)
+        return Algorithm(name, lambda pattern, text: search(pattern, text, params=params, k=k))
     raise ConfigurationError(f"unknown algorithm {name!r} (known: {', '.join(ALGORITHM_NAMES)})")
 
 
 @dataclass
 class BenchConfig:
-    """Benchmark shape: which lengths, how many runs, which algorithms."""
+    """Benchmark shape: which lengths, how many runs, which algorithms, and
+    the hash params of the wfr variants."""
 
     pattern_lengths: Sequence[int] = DEFAULT_PATTERN_LENGTHS
     runs_per_length: int = 500
     seed: int = 0
     algorithms: Sequence[str] = ("wfr",)
-    alpha: int = 16
-    shift_s: int = 2
+    params: FilterParams = DEFAULT_PARAMS
 
     def __post_init__(self) -> None:
         if self.runs_per_length < 1:
@@ -218,18 +214,17 @@ def run_benchmark(
 
     All algorithms are cross-checked per pattern: a diverging position list
     aborts the run with CorrectnessViolation. ``algorithms`` may carry
-    pre-resolved Algorithm objects, overriding ``config.algorithms``.
+    pre-resolved Algorithm objects, overriding ``config.algorithms``. The
+    patterns of every length are sampled before the first timed run, so a
+    length the corpus cannot hold fails before anything is timed.
     """
     if algorithms is None:
-        algorithms = [make_algorithm(name, config.alpha, config.shift_s) for name in config.algorithms]
-    n = len(corpus.data)
-    for m in config.pattern_lengths:
-        if m > n:
-            raise ConfigurationError(f"pattern length {m} exceeds corpus length {n}")
+        algorithms = [make_algorithm(name, config.params) for name in config.algorithms]
+    runs = config.runs_per_length
+    samples = [(m, sample_patterns(corpus, m, runs, config.seed)) for m in config.pattern_lengths]
 
     rows = [BenchRow(algorithm=a.id) for a in algorithms]
-    for m in config.pattern_lengths:
-        patterns = sample_patterns(corpus, m, config.runs_per_length, config.seed)
+    for m, patterns in samples:
         sums = [[0.0, 0.0, 0.0, 0.0] for _ in algorithms]
         for pattern in patterns:
             reference: list[int] | None = None
@@ -250,7 +245,6 @@ def run_benchmark(
                 acc[1] += outcome.verification_count
                 acc[2] += outcome.occurrence_count
                 acc[3] += outcome.mean_shift
-        runs = len(patterns)
         for row, acc in zip(rows, sums):
             row.cells[m] = BenchCell(
                 mean_ms=acc[0] / runs * 1000.0,
@@ -266,31 +260,23 @@ def verification_stats(
     m_values: Sequence[int],
     runs: int,
     seed: int,
-    params: FilterParams | None = None,
+    params: FilterParams = DEFAULT_PARAMS,
     k: int = 1,
 ) -> list[StatsRow]:
     """Mean occurrences and verifications per 1,048,576 bytes, per length.
 
-    Counters come from instrumented wfr runs over seeded patterns; raw
-    per-run counts are scaled by ``1048576 / len(corpus)``.
+    The means are those of :func:`run_benchmark` for wfr with ``k`` and
+    ``params`` over ``runs`` seeded patterns per length, scaled by
+    ``1048576 / len(corpus)``.
     """
-    if runs < 1:
-        raise ConfigurationError(f"runs must be >= 1, got {runs}")
-    if params is None:
-        params = FilterParams()
-    n = len(corpus.data)
-    scale = MIB / n
+    config = BenchConfig(pattern_lengths=m_values, runs_per_length=runs, seed=seed)
+    wfr = Algorithm("wfr", lambda pattern, text: search(pattern, text, params=params, k=k))
+    (bench,) = run_benchmark(config, corpus, algorithms=[wfr])
+    scale = MIB / len(corpus.data)
     row = StatsRow(corpus=corpus.name)
-    for m in m_values:
-        patterns = sample_patterns(corpus, m, runs, seed)
-        total_occ = 0
-        total_ver = 0
-        for pattern in patterns:
-            outcome = search(pattern, corpus.data, params=params, k=k)
-            total_occ += outcome.occurrence_count
-            total_ver += outcome.verification_count
-        row.occurrences_per_mib[m] = total_occ / runs * scale
-        row.verifications_per_mib[m] = total_ver / runs * scale
+    for m, cell in bench.cells.items():
+        row.occurrences_per_mib[m] = cell.mean_occurrences * scale
+        row.verifications_per_mib[m] = cell.mean_verifications * scale
     return [row]
 
 

@@ -142,6 +142,15 @@ def test_search_bad_alpha(runner, aabaab):
     assert result.exit_code == 2
 
 
+def test_search_pattern_bytes_taken_verbatim(runner, tmp_path):
+    # A non-UTF-8 argv byte reaches the command as a lone surrogate.
+    text = tmp_path / "text.bin"
+    text.write_bytes(b"ab\xffcd")
+    result = runner.invoke(main, ["search", "--pattern", "\udcff", str(text)])
+    assert result.stdout == "2\noccurrences=1 verifications=1\n"
+    assert result.exit_code == 0
+
+
 def test_search_unknown_flag_rejected(runner, aabaab):
     assert runner.invoke(main, ["search", "--wat", "1", aabaab]).exit_code == 2
 
@@ -210,6 +219,14 @@ def test_bench_missing_text_file(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_bench_bad_alpha_without_wfr(runner):
+    # The hash params are checked even when no wfr variant runs.
+    args = ["bench", "--synth", "4,4096", "--m", "4", "--runs", "2", "--algos", "naive", "--alpha", "99"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "alpha must be in" in result.stderr
+
+
 def test_bench_unknown_algorithm(runner):
     result = runner.invoke(main, ["bench", "--synth", "4,1000", "--m", "4", "--algos", "bndm"])
     assert result.exit_code == 2
@@ -268,3 +285,76 @@ def test_search_prints_positions_across_chunks(runner, tmp_path):
     expected = "".join(f"{i}\n" for i in range(70_000))
     assert result.stdout == expected + "occurrences=70000 verifications=70000\n"
     assert result.exit_code == 0
+
+
+# Golden pins: exact outputs of seeded stats and bench runs. They hold the
+# harness's counts and means fixed across refactors; bench drops mean_ms.
+GOLDEN_STATS_CSV = """\
+corpus,m,occurrences_per_mib,verifications_per_mib
+synth-s4,4,4006.4,17820.8
+synth-s4,8,28.8,307.2
+synth-s4,16,16.0,19.2
+"""
+
+GOLDEN_STATS_JSON = """\
+[
+  {
+    "corpus": "synth-s64",
+    "cells": [
+      {
+        "m": 2,
+        "occurrences_per_mib": 240.0,
+        "verifications_per_mib": 8652.8
+      },
+      {
+        "m": 4,
+        "occurrences_per_mib": 16.0,
+        "verifications_per_mib": 32.0
+      },
+      {
+        "m": 8,
+        "occurrences_per_mib": 16.0,
+        "verifications_per_mib": 19.2
+      },
+      {
+        "m": 32,
+        "occurrences_per_mib": 16.0,
+        "verifications_per_mib": 19.2
+      }
+    ]
+  }
+]
+"""
+
+GOLDEN_BENCH_ROWS = [
+    ["wfr", "4", "670.0", "259.6666666666667", "2.9580995628072646"],
+    ["wfr", "8", "22.0", "2.3333333333333335", "6.457198980748544"],
+    ["wfr3", "4", "1503.0", "259.6666666666667", "1.8654323417441985"],
+    ["wfr3", "8", "22.0", "2.3333333333333335", "5.472038477467585"],
+    ["naive", "4", "0.0", "259.6666666666667", "0.0"],
+    ["naive", "8", "0.0", "2.3333333333333335", "0.0"],
+    ["horspool", "4", "24621.333333333332", "259.6666666666667", "2.667055136031308"],
+    ["horspool", "8", "17822.0", "2.3333333333333335", "3.998679022421912"],
+]
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (["--synth", "4,65536", "--m", "4,8,16", "--runs", "5", "--seed", "2", "--k", "2", "--format", "csv"], GOLDEN_STATS_CSV),
+        (["--synth", "64,65536", "--m", "2,4,8,32", "--runs", "5", "--seed", "3", "--k", "2", "--format", "json"], GOLDEN_STATS_JSON),
+    ],
+    ids=["sigma4-csv", "sigma64-json"],
+)
+def test_stats_golden(runner, args, expected):
+    result = runner.invoke(main, ["stats", *args])
+    assert result.exit_code == 0
+    assert result.stdout == expected
+
+
+def test_bench_golden_modulo_timing(runner):
+    args = ["bench", "--synth", "4,65536", "--m", "4,8", "--runs", "3", "--algos", "wfr,wfr3,naive,horspool", "--seed", "2", "--format", "csv"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert result.stdout.splitlines()[0] == "algo,m,mean_ms,verifications,occurrences,mean_shift"
+    assert _strip_timing(result.stdout) == GOLDEN_BENCH_ROWS

@@ -180,6 +180,16 @@ def test_run_benchmark_m_exceeds_corpus():
     config = BenchConfig(pattern_lengths=(4, 128), runs_per_length=2)
     with pytest.raises(ConfigurationError):
         run_benchmark(config, corpus)
+    # Every length is sampled before the first timed run, so nothing runs.
+    calls = []
+
+    def recording(pattern, text):
+        calls.append(pattern)
+        return SearchOutcome(naive_search(pattern, text))
+
+    with pytest.raises(ConfigurationError, match="exceeds corpus length"):
+        run_benchmark(config, corpus, algorithms=[Algorithm("recording", recording)])
+    assert calls == []
 
 
 def test_run_benchmark_mean_shift_long_pattern(sigma4_mib):
@@ -209,6 +219,14 @@ def test_stats_occurrence_density(sigma4_mib):
     assert row.verifications_per_mib[16] - row.occurrences_per_mib[16] <= 5
     for m in (4, 16):
         assert row.verifications_per_mib[m] >= row.occurrences_per_mib[m]
+
+
+def test_stats_config_errors(sigma4_mib):
+    # Stats run through BenchConfig, which owns the shape checks.
+    with pytest.raises(ConfigurationError, match="runs_per_length"):
+        verification_stats(sigma4_mib, (4,), runs=0, seed=3)
+    with pytest.raises(ConfigurationError, match="pattern_lengths"):
+        verification_stats(sigma4_mib, (), runs=2, seed=3)
 
 
 def test_stats_normalization(sigma4_mib):
