@@ -1,14 +1,25 @@
 /* Native kernel of the wfr engine: filter build and scan (k = 1..4).
  *
- * Mirrors the pure-Python scan loop in engine.py step for step, so
- * positions and all four counters are identical between the two backends.
- * As there, one loop serves every k: k = 1 is the chained loop with one
- * character per probe. The filter is a packed bitset: bit v is
+ * Runs the algorithm of the pure-Python scan loop in engine.py and gives
+ * the same probe outcomes, positions and all four counters, but skips k = 1
+ * probes whose outcome it already knows. A hash depends only on the first
+ * L = ceil(alpha / s) bytes of its suffix, so a probe at cursor c in a
+ * window ending at j, with c <= j - L + 1, has an outcome fixed by c alone.
+ * After a verified window [i, j] every probe in [i, j - L + 1] is known to
+ * pass, and the next window, which starts at i + 1, need not probe them
+ * again. The counters, and the inspected bytes derived from them, remain
+ * the algorithm's logical counts: no counter counts probes, and a
+ * verification counts byte comparisons even where it compares a word at a
+ * time.
+ *
+ * As in engine.py, one loop serves every k: k = 1 is the chained loop with
+ * one character per probe. The filter is a packed bitset: bit v is
  * tbl[v >> 3] & (1 << (v & 7)). Hash arithmetic is unsigned 64-bit; with
  * alpha <= 30 and shift_s <= 2 no intermediate value overflows. Built by
  * engine.py with cc -O2 -shared -fPIC.
  */
 #include <stdint.h>
+#include <string.h>
 
 #define HAS(tbl, v) ((tbl)[(v) >> 3] & (1u << ((v) & 7)))
 
@@ -30,8 +41,27 @@ void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, uint64_t mask, 
 /* The scan loop for one k: fold up to k characters into the suffix hash
  * (fewer at the window's left end), probe the filter, and repeat until a
  * probe fails or the window is used up; verify when the probe at the window
- * start passes. cursor > i on entry to every fold (m >= 1), so a fold takes
- * at least one character. k = 1 probes after every character.
+ * start passes. k = 1 probes after every character.
+ *
+ * For k = 1, every probe in [i, hi] is known to pass whenever hi >= i (see
+ * the header), so the attempt scans down to lim = hi + 1 only, and a pass
+ * there means the whole window passes. An attempt that fails stops at or
+ * above lim, so the next window starts past hi. With k > 1 the probe
+ * positions of consecutive windows do not line up, and lim is i. The memo
+ * is local to one call: a scan resumed from st starts with none. Either
+ * way lim <= j, so cursor > lim on entry to every fold, and a fold takes
+ * at least one character.
+ *
+ * The verification compares a word at a time up to the first unequal word
+ * and then byte by byte, so t, the length of the match, and the comparison
+ * counter are those of a byte loop; every word lies in y[i..j].
+ *
+ * The loop tests only j < end, and end drops to 0 when pos fills, which
+ * stops the scan after that attempt. Testing found < cap on every attempt
+ * as well kept one more value live in the attempt loop: the dna-short
+ * benchmark workload's query_ms_p50 then rose 4.9% over the kernel without
+ * the probe memo, against 1.3% with end (10 and 4 alternating runs, 2-vCPU
+ * Xeon VM).
  *
  * always_inline, so that each case of the switch in wfr_scan gets its own
  * copy with k a constant, in which the k = 1 fold is a single step: with
@@ -44,27 +74,43 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
        const uint8_t *tbl, int s, uint64_t mask, const int k,
        int64_t *pos, int64_t cap, int64_t *st, int64_t base)
 {
+    const int64_t L = (__builtin_popcountll(mask) + s - 1) / s; /* mask = 2**alpha - 1 */
     int64_t j = st[0], ver = st[1], att = st[2], shift = st[3], cmp = st[4];
-    int64_t found = 0;
-    while (j < n && found < cap) {
+    int64_t found = 0, hi = -1;
+    int64_t end = cap > 0 ? n : 0; /* 0 once pos is full */
+    while (j < end) {
         att++;
         int64_t i = j - m + 1, cursor = j + 1;
+        int64_t lim = k == 1 && hi >= i ? hi + 1 : i;
         uint64_t v = 0;
         do {
-            int64_t stop = cursor - k > i ? cursor - k : i;
+            int64_t stop = cursor - k > lim ? cursor - k : lim;
             do {
                 cursor--;
                 v = ((v << s) + y[cursor]) & mask;
             } while (cursor > stop);
-        } while (cursor > i && HAS(tbl, v));
-        if (cursor == i && HAS(tbl, v)) {
+        } while (cursor > lim && HAS(tbl, v));
+        if (cursor == lim && HAS(tbl, v)) {
             int64_t t = 0;
+            cursor = i;
+            hi = j - L + 1;
             ver++;
+            while (t + 8 <= m) {
+                uint64_t a, b;
+                memcpy(&a, x + t, 8);
+                memcpy(&b, y + i + t, 8);
+                if (a != b)
+                    break;
+                t += 8;
+            }
             while (t < m && x[t] == y[i + t])
                 t++;
             cmp += t == m ? t : t + 1;
-            if (t == m)
+            if (t == m) {
                 pos[found++] = i + base;
+                if (found == cap)
+                    end = 0;
+            }
         }
         j = cursor + m;
         shift += cursor + 1 - i;

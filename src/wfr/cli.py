@@ -106,13 +106,17 @@ def cmd_search(text_file, pattern, pattern_file, algo, k, alpha, shift_s):
     input), one 0-based byte offset per line, then a summary line. Exits 1
     when there is no match. wfr reads the text in 1 MiB chunks."""
     needle = _read_pattern(pattern, pattern_file)
+    # The baselines use neither the hash params nor k, but reject the values
+    # that wfr rejects.
+    params = FilterParams(alpha=alpha, shift_s=shift_s)
     if algo == "wfr":
-        matcher = preprocess(needle, FilterParams(alpha=alpha, shift_s=shift_s))
+        matcher = preprocess(needle, params)
         with click.open_file(text_file, "rb") as fh:
             outcome = matcher.search_file(fh, k)
     else:
         from .harness import make_algorithm
 
+        engine.validate_k(k)
         with click.open_file(text_file, "rb") as fh:
             outcome = make_algorithm(algo).run(needle, fh.read())
     positions = outcome.positions

@@ -27,11 +27,17 @@ slightly shorter shifts for fewer table probes. It is one loop for every
 any ``k``.
 
 Two backends run the same algorithm over the same filter layout and give
-identical positions and counters. The native backend is the C kernel in
-``_kernel.c``: on the first import after the source changes it is compiled
-with ``cc -O2 -shared -fPIC`` into
-``__pycache__/_kernel-<cache tag>-<crc32 of the source>.so`` beside this
-module and loaded with :mod:`ctypes`. When that fails (no compiler, a
+identical probe outcomes, positions and counters. The native backend is the
+C kernel in ``_kernel.c``. It skips the ``k=1`` probes whose outcome it
+already knows: a hash depends only on the first ``L = ceil(alpha/shift_s)``
+bytes of its suffix, so after a verified window ``[i, j]`` every probe at or
+left of ``j-L+1`` is known to pass, and the next window does not repeat
+them. It also verifies a word at a time. The counters, and the inspected
+bytes derived from them, stay the algorithm's logical counts: none counts
+probes, and ``check_comparisons`` counts bytes. On the first import after
+the source changes the kernel is compiled with ``cc -O2 -shared -fPIC``
+into ``__pycache__/_kernel-<cache tag>-<crc32 of the source>.so`` beside
+this module and loaded with :mod:`ctypes`. When that fails (no compiler, a
 read-only package directory, a load error) the pure-Python loops below run
 instead; they are also the reference the tests compare the kernel against.
 :attr:`SearchOutcome.backend` names the backend that ran.
@@ -228,6 +234,12 @@ def extend_hash(v: int, c: int, params: FilterParams = DEFAULT_PARAMS) -> int:
     return ((v << params.shift_s) + c) & params.hash_mask
 
 
+def validate_k(k: int) -> None:
+    """:class:`ConfigurationError` unless ``k`` is in ``[K_MIN, K_MAX]``."""
+    if not K_MIN <= k <= K_MAX:
+        raise ConfigurationError(f"k must be in [{K_MIN}, {K_MAX}], got {k}")
+
+
 def _as_bytes(arg, name: str) -> bytes:
     """``arg`` itself when it is ``bytes``, else a ``bytes`` copy of its
     buffer (multi-byte items become their bytes); ``TypeError`` when ``arg``
@@ -338,8 +350,7 @@ class FactorFilter:
         window end and the four counters from one window to the next.
         """
         m = len(self.pattern)
-        if not K_MIN <= k <= K_MAX:
-            raise ConfigurationError(f"k must be in [{K_MIN}, {K_MAX}], got {k}")
+        validate_k(k)
         if k > m:
             raise ConfigurationError(f"k={k} exceeds pattern length m={m}")
         # The scans index the table without bounds checks.
@@ -425,11 +436,14 @@ def _scan_native(flt: FactorFilter, y: bytes, k: int, state, base: int, position
     x, bits, params = flt.pattern, flt.bits, flt.params
     m, n = len(x), len(y)
     buf = (ctypes.c_int64 * _POSITIONS_PER_CALL)()
+    # A list extends from a slice of this native-format view about twice as
+    # fast as from a ctypes slice, which boxes each item through ctypes.
+    found_at = memoryview(buf).cast("B").cast("q")
     while state[0] < n:
         found = _native.wfr_scan(
             x, m, y, n, bits, params.shift_s, params.hash_mask, k, buf, _POSITIONS_PER_CALL, state, base
         )
-        positions.extend(buf[:found])
+        positions.extend(found_at[:found])
 
 
 def _scan_python(flt: FactorFilter, y: bytes, k: int, state, base: int, positions: list[int]) -> None:

@@ -131,6 +131,10 @@ class BenchConfig:
             raise ConfigurationError(f"runs_per_length must be >= 1, got {self.runs_per_length}")
         if not self.pattern_lengths:
             raise ConfigurationError("pattern_lengths must not be empty")
+        if len(set(self.pattern_lengths)) != len(self.pattern_lengths):
+            raise ConfigurationError(
+                f"pattern_lengths must be distinct, got {tuple(self.pattern_lengths)}"
+            )
         if not self.algorithms:
             raise ConfigurationError("algorithms must not be empty")
 

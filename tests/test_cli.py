@@ -142,6 +142,22 @@ def test_search_bad_alpha(runner, aabaab):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--algo", "naive", "--alpha", "99"], "alpha must be in"),
+        (["--algo", "horspool", "--k", "9"], "k must be in"),
+        (["--algo", "horspool", "--shift", "7"], "shift_s must be 1 or 2"),
+    ],
+)
+def test_search_baselines_reject_bad_wfr_options(runner, aabaab, args, message):
+    # The baselines ignore the options, but not their invalid values.
+    result = runner.invoke(main, ["search", *args, "--pattern", "ab", aabaab])
+    assert result.exit_code == 2
+    assert message in result.stderr
+    assert result.stdout == ""
+
+
 def test_search_pattern_bytes_taken_verbatim(runner, tmp_path):
     # A non-UTF-8 argv byte reaches the command as a lone surrogate.
     text = tmp_path / "text.bin"
@@ -225,6 +241,15 @@ def test_bench_bad_alpha_without_wfr(runner):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "alpha must be in" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["bench", "stats"])
+def test_repeated_length_rejected(runner, command):
+    # A length given twice would be timed twice and reported once.
+    result = runner.invoke(main, [command, "--synth", "4,4096", "--m", "4,4", "--runs", "2", "--format", "csv"])
+    assert result.exit_code == 2
+    assert "pattern_lengths must be distinct" in result.stderr
+    assert result.stdout == ""
 
 
 def test_bench_unknown_algorithm(runner):

@@ -431,9 +431,15 @@ def _record(out):
 
 
 def _edge_cases():
-    """m == n, m == 1, k == m, m > n, and position counts at and around the
-    kernel's per-call buffer, which make the scan resume."""
+    """m == n, m == 1, k == m, m > n, position counts at and around the
+    kernel's per-call buffer, which make the scan resume, and runs of
+    verified windows, where the kernel skips k=1 probes that it knows pass
+    (those at or left of j-L+1 after a verified window ending at j)."""
     cap = engine._POSITIONS_PER_CALL
+    params = FilterParams()
+    L = -(-params.alpha // params.shift_s)
+    periodic = bytearray(b"ab" * 500)
+    periodic[517] = ord("c")  # breaks a run of verified windows mid-window
     return [
         (b"abcab", b"abcab", 1),
         (b"abcab", b"abcab", 4),
@@ -445,6 +451,21 @@ def _edge_cases():
         (b"a", b"a" * (cap + 1), 1),
         (b"a" * 4, b"a" * (cap + 3), 3),
         (b"a", b"a" * 20_000, 1),
+        # A run of verified windows longer than the buffer, so the scan
+        # resumes inside the run with nothing known.
+        (b"\0" * 32, bytes(20_000), 1),
+        # Verifications that fail at the first byte inside each zero run, and
+        # matches where a run starts.
+        (b"\x01" * 20 + b"\0" * 12, (b"\x01" * 20 + b"\0" * 60) * 30, 1),
+        (b"ab" * 16, bytes(periodic), 1),
+        # After a verified window of a's the next window's suffix a^(L-1)b is
+        # no factor, though every shorter suffix is: its probe, the first
+        # one left of the probes known to pass, must still run.
+        (b"a" * L + b"x" + b"a" * (L - 2) + b"b" + b"x" * (32 - 2 * L), (b"a" * 40 + b"b") * 30, 1),
+        # m = L + 1, the shortest pattern whose verified runs skip a probe,
+        # and m = L, where none is skipped.
+        (b"\0" * (L + 1), (b"\0" * 40 + b"\x07") * 40, 1),
+        (b"\0" * L, (b"\0" * 40 + b"\x07") * 40, 1),
     ]
 
 

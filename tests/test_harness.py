@@ -227,6 +227,8 @@ def test_stats_config_errors(sigma4_mib):
         verification_stats(sigma4_mib, (4,), runs=0, seed=3)
     with pytest.raises(ConfigurationError, match="pattern_lengths"):
         verification_stats(sigma4_mib, (), runs=2, seed=3)
+    with pytest.raises(ConfigurationError, match="pattern_lengths must be distinct"):
+        verification_stats(sigma4_mib, (4, 8, 4), runs=2, seed=3)
 
 
 def test_stats_normalization(sigma4_mib):
