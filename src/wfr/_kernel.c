@@ -23,11 +23,19 @@
 
 #define HAS(tbl, v) ((tbl)[(v) >> 3] & (1u << ((v) & 7)))
 
-/* Set the bit of every factor of x[0..m) of length at most L. A hash depends
- * only on the first L = ceil(alpha / s) bytes of a factor, and that prefix
- * is itself a factor, so longer factors set no new bit. */
-void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, uint64_t mask, int64_t L)
+/* The hash horizon L = ceil(alpha / s), from mask = 2**alpha - 1: a hash
+ * depends only on the first L bytes of the sequence it hashes. */
+static inline int64_t horizon(int s, uint64_t mask)
 {
+    return (__builtin_popcountll(mask) + s - 1) / s;
+}
+
+/* Set the bit of every factor of x[0..m) of length at most L. A hash depends
+ * only on the first L bytes of a factor, and that prefix is itself a factor,
+ * so longer factors set no new bit. */
+void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, uint64_t mask)
+{
+    const int64_t L = horizon(s, mask);
     for (int64_t i = m - 1; i >= 0; i--) {
         int64_t lo = i - L + 1 > 0 ? i - L + 1 : 0;
         uint64_t v = 0;
@@ -74,7 +82,7 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
        const uint8_t *tbl, int s, uint64_t mask, const int k,
        int64_t *pos, int64_t cap, int64_t *st, int64_t base)
 {
-    const int64_t L = (__builtin_popcountll(mask) + s - 1) / s; /* mask = 2**alpha - 1 */
+    const int64_t L = horizon(s, mask);
     int64_t j = st[0], ver = st[1], att = st[2], shift = st[3], cmp = st[4];
     int64_t found = 0, hi = -1;
     int64_t end = cap > 0 ? n : 0; /* 0 once pos is full */

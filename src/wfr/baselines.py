@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .engine import SearchOutcome, _match_len
+from .engine import SearchOutcome, _match_len, scan_chunks
 from .errors import InvalidPatternError
 
 
@@ -21,34 +21,43 @@ def horspool_search(pattern: bytes, text: bytes) -> SearchOutcome:
     Every alignment is verified directly, so verification_count equals
     attempt_count; shifts come from the last character of the window.
     """
-    m = len(pattern)
-    n = len(text)
-    if m == 0:
-        raise InvalidPatternError("pattern must be at least one byte")
-    outcome = SearchOutcome()
+    return search_chunks("horspool", pattern, (text,))
 
+
+def search_chunks(algo: str, pattern: bytes, chunks, k: int = 1) -> SearchOutcome:
+    """Baseline ``algo``, ``"naive"`` or ``"horspool"``, over the text that
+    ``chunks`` yields, on the engine's one scan driver (which validates
+    ``k``, though neither uses it). The naive scan leaves the counters at 0."""
+    if algo == "naive":
+        return scan_chunks(_scan_naive, pattern, len(pattern), chunks, k)
+    m = len(pattern)
     shift = [m] * 256
     for t in range(m - 1):
         shift[pattern[t]] = m - 1 - t
+    return scan_chunks(_scan_horspool, (pattern, shift), m, chunks, k)
 
-    positions = outcome.positions
-    attempts = 0
-    comparisons = 0
-    total_shift = 0
-    last = n - m
-    p = 0
-    while p <= last:
+
+def _scan_naive(x: bytes, y: bytes, k: int, state, base: int, positions: list[int]) -> None:
+    """:func:`naive_search` over window ``y``: the driver hands over every
+    window with its first unchecked alignment at 0."""
+    positions.extend(p + base for p in naive_search(x, y))
+    state[0] = max(state[0], len(y))
+
+
+def _scan_horspool(matcher, y: bytes, k: int, state, base: int, positions: list[int]) -> None:
+    """Horspool over window ``y`` from window end ``state[0]``, which is
+    ``p + m - 1`` for the alignment ``p``; the final advance counts too."""
+    x, shift = matcher
+    m, n = len(x), len(y)
+    j, _, attempts, shifts, comparisons = state
+    while j < n:
         attempts += 1
-        t = _match_len(pattern, text, p)
+        p = j - m + 1
+        t = _match_len(x, y, p)
         comparisons += t if t == m else t + 1
         if t == m:
-            positions.append(p)
-        adv = shift[text[p + m - 1]]
-        total_shift += adv
-        p += adv
-
-    outcome.verification_count = attempts
-    outcome.attempt_count = attempts
-    outcome.total_shift = total_shift
-    outcome.check_comparisons = comparisons
-    return outcome
+            positions.append(p + base)
+        adv = shift[y[j]]
+        shifts += adv
+        j += adv
+    state[:] = (j, attempts, attempts, shifts, comparisons)

@@ -13,6 +13,7 @@ import sys
 import click
 
 from . import engine
+from .baselines import search_chunks
 from .engine import FilterParams, preprocess
 from .errors import ConfigurationError, CorrectnessViolation, InvalidPatternError
 
@@ -104,21 +105,18 @@ def main():
 def cmd_search(text_file, pattern, pattern_file, algo, k, alpha, shift_s):
     """Print every occurrence of a pattern in TEXT_FILE (- for standard
     input), one 0-based byte offset per line, then a summary line. Exits 1
-    when there is no match. wfr reads the text in 1 MiB chunks."""
+    when there is no match. Every --algo reads the text in 1 MiB chunks."""
     needle = _read_pattern(pattern, pattern_file)
     # The baselines use neither the hash params nor k, but reject the values
     # that wfr rejects.
     params = FilterParams(alpha=alpha, shift_s=shift_s)
     if algo == "wfr":
         matcher = preprocess(needle, params)
-        with click.open_file(text_file, "rb") as fh:
+    with click.open_file(text_file, "rb") as fh:
+        if algo == "wfr":
             outcome = matcher.search_file(fh, k)
-    else:
-        from .harness import make_algorithm
-
-        engine.validate_k(k)
-        with click.open_file(text_file, "rb") as fh:
-            outcome = make_algorithm(algo).run(needle, fh.read())
+        else:
+            outcome = search_chunks(algo, needle, engine.read_chunks(fh), k)
     positions = outcome.positions
     for at in range(0, len(positions), ECHO_CHUNK):
         click.echo("\n".join(map(str, positions[at : at + ECHO_CHUNK])))

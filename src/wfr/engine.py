@@ -51,10 +51,13 @@ is copied once into ``bytes``, so both backends see the same bytes.
 The scan is resumable: both backends scan one window of the text at a time
 and carry the next window end and the four counters in a 5-slot state. A
 window reads only its own ``m`` bytes and the next window end is never
-before the end of the scanned bytes, so ``search_file(fh, k)`` reads a file
-in 1 MiB chunks, scans the last ``m-1`` bytes of the previous window plus
-each chunk, and gets the positions and counters of a whole-text search.
-``search(text, k)`` is the same driver with the text as its only window.
+before the end of the scanned bytes, so :func:`scan_chunks`, the one scan
+driver, reads a text in chunks, scans the last ``m-1`` bytes of the
+previous window plus each chunk, and gets the positions and counters of a
+whole-text search. It serves every algorithm: the wfr backends, Horspool
+and the command line's naive search are scans on the same state.
+``search_file(fh, k)`` drives the scan over 1 MiB chunks of a file, and
+``search(text, k)`` over the text as its only window.
 """
 
 from __future__ import annotations
@@ -115,18 +118,21 @@ def _load_kernel(source: str = KERNEL_SOURCE) -> ctypes.CDLL | None:
     try:
         with open(source, "rb") as fh:
             crc = zlib.crc32(fh.read())
-        library = os.path.join(
-            os.path.dirname(source),
-            "__pycache__",
-            f"_kernel-{sys.implementation.cache_tag}-{crc:08x}.so",
-        )
+        folder = os.path.join(os.path.dirname(source), "__pycache__")
+        prefix = f"_kernel-{sys.implementation.cache_tag}-"
+        name = f"{prefix}{crc:08x}.so"
+        library = os.path.join(folder, name)
         if not os.path.exists(library):
             _build_kernel(source, library)
+            try:  # best effort: delete the libraries of older sources
+                for other in os.listdir(folder):
+                    if other.startswith(prefix) and other.endswith(".so") and other != name:
+                        os.unlink(os.path.join(folder, other))
+            except OSError:
+                pass
         lib = ctypes.CDLL(library)
         i64, ptr = ctypes.c_int64, ctypes.POINTER(ctypes.c_int64)
-        lib.wfr_build.argtypes = [
-            ctypes.c_char_p, i64, ctypes.c_char_p, ctypes.c_int, ctypes.c_uint64, i64,
-        ]
+        lib.wfr_build.argtypes = [ctypes.c_char_p, i64, ctypes.c_char_p, ctypes.c_int, ctypes.c_uint64]
         lib.wfr_build.restype = None
         lib.wfr_scan.argtypes = [
             ctypes.c_char_p, i64, ctypes.c_char_p, i64, ctypes.c_char_p,
@@ -279,13 +285,13 @@ class FactorFilter:
             raise InvalidPatternError("pattern must be at least one byte")
         s = params.shift_s
         mask = params.hash_mask
-        longest = -(-params.alpha // s)
         if _native is not None:
             # A fresh object no one else holds yet: the kernel fills it in
             # place, which saves copying the whole table.
             bits = bytes(params.table_bits >> 3)
-            _native.wfr_build(pattern, m, bits, s, mask, longest)
+            _native.wfr_build(pattern, m, bits, s, mask)
         else:
+            longest = -(-params.alpha // s)
             table = bytearray(params.table_bits >> 3)
             for i in range(m - 1, -1, -1):
                 v = 0
@@ -337,43 +343,56 @@ class FactorFilter:
         a short read (from a pipe) is just a smaller chunk. Positions and
         all four counters equal those of ``search(fh.read(), k)``.
         """
-        return self._search_chunks(iter(lambda: fh.read(_CHUNK_BYTES), b""), k)
+        return self._search_chunks(read_chunks(fh), k)
 
     def _search_chunks(self, chunks, k: int) -> SearchOutcome:
-        """The one scan driver: validate ``k`` and the table, then scan the
-        text that ``chunks`` yields in order, as one resumable scan. Each
-        chunk must be bytes-like (``TypeError`` otherwise).
-
-        Each window is the last ``m-1`` bytes of the previous window plus
-        the next chunk, so every alignment lies whole in some window; a
-        lone chunk is scanned in place. The backend state carries the next
-        window end and the four counters from one window to the next.
-        """
+        """Check ``k`` against ``m`` and the table, pick the backend, and scan
+        the text that ``chunks`` yields with :func:`scan_chunks`."""
         m = len(self.pattern)
-        validate_k(k)
-        if k > m:
+        if m < k <= K_MAX:  # a k outside [K_MIN, K_MAX] is the driver's to reject
             raise ConfigurationError(f"k={k} exceeds pattern length m={m}")
         # The scans index the table without bounds checks.
         if len(self.bits) != self.params.table_bits >> 3:
             raise ConfigurationError("filter table size does not match its params")
         if _native is None:
-            scan, backend = _scan_python, "python"
-        else:
-            scan, backend = _scan_native, "native"
-        state = (ctypes.c_int64 * 5)(m - 1)  # window end, then the four counters
-        positions: list[int] = []
-        base = 0  # offset of the window's first byte in the text
-        carry = b""
-        for chunk in chunks:
-            window = carry + _as_bytes(chunk, "text")  # no copy while carry is empty
-            scan(self, window, k, state, base, positions)
-            # The next window end is at or past len(window), so a window not
-            # yet scanned starts in the last m-1 bytes or later.
-            dropped = max(len(window) - (m - 1), 0)
-            state[0] -= dropped
-            base += dropped
-            carry = window[dropped:]
-        return SearchOutcome(positions, state[1], state[2], state[3], state[4], backend=backend)
+            return scan_chunks(_scan_python, self, m, chunks, k)
+        return scan_chunks(_scan_native, self, m, chunks, k, backend="native")
+
+
+def read_chunks(fh):
+    """The chunks of at most 1 MiB that binary file ``fh`` yields until ``b""``."""
+    return iter(lambda: fh.read(_CHUNK_BYTES), b"")
+
+
+def scan_chunks(scan, matcher, m: int, chunks, k: int, backend: str = "python") -> SearchOutcome:
+    """The one scan driver of every algorithm: validate ``k`` and ``m``, then
+    scan the text that ``chunks`` yields in order, as one resumable scan.
+    Each chunk must be bytes-like (``TypeError`` otherwise).
+
+    ``scan(matcher, window, k, state, base, positions)`` scans ``window``
+    from window end ``state[0]`` until ``state[0] >= len(window)``, updates
+    ``state`` and appends each occurrence plus ``base`` to ``positions``.
+    Each window is the last ``m-1`` bytes of the previous window plus the
+    next chunk, so every alignment lies whole in some window; a lone chunk
+    is scanned in place.
+    """
+    validate_k(k)
+    if m == 0:  # the window end m-1 and the carry need m >= 1
+        raise InvalidPatternError("pattern must be at least one byte")
+    state = (ctypes.c_int64 * 5)(m - 1)  # window end, then the four counters
+    positions: list[int] = []
+    base = 0  # offset of the window's first byte in the text
+    carry = b""
+    for chunk in chunks:
+        window = carry + _as_bytes(chunk, "text")  # no copy while carry is empty
+        scan(matcher, window, k, state, base, positions)
+        # The next window end is at or past len(window), so a window not
+        # yet scanned starts in the last m-1 bytes or later.
+        dropped = max(len(window) - (m - 1), 0)
+        state[0] -= dropped
+        base += dropped
+        carry = window[dropped:]
+    return SearchOutcome(positions, state[1], state[2], state[3], state[4], backend=backend)
 
 
 def preprocess(pattern: bytes, params: FilterParams = DEFAULT_PARAMS) -> FactorFilter:

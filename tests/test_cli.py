@@ -87,15 +87,16 @@ def test_search_checks_wfr_arguments_before_opening_text(runner, tmp_path):
     assert runner.invoke(main, ["search", "--algo", "naive", "--pattern", "", missing]).exit_code == 3
 
 
-def test_search_stdin_equals_path(runner, tmp_path):
+@pytest.mark.parametrize("algo", ["wfr", "naive", "horspool"])
+def test_search_stdin_equals_path(runner, tmp_path, algo):
     # More than one read chunk, with an occurrence across the chunk boundary.
     rng = random.Random(3)
     data = bytes(rng.choices(b"acgt", k=engine._CHUNK_BYTES + 5000))
     path = tmp_path / "text.bin"
     path.write_bytes(data)
     needle = data[engine._CHUNK_BYTES - 6 : engine._CHUNK_BYTES + 6].decode()
-    by_path = runner.invoke(main, ["search", "--pattern", needle, str(path)])
-    from_stdin = runner.invoke(main, ["search", "--pattern", needle, "-"], input=data)
+    by_path = runner.invoke(main, ["search", "--algo", algo, "--pattern", needle, str(path)])
+    from_stdin = runner.invoke(main, ["search", "--algo", algo, "--pattern", needle, "-"], input=data)
     assert by_path.exit_code == from_stdin.exit_code == 0
     assert str(engine._CHUNK_BYTES - 6) in by_path.stdout.splitlines()
     assert from_stdin.stdout == by_path.stdout
@@ -114,13 +115,19 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="peak RSS is read from ru_maxrss as Linux reports it")
-def test_search_memory_bounded_by_chunk(tmp_path):
+@pytest.mark.parametrize(
+    "algo, needle",
+    # Horspool shifts the 64 bytes of a pattern without zeros at a time.
+    [("wfr", "xyz"), ("horspool", "0123456789abcdef" * 4)],
+    ids=["wfr", "horspool"],
+)
+def test_search_memory_bounded_by_chunk(tmp_path, algo, needle):
     # A 48 MiB text must not be held whole: the search peaks within a few
     # MiB of a bare import of the CLI.
     text = tmp_path / "zeros.bin"
     with open(text, "wb") as fh:
-        fh.seek((48 << 20) - 3)
-        fh.write(b"xyz")
+        fh.seek((48 << 20) - len(needle))
+        fh.write(needle.encode())
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(wfr.__file__))}
 
     def peak_mib(*argv):
@@ -132,7 +139,7 @@ def test_search_memory_bounded_by_chunk(tmp_path):
         return code, maxrss_kib / 1024
 
     _, imported = peak_mib("-c", "import wfr.cli")
-    code, searched = peak_mib("-m", "wfr.cli", "search", "--pattern", "xyz", str(text))
+    code, searched = peak_mib("-m", "wfr.cli", "search", "--algo", algo, "--pattern", needle, str(text))
     assert code == 0
     assert searched - imported < 8, (imported, searched)
 

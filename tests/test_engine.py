@@ -19,10 +19,12 @@ from wfr import (
     FilterParams,
     InvalidPatternError,
     SearchOutcome,
+    baselines,
     check,
     engine,
     extend_hash,
     hash_factor,
+    horspool_search,
     naive_search,
     preprocess,
     search,
@@ -417,6 +419,30 @@ def test_counter_sweep_chunked(backend):
         assert preprocess(b"ab").search_file(empty) == SearchOutcome()
 
 
+def test_baselines_chunked_equal_whole_text():
+    """Horspool and the CLI's naive scan, on the one scan driver, give the
+    positions and all four counters of a whole-text run for reads shorter
+    than, equal to and longer than the pattern, and for 1-byte reads."""
+    rng = random.Random(0xBA5E)
+    for _ in range(150):
+        sigma = rng.choice([2, 4, 20, 256])
+        m = rng.randint(1, 24)
+        n = rng.randint(0, 600)
+        text = bytes(rng.choices(range(sigma), k=n))
+        if n >= m and rng.random() < 0.5:
+            off = rng.randint(0, n - m)
+            pattern = text[off : off + m]
+        else:
+            pattern = bytes(rng.choices(range(sigma), k=m))
+        oracle = naive_search(pattern, text)
+        whole = {"naive": SearchOutcome(oracle), "horspool": horspool_search(pattern, text)}
+        assert whole["horspool"].positions == oracle
+        for algo, want in whole.items():
+            for most in (max(m - 1, 1), m, m + 1, 97, 1):
+                reads = _ShortReads(text, most)
+                assert baselines.search_chunks(algo, pattern, engine.read_chunks(reads)) == want
+
+
 # --- native kernel vs the pure-Python reference -------------------------------
 
 
@@ -595,3 +621,12 @@ def test_kernel_builds_into_pycache(tmp_path):
     assert engine._load_kernel(str(source)) is not None
     (built,) = os.listdir(tmp_path / "__pycache__")
     assert built.startswith("_kernel-") and built.endswith(".so")
+    # A changed source builds beside the old library and removes it; a
+    # library of another interpreter's cache tag stays.
+    other = tmp_path / "__pycache__" / "_kernel-other-tag-00000000.so"
+    other.write_bytes(b"")
+    with open(source, "ab") as fh:
+        fh.write(b"/* changed */\n")
+    assert engine._load_kernel(str(source)) is not None
+    rebuilt = sorted(os.listdir(tmp_path / "__pycache__"))
+    assert len(rebuilt) == 2 and other.name in rebuilt and built not in rebuilt
