@@ -4,6 +4,7 @@ from .baselines import horspool_search, naive_search
 from .engine import (
     FactorFilter,
     FilterParams,
+    PositionStream,
     SearchOutcome,
     check,
     extend_hash,
@@ -21,6 +22,7 @@ __all__ = [
     "FactorFilter",
     "FilterParams",
     "InvalidPatternError",
+    "PositionStream",
     "SearchOutcome",
     "check",
     "extend_hash",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .engine import SearchOutcome, _match_len, scan_chunks
+from .engine import PositionStream, SearchOutcome, _match_len, scan_chunks
 from .errors import InvalidPatternError
 
 
@@ -25,9 +25,15 @@ def horspool_search(pattern: bytes, text: bytes) -> SearchOutcome:
 
 
 def search_chunks(algo: str, pattern: bytes, chunks, k: int = 1) -> SearchOutcome:
+    """:func:`stream_chunks` collected into one :class:`SearchOutcome`."""
+    return stream_chunks(algo, pattern, chunks, k)._collect()
+
+
+def stream_chunks(algo: str, pattern: bytes, chunks, k: int = 1) -> PositionStream:
     """Baseline ``algo``, ``"naive"`` or ``"horspool"``, over the text that
-    ``chunks`` yields, on the engine's one scan driver (which validates
-    ``k``, though neither uses it). The naive scan leaves the counters at 0."""
+    ``chunks`` yields, as a :class:`PositionStream` on the engine's one scan
+    driver (which validates ``k``, though neither uses it). The naive scan
+    leaves the counters at 0."""
     if algo == "naive":
         return scan_chunks(_scan_naive, pattern, len(pattern), chunks, k)
     m = len(pattern)
@@ -37,19 +43,21 @@ def search_chunks(algo: str, pattern: bytes, chunks, k: int = 1) -> SearchOutcom
     return scan_chunks(_scan_horspool, (pattern, shift), m, chunks, k)
 
 
-def _scan_naive(x: bytes, y: bytes, k: int, state, base: int, positions: list[int]) -> None:
+def _scan_naive(x: bytes, y: bytes, k: int, state, base: int):
     """:func:`naive_search` over window ``y``: the driver hands over every
     window with its first unchecked alignment at 0."""
-    positions.extend(p + base for p in naive_search(x, y))
     state[0] = max(state[0], len(y))
+    yield [p + base for p in naive_search(x, y)]
 
 
-def _scan_horspool(matcher, y: bytes, k: int, state, base: int, positions: list[int]) -> None:
+def _scan_horspool(matcher, y: bytes, k: int, state, base: int):
     """Horspool over window ``y`` from window end ``state[0]``, which is
-    ``p + m - 1`` for the alignment ``p``; the final advance counts too."""
+    ``p + m - 1`` for the alignment ``p``; the final advance counts too.
+    Yields the window's positions as one list."""
     x, shift = matcher
     m, n = len(x), len(y)
     j, _, attempts, shifts, comparisons = state
+    positions = []
     while j < n:
         attempts += 1
         p = j - m + 1
@@ -61,3 +69,4 @@ def _scan_horspool(matcher, y: bytes, k: int, state, base: int, positions: list[
         shifts += adv
         j += adv
     state[:] = (j, attempts, attempts, shifts, comparisons)
+    yield positions

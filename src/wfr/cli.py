@@ -13,7 +13,7 @@ import sys
 import click
 
 from . import engine
-from .baselines import search_chunks
+from .baselines import stream_chunks
 from .engine import FilterParams, preprocess
 from .errors import ConfigurationError, CorrectnessViolation, InvalidPatternError
 
@@ -25,7 +25,10 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 # Positions printed per write. One echo per position costs seconds on a text
-# with ~10^5 matches; much larger chunks raise peak memory by megabytes.
+# with ~10^5 matches; much larger chunks raise peak memory by megabytes. A
+# native wfr batch holds at most 4096 positions, but the Python scans (the
+# pure-Python wfr fallback, naive and horspool) hand over a whole window's
+# positions, up to one per byte of a 1 MiB chunk, as one batch.
 ECHO_CHUNK = 1024
 
 # harness.DEFAULT_PATTERN_LENGTHS as an option default, without importing harness.
@@ -105,23 +108,26 @@ def main():
 def cmd_search(text_file, pattern, pattern_file, algo, k, alpha, shift_s):
     """Print every occurrence of a pattern in TEXT_FILE (- for standard
     input), one 0-based byte offset per line, then a summary line. Exits 1
-    when there is no match. Every --algo reads the text in 1 MiB chunks."""
+    when there is no match. Every --algo reads the text in 1 MiB chunks and
+    prints the positions as they are found."""
     needle = _read_pattern(pattern, pattern_file)
     # The baselines use neither the hash params nor k, but reject the values
     # that wfr rejects.
     params = FilterParams(alpha=alpha, shift_s=shift_s)
     if algo == "wfr":
         matcher = preprocess(needle, params)
+    occurrences = 0
     with click.open_file(text_file, "rb") as fh:
         if algo == "wfr":
-            outcome = matcher.search_file(fh, k)
+            stream = matcher.stream_file(fh, k)
         else:
-            outcome = search_chunks(algo, needle, engine.read_chunks(fh), k)
-    positions = outcome.positions
-    for at in range(0, len(positions), ECHO_CHUNK):
-        click.echo("\n".join(map(str, positions[at : at + ECHO_CHUNK])))
-    click.echo(f"occurrences={outcome.occurrence_count} verifications={outcome.verification_count}")
-    if outcome.occurrence_count == 0:
+            stream = stream_chunks(algo, needle, engine.read_chunks(fh), k)
+        for batch in stream:
+            occurrences += len(batch)
+            for at in range(0, len(batch), ECHO_CHUNK):
+                click.echo("\n".join(map(str, batch[at : at + ECHO_CHUNK])))
+    click.echo(f"occurrences={occurrences} verifications={stream.verification_count}")
+    if occurrences == 0:
         sys.exit(EXIT_NO_MATCH)
 
 

@@ -56,8 +56,17 @@ driver, reads a text in chunks, scans the last ``m-1`` bytes of the
 previous window plus each chunk, and gets the positions and counters of a
 whole-text search. It serves every algorithm: the wfr backends, Horspool
 and the command line's naive search are scans on the same state.
-``search_file(fh, k)`` drives the scan over 1 MiB chunks of a file, and
-``search(text, k)`` over the text as its only window.
+
+The driver produces positions in batches, in text order, and never holds
+them all. The native scan hands back each kernel call's output, at most
+``_POSITIONS_PER_CALL`` positions, as a view of a buffer that the next call
+overwrites; the Python scans hand back one list per window, so a batch
+holds at most about one chunk's worth of positions. Empty batches are
+dropped. ``search(text, k)`` scans the text as its only window and
+``search_file(fh, k)`` 1 MiB chunks of a file; both extend one list from
+the batches as they come. ``stream_file(fh, k)`` instead returns the
+:class:`PositionStream` itself, which hands over each batch as a list the
+caller owns, copying the native views.
 """
 
 from __future__ import annotations
@@ -79,7 +88,7 @@ K_MAX = 4
 KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 # Positions the kernel writes per call; bounds the scan buffer for any text.
 _POSITIONS_PER_CALL = 4096
-# Bytes :meth:`FactorFilter.search_file` reads per call; it bounds the memory.
+# Bytes :func:`read_chunks` reads per call; it bounds the memory.
 # 256 KiB, 1 MiB and 4 MiB chunks scanned a 16 MiB sigma=4 file in 28.5-29.7 ms
 # on a 2-vCPU VM, so the size is set by memory alone.
 _CHUNK_BYTES = 1 << 20
@@ -218,6 +227,56 @@ class SearchOutcome:
         return self.total_shift / self.attempt_count
 
 
+class PositionStream:
+    """The occurrence positions of one search, in batches, like
+    :func:`re.finditer`: iterating yields non-empty ``list[int]`` batches in
+    text order, each a fresh list the caller owns.
+
+    The four counters read the counts of the text scanned so far; once the
+    stream is exhausted they are those of the whole search, the same as on
+    the :class:`SearchOutcome` of the same search. ``backend`` names the
+    engine that runs.
+    """
+
+    __slots__ = ("backend", "_batches", "_state")
+
+    def __init__(self, batches, state, backend: str) -> None:
+        self._batches = batches
+        self._state = state
+        self.backend = backend
+
+    def __iter__(self) -> PositionStream:
+        return self
+
+    def __next__(self) -> list[int]:
+        batch = next(self._batches)
+        return batch if type(batch) is list else batch.tolist()
+
+    @property
+    def verification_count(self) -> int:
+        return self._state[1]
+
+    @property
+    def attempt_count(self) -> int:
+        return self._state[2]
+
+    @property
+    def total_shift(self) -> int:
+        return self._state[3]
+
+    @property
+    def check_comparisons(self) -> int:
+        return self._state[4]
+
+    def _collect(self) -> SearchOutcome:
+        """Exhaust the stream into a :class:`SearchOutcome`, extending its
+        positions straight from each batch, views included."""
+        positions: list[int] = []
+        for batch in self._batches:
+            positions.extend(batch)
+        return SearchOutcome(positions, *self._state[1:], backend=self.backend)
+
+
 def hash_factor(z: bytes, params: FilterParams = DEFAULT_PARAMS) -> int:
     """Hash a byte sequence to an integer in ``[0, 2**alpha)``.
 
@@ -264,9 +323,10 @@ class FactorFilter:
     Built only from its pattern: the constructor sets bit ``hash_factor(z)``
     for every nonempty factor ``z`` of ``pattern``, and the filter is
     immutable afterwards (assigning an attribute raises ``AttributeError``),
-    so the table always belongs to ``pattern``. :meth:`search` and
-    :meth:`search_file` scan any number of texts with it, and a built filter
-    is safe for any number of concurrent searches.
+    so the table always belongs to ``pattern``. :meth:`search`,
+    :meth:`search_file` and :meth:`stream_file` scan any number of texts
+    with it, and a built filter is safe for any number of concurrent
+    searches.
 
     The table is a ``bytes`` bitset, the one layout both backends read in
     place: bit ``v`` is ``bits[v >> 3] & (1 << (v & 7))``. It costs
@@ -333,7 +393,7 @@ class FactorFilter:
         ``k > m``, and then ``TypeError`` for a text that is not bytes-like.
         A text that is not ``bytes`` is copied once.
         """
-        return self._search_chunks((text,), k)
+        return self._stream((text,), k)._collect()
 
     def search_file(self, fh, k: int = 1) -> SearchOutcome:
         """:meth:`search` over the bytes a binary file ``fh`` yields.
@@ -343,9 +403,17 @@ class FactorFilter:
         a short read (from a pipe) is just a smaller chunk. Positions and
         all four counters equal those of ``search(fh.read(), k)``.
         """
-        return self._search_chunks(read_chunks(fh), k)
+        return self._stream(read_chunks(fh), k)._collect()
 
-    def _search_chunks(self, chunks, k: int) -> SearchOutcome:
+    def stream_file(self, fh, k: int = 1) -> PositionStream:
+        """:meth:`search_file` as a :class:`PositionStream`: the positions
+        in batches as the chunks are scanned, and the counters once it is
+        exhausted. ``k`` is checked now; ``fh`` is read as the stream is
+        iterated, so the stream must be used up before ``fh`` is closed.
+        """
+        return self._stream(read_chunks(fh), k)
+
+    def _stream(self, chunks, k: int) -> PositionStream:
         """Check ``k`` against ``m`` and the table, pick the backend, and scan
         the text that ``chunks`` yields with :func:`scan_chunks`."""
         m = len(self.pattern)
@@ -364,35 +432,39 @@ def read_chunks(fh):
     return iter(lambda: fh.read(_CHUNK_BYTES), b"")
 
 
-def scan_chunks(scan, matcher, m: int, chunks, k: int, backend: str = "python") -> SearchOutcome:
+def scan_chunks(scan, matcher, m: int, chunks, k: int, backend: str = "python") -> PositionStream:
     """The one scan driver of every algorithm: validate ``k`` and ``m``, then
-    scan the text that ``chunks`` yields in order, as one resumable scan.
-    Each chunk must be bytes-like (``TypeError`` otherwise).
+    return the :class:`PositionStream` that scans the text ``chunks`` yields
+    in order, as one resumable scan, while it is iterated. Each chunk must
+    be bytes-like (``TypeError`` otherwise).
 
-    ``scan(matcher, window, k, state, base, positions)`` scans ``window``
-    from window end ``state[0]`` until ``state[0] >= len(window)``, updates
-    ``state`` and appends each occurrence plus ``base`` to ``positions``.
-    Each window is the last ``m-1`` bytes of the previous window plus the
-    next chunk, so every alignment lies whole in some window; a lone chunk
-    is scanned in place.
+    ``scan(matcher, window, k, state, base)`` scans ``window`` from window
+    end ``state[0]`` until ``state[0] >= len(window)``, updates ``state``
+    and yields its occurrences plus ``base`` in batches: fresh lists, or
+    int64 memoryviews valid until the next batch is asked for. Each window
+    is the last ``m-1`` bytes of the previous window plus the next chunk, so
+    every alignment lies whole in some window; a lone chunk is scanned in
+    place.
     """
     validate_k(k)
     if m == 0:  # the window end m-1 and the carry need m >= 1
         raise InvalidPatternError("pattern must be at least one byte")
     state = (ctypes.c_int64 * 5)(m - 1)  # window end, then the four counters
-    positions: list[int] = []
-    base = 0  # offset of the window's first byte in the text
-    carry = b""
-    for chunk in chunks:
-        window = carry + _as_bytes(chunk, "text")  # no copy while carry is empty
-        scan(matcher, window, k, state, base, positions)
-        # The next window end is at or past len(window), so a window not
-        # yet scanned starts in the last m-1 bytes or later.
-        dropped = max(len(window) - (m - 1), 0)
-        state[0] -= dropped
-        base += dropped
-        carry = window[dropped:]
-    return SearchOutcome(positions, state[1], state[2], state[3], state[4], backend=backend)
+
+    def batches():
+        base = 0  # offset of the window's first byte in the text
+        carry = b""
+        for chunk in chunks:
+            window = carry + _as_bytes(chunk, "text")  # no copy while carry is empty
+            yield from filter(None, scan(matcher, window, k, state, base))  # drops empty batches
+            # The next window end is at or past len(window), so a window not
+            # yet scanned starts in the last m-1 bytes or later.
+            dropped = max(len(window) - (m - 1), 0)
+            state[0] -= dropped
+            base += dropped
+            carry = window[dropped:]
+
+    return PositionStream(batches(), state, backend)
 
 
 def preprocess(pattern: bytes, params: FilterParams = DEFAULT_PARAMS) -> FactorFilter:
@@ -448,10 +520,11 @@ def search(
     return factors.search(text, k)
 
 
-def _scan_native(flt: FactorFilter, y: bytes, k: int, state, base: int, positions: list[int]) -> None:
+def _scan_native(flt: FactorFilter, y: bytes, k: int, state, base: int):
     """Scan window ``y`` in the C kernel from window end ``state[0]`` until
     ``state[0] >= len(y)``, updating ``state`` (the window end, then the four
-    counters) and appending each position plus ``base`` to ``positions``."""
+    counters) and yielding each kernel call's positions plus ``base`` as a
+    view of one buffer, which the next call overwrites."""
     x, bits, params = flt.pattern, flt.bits, flt.params
     m, n = len(x), len(y)
     buf = (ctypes.c_int64 * _POSITIONS_PER_CALL)()
@@ -462,12 +535,13 @@ def _scan_native(flt: FactorFilter, y: bytes, k: int, state, base: int, position
         found = _native.wfr_scan(
             x, m, y, n, bits, params.shift_s, params.hash_mask, k, buf, _POSITIONS_PER_CALL, state, base
         )
-        positions.extend(found_at[:found])
+        yield found_at[:found]
 
 
-def _scan_python(flt: FactorFilter, y: bytes, k: int, state, base: int, positions: list[int]) -> None:
-    """The reference scan: the same loop and state as the kernel, in Python.
-    One loop serves every ``k``; ``k=1`` probes after every character."""
+def _scan_python(flt: FactorFilter, y: bytes, k: int, state, base: int):
+    """The reference scan: the same loop and state as the kernel, in Python,
+    yielding the window's positions as one list. One loop serves every
+    ``k``; ``k=1`` probes after every character."""
     # Hot loop: everything bound to locals, bit test inlined.
     x, bits, params = flt.pattern, flt.bits, flt.params
     s = params.shift_s
@@ -475,6 +549,7 @@ def _scan_python(flt: FactorFilter, y: bytes, k: int, state, base: int, position
     m = len(x)
     n = len(y)
     j, verifications, attempts, shifts, comparisons = state
+    positions = []
 
     while j < n:
         attempts += 1
@@ -502,3 +577,4 @@ def _scan_python(flt: FactorFilter, y: bytes, k: int, state, base: int, position
         shifts += cursor + 1 - i
 
     state[:] = (j, verifications, attempts, shifts, comparisons)
+    yield positions

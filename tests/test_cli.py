@@ -114,6 +114,17 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
+def _peak_mib(*argv):
+    """Exit code and peak RSS in MiB of ``python argv`` with this wfr."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(wfr.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, sys.executable, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    code, maxrss_kib = map(int, out.stdout.split())
+    return code, maxrss_kib / 1024
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="peak RSS is read from ru_maxrss as Linux reports it")
 @pytest.mark.parametrize(
     "algo, needle",
@@ -128,20 +139,45 @@ def test_search_memory_bounded_by_chunk(tmp_path, algo, needle):
     with open(text, "wb") as fh:
         fh.seek((48 << 20) - len(needle))
         fh.write(needle.encode())
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(wfr.__file__))}
-
-    def peak_mib(*argv):
-        out = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS, sys.executable, *argv],
-            env=env, capture_output=True, text=True, check=True, timeout=120,
-        )
-        code, maxrss_kib = map(int, out.stdout.split())
-        return code, maxrss_kib / 1024
-
-    _, imported = peak_mib("-c", "import wfr.cli")
-    code, searched = peak_mib("-m", "wfr.cli", "search", "--algo", algo, "--pattern", needle, str(text))
+    _, imported = _peak_mib("-c", "import wfr.cli")
+    code, searched = _peak_mib("-m", "wfr.cli", "search", "--algo", algo, "--pattern", needle, str(text))
     assert code == 0
     assert searched - imported < 8, (imported, searched)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="peak RSS is read from ru_maxrss as Linux reports it")
+@pytest.mark.skipif(engine._native is None, reason="the Python scans hand over a whole window's positions at once")
+def test_search_memory_bounded_with_dense_matches(tmp_path):
+    # Every alignment of 8 MiB of zeros matches a 4-zero pattern: the
+    # 8,388,605 positions are printed as they are found, not held in a list.
+    text = tmp_path / "zeros.bin"
+    with open(text, "wb") as fh:
+        fh.truncate(8 << 20)
+    needle = tmp_path / "needle.bin"
+    needle.write_bytes(bytes(4))  # argv cannot carry NUL bytes
+    _, imported = _peak_mib("-c", "import wfr.cli")
+    code, searched = _peak_mib("-m", "wfr.cli", "search", "--pattern-file", str(needle), str(text))
+    assert code == 0
+    assert searched - imported < 8, (imported, searched)
+
+
+@pytest.mark.parametrize(
+    "data, needle, positions, verifications",
+    [
+        # The kernel fills its buffer, then finds nothing in the x's.
+        (b"a" * 4099 + b"x" * 10, "aaaa", list(range(4096)), 4096),
+        # Two read chunks, and no match in the first.
+        (b"b" * engine._CHUNK_BYTES + b"xaabaab", "aab", [engine._CHUNK_BYTES + 1, engine._CHUNK_BYTES + 4], 2),
+    ],
+    ids=["full-buffer-then-none", "no-match-in-first-chunk"],
+)
+def test_search_golden_no_blank_line(runner, tmp_path, backend, data, needle, positions, verifications):
+    path = tmp_path / "text.bin"
+    path.write_bytes(data)
+    result = runner.invoke(main, ["search", "--pattern", needle, str(path)])
+    summary = f"occurrences={len(positions)} verifications={verifications}\n"
+    assert result.stdout == "\n".join(map(str, positions)) + "\n" + summary
+    assert result.exit_code == 0
 
 
 def test_search_bad_alpha(runner, aabaab):

@@ -419,6 +419,45 @@ def test_counter_sweep_chunked(backend):
         assert preprocess(b"ab").search_file(empty) == SearchOutcome()
 
 
+def test_stream_file_batches(backend):
+    """stream_file yields the positions of search_file in non-empty batches
+    that the caller owns, for reads shorter than, equal to and longer than
+    the pattern, 1-byte reads and whole-text reads; once it is exhausted
+    its counters are those of the whole-text search."""
+    rng = random.Random(0x57EA)
+    cap = engine._POSITIONS_PER_CALL
+    # A full kernel buffer, then a call that finds nothing; and several
+    # full buffers in one window, so a kept batch outlives the kernel's
+    # reuse of its buffer.
+    cases = [(b"aaaa", b"a" * (cap + 3) + b"x" * 10, 1), (b"\0" * 4, bytes(2 * cap + 900), 2)]
+    for _ in range(60):
+        sigma = rng.choice([1, 2, 4, 256])
+        m = rng.randint(1, 12)
+        text = bytes(rng.choices(range(sigma), k=rng.randint(0, 2000)))
+        pattern = bytes(rng.choices(range(sigma), k=m))
+        cases.append((pattern, text, rng.randint(1, min(4, m))))
+    for pattern, text, k in cases:
+        flt = preprocess(pattern)
+        whole = flt.search(text, k)
+        m = len(pattern)
+        for most in (max(m - 1, 1), m, m + 1, 97, 1, engine._CHUNK_BYTES):
+            stream = flt.stream_file(_ShortReads(text, most), k)
+            kept = []
+            for batch in stream:
+                assert type(batch) is list and batch
+                kept.append((batch, list(batch)))
+            assert all(batch == copy for batch, copy in kept)
+            assert [p for batch, _ in kept for p in batch] == whole.positions
+            counters = [stream.verification_count, stream.attempt_count, stream.total_shift, stream.check_comparisons]
+            assert counters == _record(whole)[1:]
+            assert stream.backend == backend
+    batches = list(preprocess(b"aaaa").stream_file(io.BytesIO(b"a" * (cap + 3) + b"x" * 10)))
+    assert [len(batch) for batch in batches] == [cap]
+    # k is checked when the stream is made, before anything is read.
+    with pytest.raises(ConfigurationError):
+        preprocess(b"ab").stream_file(None, 3)
+
+
 def test_baselines_chunked_equal_whole_text():
     """Horspool and the CLI's naive scan, on the one scan driver, give the
     positions and all four counters of a whole-text run for reads shorter
