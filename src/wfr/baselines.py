@@ -1,9 +1,37 @@
-"""Reference algorithms: the brute-force oracle and a Horspool baseline."""
+"""The algorithm registry, the brute-force oracle and a Horspool baseline.
+
+:func:`prepare` runs the paper's two phases for every id in :data:`ALGORITHMS`:
+it preprocesses a pattern and returns the scan, on the engine's scan driver."""
 
 from __future__ import annotations
 
-from .engine import PositionStream, SearchOutcome, _match_len, scan_chunks
-from .errors import InvalidPatternError
+from .engine import _POSITIONS_PER_CALL, DEFAULT_PARAMS, FilterParams, SearchOutcome, _match_len, preprocess, scan_chunks
+from .errors import ConfigurationError, InvalidPatternError
+
+ALGORITHMS = ("wfr", "naive", "horspool")
+
+
+def prepare(algo: str, pattern: bytes, params: FilterParams = DEFAULT_PARAMS):
+    """Preprocess ``pattern`` for ``algo`` (:class:`ConfigurationError` unless
+    it is in :data:`ALGORITHMS`) and return its scan ``stream(chunks, k)``:
+    the :class:`PositionStream` of the text ``chunks`` yields, on
+    :func:`scan_chunks`, which checks ``k``. The baselines ignore wfr's
+    ``params`` and ``k``, naive's counters stay 0, and an empty pattern
+    raises :class:`InvalidPatternError`."""
+    if algo == "wfr":
+        return preprocess(pattern, params)._stream
+    if algo not in ALGORITHMS:
+        raise ConfigurationError(f"unknown algorithm {algo!r} (known: {', '.join(ALGORITHMS)})")
+    m = len(pattern)
+    if m == 0:  # the driver's window end m-1 and its carry need m >= 1
+        raise InvalidPatternError("pattern must be at least one byte")
+    scan, matcher = _scan_naive, pattern
+    if algo == "horspool":
+        shift = [m] * 256
+        for t in range(m - 1):
+            shift[pattern[t]] = m - 1 - t
+        scan, matcher = _scan_horspool, (pattern, shift)
+    return lambda chunks, k: scan_chunks(scan, matcher, m, chunks, k)
 
 
 def naive_search(pattern: bytes, text: bytes) -> list[int]:
@@ -21,39 +49,23 @@ def horspool_search(pattern: bytes, text: bytes) -> SearchOutcome:
     Every alignment is verified directly, so verification_count equals
     attempt_count; shifts come from the last character of the window.
     """
-    return search_chunks("horspool", pattern, (text,))
-
-
-def search_chunks(algo: str, pattern: bytes, chunks, k: int = 1) -> SearchOutcome:
-    """:func:`stream_chunks` collected into one :class:`SearchOutcome`."""
-    return stream_chunks(algo, pattern, chunks, k)._collect()
-
-
-def stream_chunks(algo: str, pattern: bytes, chunks, k: int = 1) -> PositionStream:
-    """Baseline ``algo``, ``"naive"`` or ``"horspool"``, over the text that
-    ``chunks`` yields, as a :class:`PositionStream` on the engine's one scan
-    driver (which validates ``k``, though neither uses it). The naive scan
-    leaves the counters at 0."""
-    if algo == "naive":
-        return scan_chunks(_scan_naive, pattern, len(pattern), chunks, k)
-    m = len(pattern)
-    shift = [m] * 256
-    for t in range(m - 1):
-        shift[pattern[t]] = m - 1 - t
-    return scan_chunks(_scan_horspool, (pattern, shift), m, chunks, k)
+    return prepare("horspool", pattern)((text,), 1)._collect()
 
 
 def _scan_naive(x: bytes, y: bytes, k: int, state, base: int):
-    """:func:`naive_search` over window ``y``: the driver hands over every
-    window with its first unchecked alignment at 0."""
+    """:func:`naive_search` over window ``y`` (its first unchecked alignment
+    is 0), in batches of at most ``_POSITIONS_PER_CALL`` alignments."""
+    m = len(x)
     state[0] = max(state[0], len(y))
-    yield [p + base for p in naive_search(x, y)]
+    end = len(y) - m + 1
+    for at in range(0, end, _POSITIONS_PER_CALL):
+        yield [p + base for p in range(at, min(at + _POSITIONS_PER_CALL, end)) if y[p : p + m] == x]
 
 
 def _scan_horspool(matcher, y: bytes, k: int, state, base: int):
     """Horspool over window ``y`` from window end ``state[0]``, which is
     ``p + m - 1`` for the alignment ``p``; the final advance counts too.
-    Yields the window's positions as one list."""
+    Yields the positions in batches of at most ``_POSITIONS_PER_CALL``."""
     x, shift = matcher
     m, n = len(x), len(y)
     j, _, attempts, shifts, comparisons = state
@@ -65,6 +77,9 @@ def _scan_horspool(matcher, y: bytes, k: int, state, base: int):
         comparisons += t if t == m else t + 1
         if t == m:
             positions.append(p + base)
+            if len(positions) == _POSITIONS_PER_CALL:
+                yield positions
+                positions = []
         adv = shift[y[j]]
         shifts += adv
         j += adv

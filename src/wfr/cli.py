@@ -13,8 +13,8 @@ import sys
 import click
 
 from . import engine
-from .baselines import stream_chunks
-from .engine import FilterParams, preprocess
+from .baselines import ALGORITHMS, prepare
+from .engine import FilterParams
 from .errors import ConfigurationError, CorrectnessViolation, InvalidPatternError
 
 # wfr.harness (json, random, pathlib) is imported only by the commands that
@@ -23,13 +23,6 @@ from .errors import ConfigurationError, CorrectnessViolation, InvalidPatternErro
 EXIT_NO_MATCH = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-# Positions printed per write. One echo per position costs seconds on a text
-# with ~10^5 matches; much larger chunks raise peak memory by megabytes. A
-# native wfr batch holds at most 4096 positions, but the Python scans (the
-# pure-Python wfr fallback, naive and horspool) hand over a whole window's
-# positions, up to one per byte of a 1 MiB chunk, as one batch.
-ECHO_CHUNK = 1024
 
 # harness.DEFAULT_PATTERN_LENGTHS as an option default, without importing harness.
 DEFAULT_M = "4,8,16,32,64,128,256,512,1024"
@@ -100,7 +93,7 @@ def main():
 @click.argument("text_file", type=click.Path(allow_dash=True))
 @click.option("--pattern", default=None, help="Pattern string (bytes taken verbatim).")
 @click.option("--pattern-file", default=None, type=click.Path(), help="Read the pattern from a file (binary-safe).")
-@click.option("--algo", type=click.Choice(["wfr", "naive", "horspool"]), default="wfr", help="Algorithm to run.")
+@click.option("--algo", type=click.Choice(ALGORITHMS), default="wfr", help="Algorithm to run.")
 @click.option("--k", type=int, default=1, help="Characters folded per filter probe for wfr (1-4).")
 @click.option("--alpha", type=int, default=16, show_default=True, help="Hash bit width for wfr.")
 @click.option("--shift", "shift_s", type=int, default=2, help="Hash shift per character for wfr (1 or 2).")
@@ -113,19 +106,13 @@ def cmd_search(text_file, pattern, pattern_file, algo, k, alpha, shift_s):
     needle = _read_pattern(pattern, pattern_file)
     # The baselines use neither the hash params nor k, but reject the values
     # that wfr rejects.
-    params = FilterParams(alpha=alpha, shift_s=shift_s)
-    if algo == "wfr":
-        matcher = preprocess(needle, params)
+    scan = prepare(algo, needle, FilterParams(alpha=alpha, shift_s=shift_s))
     occurrences = 0
     with click.open_file(text_file, "rb") as fh:
-        if algo == "wfr":
-            stream = matcher.stream_file(fh, k)
-        else:
-            stream = stream_chunks(algo, needle, engine.read_chunks(fh), k)
+        stream = scan(engine.read_chunks(fh), k)
         for batch in stream:
             occurrences += len(batch)
-            for at in range(0, len(batch), ECHO_CHUNK):
-                click.echo("\n".join(map(str, batch[at : at + ECHO_CHUNK])))
+            click.echo("\n".join(map(str, batch)))
     click.echo(f"occurrences={occurrences} verifications={stream.verification_count}")
     if occurrences == 0:
         sys.exit(EXIT_NO_MATCH)

@@ -54,19 +54,18 @@ window reads only its own ``m`` bytes and the next window end is never
 before the end of the scanned bytes, so :func:`scan_chunks`, the one scan
 driver, reads a text in chunks, scans the last ``m-1`` bytes of the
 previous window plus each chunk, and gets the positions and counters of a
-whole-text search. It serves every algorithm: the wfr backends, Horspool
-and the command line's naive search are scans on the same state.
+whole-text search. Every algorithm of :func:`wfr.baselines.prepare` is a
+scan on the same state: wfr's two backends, Horspool and naive.
 
 The driver produces positions in batches, in text order, and never holds
-them all. The native scan hands back each kernel call's output, at most
-``_POSITIONS_PER_CALL`` positions, as a view of a buffer that the next call
-overwrites; the Python scans hand back one list per window, so a batch
-holds at most about one chunk's worth of positions. Empty batches are
-dropped. ``search(text, k)`` scans the text as its only window and
-``search_file(fh, k)`` 1 MiB chunks of a file; both extend one list from
-the batches as they come. ``stream_file(fh, k)`` instead returns the
-:class:`PositionStream` itself, which hands over each batch as a list the
-caller owns, copying the native views.
+them all. Every scan hands back at most ``_POSITIONS_PER_CALL`` positions
+per batch: the native scan each kernel call's output, as a view of a
+buffer that the next call overwrites, and the Python scans fresh lists.
+Empty batches are dropped. ``search(text, k)`` scans the text as its only
+window and ``search_file(fh, k)`` 1 MiB chunks of a file; both extend one
+list from the batches as they come. ``stream_file(fh, k)`` instead returns
+the :class:`PositionStream` itself, which hands over each batch as a list
+the caller owns, copying the native views.
 """
 
 from __future__ import annotations
@@ -232,10 +231,10 @@ class PositionStream:
     :func:`re.finditer`: iterating yields non-empty ``list[int]`` batches in
     text order, each a fresh list the caller owns.
 
-    The four counters read the counts of the text scanned so far; once the
-    stream is exhausted they are those of the whole search, the same as on
-    the :class:`SearchOutcome` of the same search. ``backend`` names the
-    engine that runs.
+    The four counters read the counts recorded so far (by the Python scans
+    at each window's end); once the stream is exhausted they are those of
+    the whole search, the same as on the :class:`SearchOutcome` of the same
+    search. ``backend`` names the engine that runs.
     """
 
     __slots__ = ("backend", "_batches", "_state")
@@ -433,22 +432,20 @@ def read_chunks(fh):
 
 
 def scan_chunks(scan, matcher, m: int, chunks, k: int, backend: str = "python") -> PositionStream:
-    """The one scan driver of every algorithm: validate ``k`` and ``m``, then
-    return the :class:`PositionStream` that scans the text ``chunks`` yields
-    in order, as one resumable scan, while it is iterated. Each chunk must
-    be bytes-like (``TypeError`` otherwise).
+    """The one scan driver of every algorithm, for ``m >= 1``: validate
+    ``k``, then return the :class:`PositionStream` that scans the text
+    ``chunks`` yields in order, as one resumable scan, while it is iterated.
+    Each chunk must be bytes-like (``TypeError`` otherwise).
 
     ``scan(matcher, window, k, state, base)`` scans ``window`` from window
     end ``state[0]`` until ``state[0] >= len(window)``, updates ``state``
-    and yields its occurrences plus ``base`` in batches: fresh lists, or
-    int64 memoryviews valid until the next batch is asked for. Each window
-    is the last ``m-1`` bytes of the previous window plus the next chunk, so
-    every alignment lies whole in some window; a lone chunk is scanned in
-    place.
+    and yields its occurrences plus ``base`` in batches of at most
+    ``_POSITIONS_PER_CALL``: fresh lists, or int64 memoryviews valid until
+    the next batch is asked for. Each window is the last ``m-1`` bytes of
+    the previous window plus the next chunk, so every alignment lies whole
+    in some window; a lone chunk is scanned in place.
     """
     validate_k(k)
-    if m == 0:  # the window end m-1 and the carry need m >= 1
-        raise InvalidPatternError("pattern must be at least one byte")
     state = (ctypes.c_int64 * 5)(m - 1)  # window end, then the four counters
 
     def batches():
@@ -540,8 +537,8 @@ def _scan_native(flt: FactorFilter, y: bytes, k: int, state, base: int):
 
 def _scan_python(flt: FactorFilter, y: bytes, k: int, state, base: int):
     """The reference scan: the same loop and state as the kernel, in Python,
-    yielding the window's positions as one list. One loop serves every
-    ``k``; ``k=1`` probes after every character."""
+    yielding the positions in lists of at most ``_POSITIONS_PER_CALL``. One
+    loop serves every ``k``; ``k=1`` probes after every character."""
     # Hot loop: everything bound to locals, bit test inlined.
     x, bits, params = flt.pattern, flt.bits, flt.params
     s = params.shift_s
@@ -573,6 +570,9 @@ def _scan_python(flt: FactorFilter, y: bytes, k: int, state, base: int):
             comparisons += t if t == m else t + 1
             if t == m:
                 positions.append(i + base)
+                if len(positions) == _POSITIONS_PER_CALL:
+                    yield positions
+                    positions = []
         j = cursor + m
         shifts += cursor + 1 - i
 

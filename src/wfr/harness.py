@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, ClassVar, Sequence
 
-from .baselines import horspool_search, naive_search
+from .baselines import ALGORITHMS, naive_search, prepare
 from .engine import DEFAULT_PARAMS, FilterParams, SearchOutcome, search
 from .errors import ConfigurationError, CorrectnessViolation
 
@@ -30,7 +30,7 @@ MIB = 1_048_576
 
 DEFAULT_PATTERN_LENGTHS = (4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
-ALGORITHM_NAMES = ("wfr", "wfr2", "wfr3", "wfr4", "naive", "horspool")
+ALGORITHM_NAMES = (*ALGORITHMS, "wfr2", "wfr3", "wfr4")
 
 
 @dataclass
@@ -107,12 +107,10 @@ def make_algorithm(name: str, params: FilterParams = DEFAULT_PARAMS) -> Algorith
     if name == "naive":
         # The oracle measures positions only; its counters stay 0.
         return Algorithm("naive", lambda pattern, text: SearchOutcome(naive_search(pattern, text)))
-    if name == "horspool":
-        return Algorithm("horspool", horspool_search)
-    if name in ("wfr", "wfr2", "wfr3", "wfr4"):
-        k = 1 if name == "wfr" else int(name[3:])
-        return Algorithm(name, lambda pattern, text: search(pattern, text, params=params, k=k))
-    raise ConfigurationError(f"unknown algorithm {name!r} (known: {', '.join(ALGORITHM_NAMES)})")
+    if name not in ALGORITHM_NAMES:
+        raise ConfigurationError(f"unknown algorithm {name!r} (known: {', '.join(ALGORITHM_NAMES)})")
+    algo, k = (name, 1) if name in ALGORITHMS else ("wfr", int(name[3:]))  # wfrK is wfr with k=K
+    return Algorithm(name, lambda pattern, text: prepare(algo, pattern, params)((text,), k)._collect())
 
 
 @dataclass

@@ -1,10 +1,11 @@
-"""Tests for the brute-force oracle and the Horspool baseline."""
+"""Tests for the algorithm registry, the brute-force oracle and the Horspool baseline."""
 
 import random
 
 import pytest
 
-from wfr import InvalidPatternError, horspool_search, naive_search
+from wfr import ConfigurationError, InvalidPatternError, horspool_search, naive_search
+from wfr.baselines import prepare
 
 
 def test_naive_overlapping():
@@ -64,3 +65,8 @@ def test_horspool_matches_oracle_randomized():
         assert outcome.positions == naive_search(pattern, text)
         assert outcome.verification_count >= outcome.occurrence_count
         assert outcome.false_positive_count >= 0
+
+
+def test_prepare_rejects_unknown_algorithm():
+    with pytest.raises(ConfigurationError):
+        prepare("bndm", b"ab")

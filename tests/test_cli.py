@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 import wfr
 from wfr import engine, search
+from wfr.baselines import ALGORITHMS
 from wfr.cli import DEFAULT_M, _parse_m_list, main
 from wfr.harness import DEFAULT_PATTERN_LENGTHS
 
@@ -83,8 +84,14 @@ def test_search_checks_wfr_arguments_before_opening_text(runner, tmp_path):
     missing = str(tmp_path / "missing.bin")
     assert runner.invoke(main, ["search", "--pattern", "", missing]).exit_code == 2
     assert runner.invoke(main, ["search", "--pattern", "x", "--alpha", "31", missing]).exit_code == 2
-    # The byte-string baselines read the text first.
-    assert runner.invoke(main, ["search", "--algo", "naive", "--pattern", "", missing]).exit_code == 3
+    # The baselines, too, are prepared before the text is opened.
+    assert runner.invoke(main, ["search", "--algo", "naive", "--pattern", "", missing]).exit_code == 2
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_search_empty_pattern_rejected_before_opening_text(runner, tmp_path, algo):
+    missing = str(tmp_path / "missing.bin")
+    assert runner.invoke(main, ["search", "--algo", algo, "--pattern", "", missing]).exit_code == 2
 
 
 @pytest.mark.parametrize("algo", ["wfr", "naive", "horspool"])
@@ -146,17 +153,19 @@ def test_search_memory_bounded_by_chunk(tmp_path, algo, needle):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="peak RSS is read from ru_maxrss as Linux reports it")
-@pytest.mark.skipif(engine._native is None, reason="the Python scans hand over a whole window's positions at once")
-def test_search_memory_bounded_with_dense_matches(tmp_path):
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_search_memory_bounded_with_dense_matches(tmp_path, algo):
     # Every alignment of 8 MiB of zeros matches a 4-zero pattern: the
     # 8,388,605 positions are printed as they are found, not held in a list.
+    # The Python scans get two chunks, 2 MiB, to keep the test fast.
+    native = algo == "wfr" and engine._native is not None
     text = tmp_path / "zeros.bin"
     with open(text, "wb") as fh:
-        fh.truncate(8 << 20)
+        fh.truncate(8 << 20 if native else 2 * engine._CHUNK_BYTES)
     needle = tmp_path / "needle.bin"
     needle.write_bytes(bytes(4))  # argv cannot carry NUL bytes
     _, imported = _peak_mib("-c", "import wfr.cli")
-    code, searched = _peak_mib("-m", "wfr.cli", "search", "--pattern-file", str(needle), str(text))
+    code, searched = _peak_mib("-m", "wfr.cli", "search", "--algo", algo, "--pattern-file", str(needle), str(text))
     assert code == 0
     assert searched - imported < 8, (imported, searched)
 

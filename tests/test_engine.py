@@ -24,7 +24,6 @@ from wfr import (
     engine,
     extend_hash,
     hash_factor,
-    horspool_search,
     naive_search,
     preprocess,
     search,
@@ -459,7 +458,7 @@ def test_stream_file_batches(backend):
 
 
 def test_baselines_chunked_equal_whole_text():
-    """Horspool and the CLI's naive scan, on the one scan driver, give the
+    """Every algorithm of the registry, on the one scan driver, gives the
     positions and all four counters of a whole-text run for reads shorter
     than, equal to and longer than the pattern, and for 1-byte reads."""
     rng = random.Random(0xBA5E)
@@ -474,12 +473,13 @@ def test_baselines_chunked_equal_whole_text():
         else:
             pattern = bytes(rng.choices(range(sigma), k=m))
         oracle = naive_search(pattern, text)
-        whole = {"naive": SearchOutcome(oracle), "horspool": horspool_search(pattern, text)}
-        assert whole["horspool"].positions == oracle
-        for algo, want in whole.items():
+        for algo in baselines.ALGORITHMS:
+            scan = baselines.prepare(algo, pattern)
+            want = scan((text,), 1)._collect()
+            assert want.positions == oracle
             for most in (max(m - 1, 1), m, m + 1, 97, 1):
                 reads = _ShortReads(text, most)
-                assert baselines.search_chunks(algo, pattern, engine.read_chunks(reads)) == want
+                assert scan(engine.read_chunks(reads), 1)._collect() == want
 
 
 # --- native kernel vs the pure-Python reference -------------------------------
