@@ -131,10 +131,13 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
     return found;
 }
 
-/* Scan windows of y[0..n) ending at st[0] and onwards. st holds, in order,
- * the next window end j and the running verification, attempt, shift and
- * comparison counters; the scan updates them in place. Writes at most cap
- * occurrence positions, each plus base (the offset of y[0] in the whole
+/* The scan contract that every scan of the engine follows: this kernel,
+ * and in Python its reference scan and the naive and Horspool baselines,
+ * all called by one driver, engine.scan_chunks, with one pos buffer per
+ * search. Scan windows of y[0..n) ending at st[0] and onwards. st holds, in
+ * order, the next window end j and the running verification, attempt, shift
+ * and comparison counters; the scan updates them in place. Writes at most
+ * cap occurrence positions, each plus base (the offset of y[0] in the whole
  * text), to pos and returns how many it wrote. The scan of y is finished
  * when st[0] >= n; otherwise the caller drains pos and calls again. k is in
  * [1, 4]; the caller checks it. */

@@ -5,7 +5,7 @@ it preprocesses a pattern and returns the scan, on the engine's scan driver."""
 
 from __future__ import annotations
 
-from .engine import _POSITIONS_PER_CALL, DEFAULT_PARAMS, FilterParams, SearchOutcome, _match_len, preprocess, scan_chunks
+from .engine import DEFAULT_PARAMS, FilterParams, SearchOutcome, _as_bytes, _match_len, preprocess, scan_chunks
 from .errors import ConfigurationError, InvalidPatternError
 
 ALGORITHMS = ("wfr", "naive", "horspool")
@@ -16,8 +16,9 @@ def prepare(algo: str, pattern: bytes, params: FilterParams = DEFAULT_PARAMS):
     it is in :data:`ALGORITHMS`) and return its scan ``stream(chunks, k)``:
     the :class:`PositionStream` of the text ``chunks`` yields, on
     :func:`scan_chunks`, which checks ``k``. The baselines ignore wfr's
-    ``params`` and ``k``, naive's counters stay 0, and an empty pattern
-    raises :class:`InvalidPatternError`."""
+    ``params`` and ``k``, and naive's counters stay 0. A pattern raises
+    ``TypeError`` unless bytes-like, :class:`InvalidPatternError` if empty."""
+    pattern = _as_bytes(pattern, "pattern")
     if algo == "wfr":
         return preprocess(pattern, params)._stream
     if algo not in ALGORITHMS:
@@ -36,7 +37,9 @@ def prepare(algo: str, pattern: bytes, params: FilterParams = DEFAULT_PARAMS):
 
 def naive_search(pattern: bytes, text: bytes) -> list[int]:
     """All start positions of ``pattern`` in ``text``, by direct comparison
-    at every alignment. O(n*m) worst case; this is the correctness oracle."""
+    at every alignment. O(n*m) worst case; this is the correctness oracle.
+    ``TypeError`` unless both are bytes-like."""
+    pattern, text = _as_bytes(pattern, "pattern"), _as_bytes(text, "text")
     m = len(pattern)
     if m == 0:
         raise InvalidPatternError("pattern must be at least one byte")
@@ -52,36 +55,36 @@ def horspool_search(pattern: bytes, text: bytes) -> SearchOutcome:
     return prepare("horspool", pattern)((text,), 1)._collect()
 
 
-def _scan_naive(x: bytes, y: bytes, k: int, state, base: int):
-    """:func:`naive_search` over window ``y`` (its first unchecked alignment
-    is 0), in batches of at most ``_POSITIONS_PER_CALL`` alignments."""
-    m = len(x)
-    state[0] = max(state[0], len(y))
-    end = len(y) - m + 1
-    for at in range(0, end, _POSITIONS_PER_CALL):
-        yield [p + base for p in range(at, min(at + _POSITIONS_PER_CALL, end)) if y[p : p + m] == x]
+def _scan_naive(x: bytes, y: bytes, k: int, state, base: int, pos) -> int:
+    """:func:`naive_search` over window ``y`` from window end ``state[0]``
+    (``p + m - 1`` for the alignment ``p``); the counters stay 0."""
+    m, j = len(x), state[0]
+    stop = min(j + len(pos), len(y))  # at most one position per window end
+    found = [i - m + 1 + base for i in range(j, stop) if y[i - m + 1 : i + 1] == x]
+    pos[: len(found)] = found
+    state[0] = stop
+    return len(found)
 
 
-def _scan_horspool(matcher, y: bytes, k: int, state, base: int):
+def _scan_horspool(matcher, y: bytes, k: int, state, base: int, pos) -> int:
     """Horspool over window ``y`` from window end ``state[0]``, which is
-    ``p + m - 1`` for the alignment ``p``; the final advance counts too.
-    Yields the positions in batches of at most ``_POSITIONS_PER_CALL``."""
+    ``p + m - 1`` for the alignment ``p``; the final advance counts too."""
     x, shift = matcher
-    m, n = len(x), len(y)
+    m = len(x)
     j, _, attempts, shifts, comparisons = state
-    positions = []
-    while j < n:
+    found, end = 0, len(y)
+    while j < end:
         attempts += 1
         p = j - m + 1
         t = _match_len(x, y, p)
         comparisons += t if t == m else t + 1
         if t == m:
-            positions.append(p + base)
-            if len(positions) == _POSITIONS_PER_CALL:
-                yield positions
-                positions = []
+            pos[found] = p + base
+            found += 1
+            if found == len(pos):
+                end = 0
         adv = shift[y[j]]
         shifts += adv
         j += adv
     state[:] = (j, attempts, attempts, shifts, comparisons)
-    yield positions
+    return found

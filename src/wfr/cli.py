@@ -108,8 +108,9 @@ def cmd_search(text_file, pattern, pattern_file, algo, k, alpha, shift_s):
     # that wfr rejects.
     scan = prepare(algo, needle, FilterParams(alpha=alpha, shift_s=shift_s))
     occurrences = 0
+    # scan checks k now; fh is opened below and read only as the stream is iterated.
+    stream = scan(iter(lambda: fh.read(engine._CHUNK_BYTES), b""), k)
     with click.open_file(text_file, "rb") as fh:
-        stream = scan(engine.read_chunks(fh), k)
         for batch in stream:
             occurrences += len(batch)
             click.echo("\n".join(map(str, batch)))

@@ -58,14 +58,14 @@ whole-text search. Every algorithm of :func:`wfr.baselines.prepare` is a
 scan on the same state: wfr's two backends, Horspool and naive.
 
 The driver produces positions in batches, in text order, and never holds
-them all. Every scan hands back at most ``_POSITIONS_PER_CALL`` positions
-per batch: the native scan each kernel call's output, as a view of a
-buffer that the next call overwrites, and the Python scans fresh lists.
-Empty batches are dropped. ``search(text, k)`` scans the text as its only
-window and ``search_file(fh, k)`` 1 MiB chunks of a file; both extend one
-list from the batches as they come. ``stream_file(fh, k)`` instead returns
-the :class:`PositionStream` itself, which hands over each batch as a list
-the caller owns, copying the native views.
+them all. Every scan has the kernel's contract: it writes at most one
+buffer of ``_POSITIONS_PER_CALL`` positions, which the driver allocates
+once per stream, and returns how many it wrote; the driver calls it until
+the window is scanned. Each non-empty batch is a view of that buffer, valid
+until the next call. ``search(text, k)`` scans the text as its only window
+and ``search_file(fh, k)`` 1 MiB chunks of a file; both extend one list
+from the views. ``stream_file(fh, k)`` returns the :class:`PositionStream`
+itself, which hands each batch over as a list the caller owns.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ K_MIN = 1
 K_MAX = 4
 
 KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
-# Positions the kernel writes per call; bounds the scan buffer for any text.
+# Positions a scan writes per call: the size of the driver's one buffer per stream.
 _POSITIONS_PER_CALL = 4096
 # Bytes :func:`read_chunks` reads per call; it bounds the memory.
 # 256 KiB, 1 MiB and 4 MiB chunks scanned a 16 MiB sigma=4 file in 28.5-29.7 ms
@@ -231,10 +231,10 @@ class PositionStream:
     :func:`re.finditer`: iterating yields non-empty ``list[int]`` batches in
     text order, each a fresh list the caller owns.
 
-    The four counters read the counts recorded so far (by the Python scans
-    at each window's end); once the stream is exhausted they are those of
-    the whole search, the same as on the :class:`SearchOutcome` of the same
-    search. ``backend`` names the engine that runs.
+    The four counters read the counts of the text scanned so far; once the
+    stream is exhausted they are those of the whole search, the same as on
+    the :class:`SearchOutcome` of the same search. ``backend`` names the
+    engine that runs.
     """
 
     __slots__ = ("backend", "_batches", "_state")
@@ -248,8 +248,7 @@ class PositionStream:
         return self
 
     def __next__(self) -> list[int]:
-        batch = next(self._batches)
-        return batch if type(batch) is list else batch.tolist()
+        return next(self._batches).tolist()
 
     @property
     def verification_count(self) -> int:
@@ -269,7 +268,7 @@ class PositionStream:
 
     def _collect(self) -> SearchOutcome:
         """Exhaust the stream into a :class:`SearchOutcome`, extending its
-        positions straight from each batch, views included."""
+        positions straight from each batch's view."""
         positions: list[int] = []
         for batch in self._batches:
             positions.extend(batch)
@@ -437,23 +436,32 @@ def scan_chunks(scan, matcher, m: int, chunks, k: int, backend: str = "python") 
     ``chunks`` yields in order, as one resumable scan, while it is iterated.
     Each chunk must be bytes-like (``TypeError`` otherwise).
 
-    ``scan(matcher, window, k, state, base)`` scans ``window`` from window
-    end ``state[0]`` until ``state[0] >= len(window)``, updates ``state``
-    and yields its occurrences plus ``base`` in batches of at most
-    ``_POSITIONS_PER_CALL``: fresh lists, or int64 memoryviews valid until
-    the next batch is asked for. Each window is the last ``m-1`` bytes of
-    the previous window plus the next chunk, so every alignment lies whole
-    in some window; a lone chunk is scanned in place.
+    ``scan(matcher, window, k, state, base, pos)`` has the contract of the
+    kernel's ``wfr_scan``: it scans ``window`` from window end ``state[0]``,
+    writes at most ``len(pos)`` occurrences plus ``base`` to ``pos``,
+    updates ``state`` and returns how many it wrote. The driver calls it
+    until ``state[0] >= len(window)`` and yields each non-empty batch as an
+    int64 memoryview of ``pos``, valid until the next batch is asked for.
+    Each window is the last ``m-1`` bytes of the previous window plus the
+    next chunk, so every alignment lies whole in some window; a lone chunk
+    is scanned in place.
     """
     validate_k(k)
     state = (ctypes.c_int64 * 5)(m - 1)  # window end, then the four counters
 
     def batches():
+        pos = (ctypes.c_int64 * _POSITIONS_PER_CALL)()
+        # A list extends from a slice of this native-format view about twice as
+        # fast as from a ctypes slice, which boxes each item through ctypes.
+        found_at = memoryview(pos).cast("B").cast("q")
         base = 0  # offset of the window's first byte in the text
         carry = b""
         for chunk in chunks:
             window = carry + _as_bytes(chunk, "text")  # no copy while carry is empty
-            yield from filter(None, scan(matcher, window, k, state, base))  # drops empty batches
+            while state[0] < len(window):
+                found = scan(matcher, window, k, state, base, pos)
+                if found:
+                    yield found_at[:found]
             # The next window end is at or past len(window), so a window not
             # yet scanned starts in the last m-1 bytes or later.
             dropped = max(len(window) - (m - 1), 0)
@@ -517,38 +525,24 @@ def search(
     return factors.search(text, k)
 
 
-def _scan_native(flt: FactorFilter, y: bytes, k: int, state, base: int):
-    """Scan window ``y`` in the C kernel from window end ``state[0]`` until
-    ``state[0] >= len(y)``, updating ``state`` (the window end, then the four
-    counters) and yielding each kernel call's positions plus ``base`` as a
-    view of one buffer, which the next call overwrites."""
+def _scan_native(flt: FactorFilter, y: bytes, k: int, state, base: int, pos) -> int:
+    """The scan of :func:`scan_chunks` as one call of the C kernel."""
     x, bits, params = flt.pattern, flt.bits, flt.params
-    m, n = len(x), len(y)
-    buf = (ctypes.c_int64 * _POSITIONS_PER_CALL)()
-    # A list extends from a slice of this native-format view about twice as
-    # fast as from a ctypes slice, which boxes each item through ctypes.
-    found_at = memoryview(buf).cast("B").cast("q")
-    while state[0] < n:
-        found = _native.wfr_scan(
-            x, m, y, n, bits, params.shift_s, params.hash_mask, k, buf, _POSITIONS_PER_CALL, state, base
-        )
-        yield found_at[:found]
+    return _native.wfr_scan(x, len(x), y, len(y), bits, params.shift_s, params.hash_mask, k, pos, len(pos), state, base)
 
 
-def _scan_python(flt: FactorFilter, y: bytes, k: int, state, base: int):
-    """The reference scan: the same loop and state as the kernel, in Python,
-    yielding the positions in lists of at most ``_POSITIONS_PER_CALL``. One
-    loop serves every ``k``; ``k=1`` probes after every character."""
+def _scan_python(flt: FactorFilter, y: bytes, k: int, state, base: int, pos) -> int:
+    """The reference scan: the kernel's loop, state and contract in Python.
+    One loop serves every ``k``; ``k=1`` probes after every character."""
     # Hot loop: everything bound to locals, bit test inlined.
     x, bits, params = flt.pattern, flt.bits, flt.params
     s = params.shift_s
     hmask = params.hash_mask
     m = len(x)
-    n = len(y)
     j, verifications, attempts, shifts, comparisons = state
-    positions = []
+    found, end = 0, len(y)  # end drops to 0 when pos fills, after that attempt
 
-    while j < n:
+    while j < end:
         attempts += 1
         i = j - m + 1
         # Fold up to k characters, probe once; repeat while the probe passes
@@ -569,12 +563,12 @@ def _scan_python(flt: FactorFilter, y: bytes, k: int, state, base: int):
             t = _match_len(x, y, i)
             comparisons += t if t == m else t + 1
             if t == m:
-                positions.append(i + base)
-                if len(positions) == _POSITIONS_PER_CALL:
-                    yield positions
-                    positions = []
+                pos[found] = i + base
+                found += 1
+                if found == len(pos):
+                    end = 0
         j = cursor + m
         shifts += cursor + 1 - i
 
     state[:] = (j, verifications, attempts, shifts, comparisons)
-    yield positions
+    return found

@@ -86,6 +86,10 @@ def test_search_checks_wfr_arguments_before_opening_text(runner, tmp_path):
     assert runner.invoke(main, ["search", "--pattern", "x", "--alpha", "31", missing]).exit_code == 2
     # The baselines, too, are prepared before the text is opened.
     assert runner.invoke(main, ["search", "--algo", "naive", "--pattern", "", missing]).exit_code == 2
+    # k is checked before the text is opened, for every --algo.
+    for algo in ALGORITHMS:
+        assert runner.invoke(main, ["search", "--algo", algo, "--k", "9", "--pattern", "x", missing]).exit_code == 2
+    assert runner.invoke(main, ["search", "--k", "3", "--pattern", "ab", missing]).exit_code == 2
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)

@@ -265,6 +265,16 @@ def test_search_rejects_str_inputs():
     # A text-mode file yields str chunks; they are refused the same way.
     with pytest.raises(TypeError, match="text must be bytes-like, not str"):
         preprocess(b"ab").search_file(io.StringIO("xxab"))
+    # Every registry id refuses them too, and the oracle either argument.
+    for algo in baselines.ALGORITHMS:
+        with pytest.raises(TypeError, match="pattern must be bytes-like, not str"):
+            baselines.prepare(algo, "ab")
+        with pytest.raises(TypeError, match="text must be bytes-like, not str"):
+            baselines.prepare(algo, b"ab")(("xxab",), 1)._collect()
+    with pytest.raises(TypeError, match="pattern must be bytes-like, not str"):
+        naive_search("ab", b"xxab")
+    with pytest.raises(TypeError, match="text must be bytes-like, not str"):
+        naive_search(b"ab", "xxab")
 
 
 def test_search_prebuilt_filter_param_conflict():
@@ -457,10 +467,13 @@ def test_stream_file_batches(backend):
         preprocess(b"ab").stream_file(None, 3)
 
 
-def test_baselines_chunked_equal_whole_text():
+def test_baselines_chunked_equal_whole_text(backend, monkeypatch):
     """Every algorithm of the registry, on the one scan driver, gives the
     positions and all four counters of a whole-text run for reads shorter
-    than, equal to and longer than the pattern, and for 1-byte reads."""
+    than, equal to and longer than the pattern, and for 1-byte reads. It
+    does so with a 3-position buffer too, which makes every scan stop
+    mid-window whenever the buffer fills and resume from its state."""
+    cap = engine._POSITIONS_PER_CALL
     rng = random.Random(0xBA5E)
     for _ in range(150):
         sigma = rng.choice([2, 4, 20, 256])
@@ -475,11 +488,15 @@ def test_baselines_chunked_equal_whole_text():
         oracle = naive_search(pattern, text)
         for algo in baselines.ALGORITHMS:
             scan = baselines.prepare(algo, pattern)
+            monkeypatch.setattr(engine, "_POSITIONS_PER_CALL", cap)
             want = scan((text,), 1)._collect()
             assert want.positions == oracle
-            for most in (max(m - 1, 1), m, m + 1, 97, 1):
-                reads = _ShortReads(text, most)
-                assert scan(engine.read_chunks(reads), 1)._collect() == want
+            for buffer in (cap, 3):
+                monkeypatch.setattr(engine, "_POSITIONS_PER_CALL", buffer)
+                assert scan((text,), 1)._collect() == want
+                for most in (max(m - 1, 1), m, m + 1, 97, 1):
+                    reads = _ShortReads(text, most)
+                    assert scan(engine.read_chunks(reads), 1)._collect() == want
 
 
 # --- native kernel vs the pure-Python reference -------------------------------
