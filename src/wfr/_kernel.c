@@ -133,7 +133,7 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
 
 /* The scan contract that every scan of the engine follows: this kernel,
  * and in Python its reference scan and the naive and Horspool baselines,
- * all called by one driver, engine.scan_chunks, with one pos buffer per
+ * all called by one driver, engine.Matcher.stream, with one pos buffer per
  * search. Scan windows of y[0..n) ending at st[0] and onwards. st holds, in
  * order, the next window end j and the running verification, attempt, shift
  * and comparison counters; the scan updates them in place. Writes at most

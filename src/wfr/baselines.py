@@ -1,38 +1,38 @@
 """The algorithm registry, the brute-force oracle and a Horspool baseline.
 
-:func:`prepare` runs the paper's two phases for every id in :data:`ALGORITHMS`:
-it preprocesses a pattern and returns the scan, on the engine's scan driver."""
+:func:`prepare` runs the paper's first phase for every id in :data:`ALGORITHMS`:
+it preprocesses a pattern into a :class:`Matcher`, which runs the second."""
 
 from __future__ import annotations
 
-from .engine import DEFAULT_PARAMS, FilterParams, SearchOutcome, _as_bytes, _match_len, preprocess, scan_chunks
+from functools import partial
+
+from .engine import DEFAULT_PARAMS, FilterParams, Matcher, SearchOutcome, _as_bytes, _match_len, preprocess
 from .errors import ConfigurationError, InvalidPatternError
 
 ALGORITHMS = ("wfr", "naive", "horspool")
 
 
-def prepare(algo: str, pattern: bytes, params: FilterParams = DEFAULT_PARAMS):
+def prepare(algo: str, pattern: bytes, params: FilterParams = DEFAULT_PARAMS) -> Matcher:
     """Preprocess ``pattern`` for ``algo`` (:class:`ConfigurationError` unless
-    it is in :data:`ALGORITHMS`) and return its scan ``stream(chunks, k)``:
-    the :class:`PositionStream` of the text ``chunks`` yields, on
-    :func:`scan_chunks`, which checks ``k``. The baselines ignore wfr's
-    ``params`` and ``k``, and naive's counters stay 0. A pattern raises
-    ``TypeError`` unless bytes-like, :class:`InvalidPatternError` if empty."""
+    it is in :data:`ALGORITHMS`) into its :class:`Matcher`. The baselines
+    ignore wfr's ``params`` and, apart from its check, ``k``; naive's
+    counters stay 0. A pattern raises ``TypeError`` unless bytes-like,
+    :class:`InvalidPatternError` if empty."""
     pattern = _as_bytes(pattern, "pattern")
     if algo == "wfr":
-        return preprocess(pattern, params)._stream
+        return preprocess(pattern, params)
     if algo not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {algo!r} (known: {', '.join(ALGORITHMS)})")
     m = len(pattern)
     if m == 0:  # the driver's window end m-1 and its carry need m >= 1
         raise InvalidPatternError("pattern must be at least one byte")
-    scan, matcher = _scan_naive, pattern
-    if algo == "horspool":
-        shift = [m] * 256
-        for t in range(m - 1):
-            shift[pattern[t]] = m - 1 - t
-        scan, matcher = _scan_horspool, (pattern, shift)
-    return lambda chunks, k: scan_chunks(scan, matcher, m, chunks, k)
+    if algo == "naive":
+        return Matcher(pattern, _scan_naive)
+    shift = [m] * 256
+    for t in range(m - 1):
+        shift[pattern[t]] = m - 1 - t
+    return Matcher(pattern, partial(_scan_horspool, shift))
 
 
 def naive_search(pattern: bytes, text: bytes) -> list[int]:
@@ -52,12 +52,13 @@ def horspool_search(pattern: bytes, text: bytes) -> SearchOutcome:
     Every alignment is verified directly, so verification_count equals
     attempt_count; shifts come from the last character of the window.
     """
-    return prepare("horspool", pattern)((text,), 1)._collect()
+    return prepare("horspool", pattern).search(text)
 
 
-def _scan_naive(x: bytes, y: bytes, k: int, state, base: int, pos) -> int:
+def _scan_naive(matcher: Matcher, y: bytes, k: int, state, base: int, pos) -> int:
     """:func:`naive_search` over window ``y`` from window end ``state[0]``
     (``p + m - 1`` for the alignment ``p``); the counters stay 0."""
+    x = matcher.pattern
     m, j = len(x), state[0]
     stop = min(j + len(pos), len(y))  # at most one position per window end
     found = [i - m + 1 + base for i in range(j, stop) if y[i - m + 1 : i + 1] == x]
@@ -66,10 +67,11 @@ def _scan_naive(x: bytes, y: bytes, k: int, state, base: int, pos) -> int:
     return len(found)
 
 
-def _scan_horspool(matcher, y: bytes, k: int, state, base: int, pos) -> int:
-    """Horspool over window ``y`` from window end ``state[0]``, which is
-    ``p + m - 1`` for the alignment ``p``; the final advance counts too."""
-    x, shift = matcher
+def _scan_horspool(shift: list[int], matcher: Matcher, y: bytes, k: int, state, base: int, pos) -> int:
+    """Horspool with bad-character table ``shift`` over window ``y`` from
+    window end ``state[0]``, which is ``p + m - 1`` for the alignment ``p``;
+    the final advance counts too."""
+    x = matcher.pattern
     m = len(x)
     j, _, attempts, shifts, comparisons = state
     found, end = 0, len(y)

@@ -59,6 +59,12 @@ def _read_pattern(pattern: str | None, pattern_file: str | None) -> bytes:
         return fh.read()
 
 
+def _chunks(text_file: str):
+    """The chunks of TEXT_FILE (- for standard input), opened on the first read."""
+    with click.open_file(text_file, "rb") as fh:
+        yield from engine.read_chunks(fh)
+
+
 def _parse_m_list(raw: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in raw.split(","))
@@ -105,15 +111,12 @@ def cmd_search(text_file, pattern, pattern_file, algo, k, alpha, shift_s):
     prints the positions as they are found."""
     needle = _read_pattern(pattern, pattern_file)
     # The baselines use neither the hash params nor k, but reject the values
-    # that wfr rejects.
-    scan = prepare(algo, needle, FilterParams(alpha=alpha, shift_s=shift_s))
+    # that wfr rejects. stream checks k now, before _chunks opens the text.
+    stream = prepare(algo, needle, FilterParams(alpha=alpha, shift_s=shift_s)).stream(_chunks(text_file), k)
     occurrences = 0
-    # scan checks k now; fh is opened below and read only as the stream is iterated.
-    stream = scan(iter(lambda: fh.read(engine._CHUNK_BYTES), b""), k)
-    with click.open_file(text_file, "rb") as fh:
-        for batch in stream:
-            occurrences += len(batch)
-            click.echo("\n".join(map(str, batch)))
+    for batch in stream:
+        occurrences += len(batch)
+        click.echo("\n".join(map(str, batch)))
     click.echo(f"occurrences={occurrences} verifications={stream.verification_count}")
     if occurrences == 0:
         sys.exit(EXIT_NO_MATCH)

@@ -43,29 +43,29 @@ instead; they are also the reference the tests compare the kernel against.
 :attr:`SearchOutcome.backend` names the backend that ran.
 
 The algorithm's two phases are two calls: ``preprocess(pattern, params)``
-builds the :class:`FactorFilter`, and its ``search(text, k)`` validates
-``k``, picks the backend and scans. Module-level :func:`search` composes the
-two. A ``bytes`` pattern or text is read in place; any other bytes-like one
-is copied once into ``bytes``, so both backends see the same bytes.
+builds the :class:`FactorFilter`, and its ``search(text, k)`` scans a text;
+module-level :func:`search` composes the two. Every algorithm of
+:func:`wfr.baselines.prepare` is a :class:`Matcher` like the filter, and
+:meth:`Matcher.stream` is the one scan driver and the one check of ``k`` for
+all of them. A ``bytes`` pattern or text is read in place; any other
+bytes-like one is copied once into ``bytes``, so both backends see the same
+bytes.
 
-The scan is resumable: both backends scan one window of the text at a time
-and carry the next window end and the four counters in a 5-slot state. A
-window reads only its own ``m`` bytes and the next window end is never
-before the end of the scanned bytes, so :func:`scan_chunks`, the one scan
-driver, reads a text in chunks, scans the last ``m-1`` bytes of the
-previous window plus each chunk, and gets the positions and counters of a
-whole-text search. Every algorithm of :func:`wfr.baselines.prepare` is a
-scan on the same state: wfr's two backends, Horspool and naive.
-
-The driver produces positions in batches, in text order, and never holds
-them all. Every scan has the kernel's contract: it writes at most one
-buffer of ``_POSITIONS_PER_CALL`` positions, which the driver allocates
-once per stream, and returns how many it wrote; the driver calls it until
-the window is scanned. Each non-empty batch is a view of that buffer, valid
-until the next call. ``search(text, k)`` scans the text as its only window
-and ``search_file(fh, k)`` 1 MiB chunks of a file; both extend one list
-from the views. ``stream_file(fh, k)`` returns the :class:`PositionStream`
-itself, which hands each batch over as a list the caller owns.
+The scan is resumable: every scan (the filter's two backends, Horspool and
+naive) scans one window of the text at a time and carries the next window
+end and the four counters in a 5-slot state. A window reads only its own
+``m`` bytes and the next window end is never before the end of the scanned
+bytes, so the driver reads a text in chunks, scans the last ``m-1`` bytes
+of the previous window plus each chunk, and gets the positions and counters
+of a whole-text search. It never holds all the positions: every scan has
+the kernel's contract, writing at most one buffer of
+``_POSITIONS_PER_CALL`` positions, which the driver allocates once per
+stream, and returning how many it wrote. Each non-empty batch is a view of
+that buffer, valid until the next call. ``search(text, k)`` scans the text
+as its only window and ``search_file(fh, k)`` 1 MiB chunks of a file; both
+extend one list from the views. ``stream_file(fh, k)`` returns the
+:class:`PositionStream` itself, which hands each batch over as a list the
+caller owns.
 """
 
 from __future__ import annotations
@@ -297,12 +297,6 @@ def extend_hash(v: int, c: int, params: FilterParams = DEFAULT_PARAMS) -> int:
     return ((v << params.shift_s) + c) & params.hash_mask
 
 
-def validate_k(k: int) -> None:
-    """:class:`ConfigurationError` unless ``k`` is in ``[K_MIN, K_MAX]``."""
-    if not K_MIN <= k <= K_MAX:
-        raise ConfigurationError(f"k must be in [{K_MIN}, {K_MAX}], got {k}")
-
-
 def _as_bytes(arg, name: str) -> bytes:
     """``arg`` itself when it is ``bytes``, else a ``bytes`` copy of its
     buffer (multi-byte items become their bytes); ``TypeError`` when ``arg``
@@ -315,16 +309,96 @@ def _as_bytes(arg, name: str) -> bytes:
         raise TypeError(f"{name} must be bytes-like, not {type(arg).__name__}") from None
 
 
-class FactorFilter:
+class Matcher:
+    """One preprocessed pattern, which scans any number of texts with
+    :meth:`search`, :meth:`search_file` and :meth:`stream_file`, all on
+    :meth:`stream`. ``pattern`` is non-empty ``bytes``, and
+    ``scan(matcher, window, k, state, base, pos)`` has the contract of the
+    kernel's ``wfr_scan``: it scans ``window`` from window end ``state[0]``,
+    writes at most ``len(pos)`` occurrences plus ``base`` to ``pos``,
+    updates ``state`` and returns how many it wrote. A matcher is immutable
+    (assigning an attribute raises ``AttributeError``) and safe for any
+    number of concurrent searches."""
+
+    __slots__ = ("pattern", "_scan")
+
+    def __init__(self, pattern: bytes, scan) -> None:
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "_scan", scan)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def search(self, text: bytes, k: int = 1) -> SearchOutcome:
+        """All occurrences of the pattern in ``text`` and the scan's counters,
+        with zero attempts if ``m > n``. ``k``, for wfr the characters folded
+        per filter probe, is checked as :meth:`stream` checks it; then a text
+        that is not bytes-like raises ``TypeError``. A text that is not
+        ``bytes`` is copied once."""
+        return self.stream((text,), k)._collect()
+
+    def search_file(self, fh, k: int = 1) -> SearchOutcome:
+        """:meth:`search` over the chunks of at most 1 MiB that binary file
+        ``fh`` yields until ``b""``: it holds about one chunk plus ``m-1``
+        bytes of text at a time (a short read, from a pipe, is a smaller
+        chunk), with the positions and counters of ``search(fh.read(), k)``."""
+        return self.stream(read_chunks(fh), k)._collect()
+
+    def stream_file(self, fh, k: int = 1) -> PositionStream:
+        """:meth:`search_file` as a :class:`PositionStream`. ``k`` is checked
+        now; ``fh`` is read as the stream is iterated, so the stream must be
+        used up before ``fh`` is closed."""
+        return self.stream(read_chunks(fh), k)
+
+    def stream(self, chunks, k: int) -> PositionStream:
+        """The :class:`PositionStream` of the text ``chunks`` yields, scanned
+        as it is iterated; :class:`ConfigurationError` now unless ``k`` is an
+        ``int`` in ``[1, 4]`` and at most ``m``. Each chunk must be
+        bytes-like (``TypeError`` otherwise). The driver calls the scan
+        until ``state[0] >= len(window)`` and yields each non-empty batch as
+        an int64 memoryview of ``pos``. Each window is the last ``m-1``
+        bytes of the previous window plus the next chunk, so every alignment
+        lies whole in some window; a lone chunk is scanned in place."""
+        m, scan = len(self.pattern), self._scan
+        if not isinstance(k, int) or not K_MIN <= k <= K_MAX:
+            raise ConfigurationError(f"k must be in [{K_MIN}, {K_MAX}], got {k!r}")
+        if k > m:
+            raise ConfigurationError(f"k={k} exceeds pattern length m={m}")
+        state = (ctypes.c_int64 * 5)(m - 1)  # window end, then the four counters
+
+        def batches():
+            pos = (ctypes.c_int64 * _POSITIONS_PER_CALL)()
+            # A list extends from a slice of this native-format view about twice as
+            # fast as from a ctypes slice, which boxes each item through ctypes.
+            found_at = memoryview(pos).cast("B").cast("q")
+            base = 0  # offset of the window's first byte in the text
+            carry = b""
+            for chunk in chunks:
+                window = carry + _as_bytes(chunk, "text")  # no copy while carry is empty
+                while state[0] < len(window):
+                    found = scan(self, window, k, state, base, pos)
+                    if found:
+                        yield found_at[:found]
+                # The next window end is at or past len(window), so a window not
+                # yet scanned starts in the last m-1 bytes or later.
+                dropped = max(len(window) - (m - 1), 0)
+                state[0] -= dropped
+                base += dropped
+                carry = window[dropped:]
+
+        return PositionStream(batches(), state, "native" if scan is _scan_native else "python")
+
+
+class FactorFilter(Matcher):
     """The factor filter of one pattern: a ``2**alpha``-bit membership table.
 
-    Built only from its pattern: the constructor sets bit ``hash_factor(z)``
-    for every nonempty factor ``z`` of ``pattern``, and the filter is
-    immutable afterwards (assigning an attribute raises ``AttributeError``),
-    so the table always belongs to ``pattern``. :meth:`search`,
-    :meth:`search_file` and :meth:`stream_file` scan any number of texts
-    with it, and a built filter is safe for any number of concurrent
-    searches.
+    The constructor sets bit ``hash_factor(z)`` for every nonempty factor
+    ``z`` of ``pattern``, and the backend that builds the table scans with
+    it. The filter is an immutable :class:`Matcher`, so the table always
+    belongs to ``pattern``.
 
     The table is a ``bytes`` bitset, the one layout both backends read in
     place: bit ``v`` is ``bits[v >> 3] & (1 << (v & 7))``. It costs
@@ -334,7 +408,7 @@ class FactorFilter:
     ``L`` bytes of a factor, and that prefix is itself a factor.
     """
 
-    __slots__ = ("params", "bits", "pattern")
+    __slots__ = ("params", "bits")
 
     def __init__(self, pattern: bytes, params: FilterParams = DEFAULT_PARAMS) -> None:
         pattern = _as_bytes(pattern, "pattern")
@@ -348,6 +422,7 @@ class FactorFilter:
             # place, which saves copying the whole table.
             bits = bytes(params.table_bits >> 3)
             _native.wfr_build(pattern, m, bits, s, mask)
+            object.__setattr__(self, "_scan", _scan_native)
         else:
             longest = -(-params.alpha // s)
             table = bytearray(params.table_bits >> 3)
@@ -357,15 +432,10 @@ class FactorFilter:
                     v = ((v << s) + pattern[j]) & mask
                     table[v >> 3] |= 1 << (v & 7)
             bits = bytes(table)
+            object.__setattr__(self, "_scan", _scan_python)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"FactorFilter is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"FactorFilter is immutable; cannot delete {name!r}")
 
     def test_bit(self, v: int) -> bool:
         """True iff bit ``v`` is set; ``ValueError`` outside ``[0, 2**alpha)``."""
@@ -382,94 +452,17 @@ class FactorFilter:
             for at in range(0, len(bits), step)
         )
 
-    def search(self, text: bytes, k: int = 1) -> SearchOutcome:
-        """Find all occurrences of this filter's pattern in ``text``.
-
-        ``k`` is the number of characters folded into the window hash per
-        filter probe. If ``m > n`` the outcome is empty with zero attempts.
-        Raises :class:`ConfigurationError` for ``k`` outside ``[1, 4]`` or
-        ``k > m``, and then ``TypeError`` for a text that is not bytes-like.
-        A text that is not ``bytes`` is copied once.
-        """
-        return self._stream((text,), k)._collect()
-
-    def search_file(self, fh, k: int = 1) -> SearchOutcome:
-        """:meth:`search` over the bytes a binary file ``fh`` yields.
-
-        Reads ``fh`` in chunks of at most 1 MiB until it returns ``b""``, so
-        it holds about one chunk plus ``m-1`` bytes of the text at a time;
-        a short read (from a pipe) is just a smaller chunk. Positions and
-        all four counters equal those of ``search(fh.read(), k)``.
-        """
-        return self._stream(read_chunks(fh), k)._collect()
-
-    def stream_file(self, fh, k: int = 1) -> PositionStream:
-        """:meth:`search_file` as a :class:`PositionStream`: the positions
-        in batches as the chunks are scanned, and the counters once it is
-        exhausted. ``k`` is checked now; ``fh`` is read as the stream is
-        iterated, so the stream must be used up before ``fh`` is closed.
-        """
-        return self._stream(read_chunks(fh), k)
-
-    def _stream(self, chunks, k: int) -> PositionStream:
-        """Check ``k`` against ``m`` and the table, pick the backend, and scan
-        the text that ``chunks`` yields with :func:`scan_chunks`."""
-        m = len(self.pattern)
-        if m < k <= K_MAX:  # a k outside [K_MIN, K_MAX] is the driver's to reject
-            raise ConfigurationError(f"k={k} exceeds pattern length m={m}")
-        # The scans index the table without bounds checks.
+    def stream(self, chunks, k: int) -> PositionStream:
+        """:meth:`Matcher.stream`, after checking that the table has the
+        size of its params: the scans index it without bounds checks."""
         if len(self.bits) != self.params.table_bits >> 3:
             raise ConfigurationError("filter table size does not match its params")
-        if _native is None:
-            return scan_chunks(_scan_python, self, m, chunks, k)
-        return scan_chunks(_scan_native, self, m, chunks, k, backend="native")
+        return super().stream(chunks, k)
 
 
 def read_chunks(fh):
     """The chunks of at most 1 MiB that binary file ``fh`` yields until ``b""``."""
     return iter(lambda: fh.read(_CHUNK_BYTES), b"")
-
-
-def scan_chunks(scan, matcher, m: int, chunks, k: int, backend: str = "python") -> PositionStream:
-    """The one scan driver of every algorithm, for ``m >= 1``: validate
-    ``k``, then return the :class:`PositionStream` that scans the text
-    ``chunks`` yields in order, as one resumable scan, while it is iterated.
-    Each chunk must be bytes-like (``TypeError`` otherwise).
-
-    ``scan(matcher, window, k, state, base, pos)`` has the contract of the
-    kernel's ``wfr_scan``: it scans ``window`` from window end ``state[0]``,
-    writes at most ``len(pos)`` occurrences plus ``base`` to ``pos``,
-    updates ``state`` and returns how many it wrote. The driver calls it
-    until ``state[0] >= len(window)`` and yields each non-empty batch as an
-    int64 memoryview of ``pos``, valid until the next batch is asked for.
-    Each window is the last ``m-1`` bytes of the previous window plus the
-    next chunk, so every alignment lies whole in some window; a lone chunk
-    is scanned in place.
-    """
-    validate_k(k)
-    state = (ctypes.c_int64 * 5)(m - 1)  # window end, then the four counters
-
-    def batches():
-        pos = (ctypes.c_int64 * _POSITIONS_PER_CALL)()
-        # A list extends from a slice of this native-format view about twice as
-        # fast as from a ctypes slice, which boxes each item through ctypes.
-        found_at = memoryview(pos).cast("B").cast("q")
-        base = 0  # offset of the window's first byte in the text
-        carry = b""
-        for chunk in chunks:
-            window = carry + _as_bytes(chunk, "text")  # no copy while carry is empty
-            while state[0] < len(window):
-                found = scan(matcher, window, k, state, base, pos)
-                if found:
-                    yield found_at[:found]
-            # The next window end is at or past len(window), so a window not
-            # yet scanned starts in the last m-1 bytes or later.
-            dropped = max(len(window) - (m - 1), 0)
-            state[0] -= dropped
-            base += dropped
-            carry = window[dropped:]
-
-    return PositionStream(batches(), state, backend)
 
 
 def preprocess(pattern: bytes, params: FilterParams = DEFAULT_PARAMS) -> FactorFilter:
@@ -526,7 +519,7 @@ def search(
 
 
 def _scan_native(flt: FactorFilter, y: bytes, k: int, state, base: int, pos) -> int:
-    """The scan of :func:`scan_chunks` as one call of the C kernel."""
+    """The filter's scan as one call of the C kernel."""
     x, bits, params = flt.pattern, flt.bits, flt.params
     return _native.wfr_scan(x, len(x), y, len(y), bits, params.shift_s, params.hash_mask, k, pos, len(pos), state, base)
 

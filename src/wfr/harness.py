@@ -110,7 +110,7 @@ def make_algorithm(name: str, params: FilterParams = DEFAULT_PARAMS) -> Algorith
     if name not in ALGORITHM_NAMES:
         raise ConfigurationError(f"unknown algorithm {name!r} (known: {', '.join(ALGORITHM_NAMES)})")
     algo, k = (name, 1) if name in ALGORITHMS else ("wfr", int(name[3:]))  # wfrK is wfr with k=K
-    return Algorithm(name, lambda pattern, text: prepare(algo, pattern, params)((text,), k)._collect())
+    return Algorithm(name, lambda pattern, text: prepare(algo, pattern, params).search(text, k))
 
 
 @dataclass
@@ -135,6 +135,8 @@ class BenchConfig:
             )
         if not self.algorithms:
             raise ConfigurationError("algorithms must not be empty")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ConfigurationError(f"algorithms must be distinct, got {tuple(self.algorithms)}")
 
 
 @dataclass

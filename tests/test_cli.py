@@ -86,10 +86,10 @@ def test_search_checks_wfr_arguments_before_opening_text(runner, tmp_path):
     assert runner.invoke(main, ["search", "--pattern", "x", "--alpha", "31", missing]).exit_code == 2
     # The baselines, too, are prepared before the text is opened.
     assert runner.invoke(main, ["search", "--algo", "naive", "--pattern", "", missing]).exit_code == 2
-    # k is checked before the text is opened, for every --algo.
+    # k is checked, in range and against m, before the text is opened, for every --algo.
     for algo in ALGORITHMS:
         assert runner.invoke(main, ["search", "--algo", algo, "--k", "9", "--pattern", "x", missing]).exit_code == 2
-    assert runner.invoke(main, ["search", "--k", "3", "--pattern", "ab", missing]).exit_code == 2
+        assert runner.invoke(main, ["search", "--algo", algo, "--k", "3", "--pattern", "ab", missing]).exit_code == 2
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -306,6 +306,12 @@ def test_repeated_length_rejected(runner, command):
     assert result.exit_code == 2
     assert "pattern_lengths must be distinct" in result.stderr
     assert result.stdout == ""
+    if command == "bench":
+        # So would an algorithm given twice, as two identical rows.
+        result = runner.invoke(main, ["bench", "--synth", "4,4096", "--m", "4", "--runs", "2", "--algos", "wfr,wfr"])
+        assert result.exit_code == 2
+        assert "algorithms must be distinct" in result.stderr
+        assert result.stdout == ""
 
 
 def test_bench_unknown_algorithm(runner):

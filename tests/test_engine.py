@@ -223,10 +223,15 @@ def test_search_empty_pattern_rejected():
         search(b"", b"abc")
 
 
-@pytest.mark.parametrize("k", [0, 5, -1])
-def test_search_k_out_of_range_rejected(k):
-    with pytest.raises(ConfigurationError):
+@pytest.mark.parametrize("k", [0, 5, -1, 1.0, 2.5])
+def test_search_k_out_of_range_rejected(backend, k):
+    # A k that is not an int is refused on both backends, as is one out of
+    # range, by every registry id.
+    with pytest.raises(ConfigurationError, match="k must be in"):
         search(b"abcde", b"abcdeabcde", k=k)
+    for algo in ("naive", "horspool"):
+        with pytest.raises(ConfigurationError, match="k must be in"):
+            baselines.prepare(algo, b"abcde").search(b"abcdeabcde", k)
 
 
 def test_search_k_exceeding_m_rejected():
@@ -270,7 +275,7 @@ def test_search_rejects_str_inputs():
         with pytest.raises(TypeError, match="pattern must be bytes-like, not str"):
             baselines.prepare(algo, "ab")
         with pytest.raises(TypeError, match="text must be bytes-like, not str"):
-            baselines.prepare(algo, b"ab")(("xxab",), 1)._collect()
+            baselines.prepare(algo, b"ab").search("xxab")
     with pytest.raises(TypeError, match="pattern must be bytes-like, not str"):
         naive_search("ab", b"xxab")
     with pytest.raises(TypeError, match="text must be bytes-like, not str"):
@@ -470,9 +475,10 @@ def test_stream_file_batches(backend):
 def test_baselines_chunked_equal_whole_text(backend, monkeypatch):
     """Every algorithm of the registry, on the one scan driver, gives the
     positions and all four counters of a whole-text run for reads shorter
-    than, equal to and longer than the pattern, and for 1-byte reads. It
-    does so with a 3-position buffer too, which makes every scan stop
-    mid-window whenever the buffer fills and resume from its state."""
+    than, equal to and longer than the pattern, and for 1-byte reads, both
+    from search_file and as stream_file's non-empty batches. It does so
+    with a 3-position buffer too, which makes every scan stop mid-window
+    whenever the buffer fills and resume from its state."""
     cap = engine._POSITIONS_PER_CALL
     rng = random.Random(0xBA5E)
     for _ in range(150):
@@ -487,16 +493,21 @@ def test_baselines_chunked_equal_whole_text(backend, monkeypatch):
             pattern = bytes(rng.choices(range(sigma), k=m))
         oracle = naive_search(pattern, text)
         for algo in baselines.ALGORITHMS:
-            scan = baselines.prepare(algo, pattern)
+            matcher = baselines.prepare(algo, pattern)
             monkeypatch.setattr(engine, "_POSITIONS_PER_CALL", cap)
-            want = scan((text,), 1)._collect()
+            want = matcher.search(text)
             assert want.positions == oracle
             for buffer in (cap, 3):
                 monkeypatch.setattr(engine, "_POSITIONS_PER_CALL", buffer)
-                assert scan((text,), 1)._collect() == want
+                assert matcher.search(text) == want
                 for most in (max(m - 1, 1), m, m + 1, 97, 1):
-                    reads = _ShortReads(text, most)
-                    assert scan(engine.read_chunks(reads), 1)._collect() == want
+                    assert matcher.search_file(_ShortReads(text, most)) == want
+                    stream = matcher.stream_file(_ShortReads(text, most))
+                    batches = list(stream)
+                    assert all(type(batch) is list and batch for batch in batches)
+                    assert [p for batch in batches for p in batch] == want.positions
+                    counters = [stream.verification_count, stream.attempt_count, stream.total_shift, stream.check_comparisons]
+                    assert counters == _record(want)[1:]
 
 
 # --- native kernel vs the pure-Python reference -------------------------------

@@ -13,6 +13,7 @@ from wfr import (
     preprocess,
     search,
 )
+from wfr.baselines import prepare
 
 
 def test_default_params():
@@ -135,6 +136,13 @@ def test_filter_is_immutable():
     with pytest.raises(AttributeError):
         del flt.pattern
     assert flt.pattern == b"zzzz"
+    # Every registry id returns an immutable matcher.
+    for algo in ("naive", "horspool"):
+        matcher = prepare(algo, b"zzzz")
+        for name in ("pattern", "_scan"):
+            with pytest.raises(AttributeError):
+                setattr(matcher, name, getattr(preprocess(b"abab"), name))
+        assert matcher.search(b"xxababab").positions == []
     with pytest.raises(ConfigurationError):
         search(b"abab", b"xxababab", factors=flt)
 

@@ -206,6 +206,8 @@ def test_bench_config_validation():
         BenchConfig(pattern_lengths=())
     with pytest.raises(ConfigurationError):
         BenchConfig(algorithms=())
+    with pytest.raises(ConfigurationError, match="algorithms must be distinct"):
+        BenchConfig(algorithms=("wfr", "naive", "wfr"))
 
 
 # --- verification_stats -----------------------------------------------------------
