@@ -7,42 +7,38 @@ from __future__ import annotations
 
 from functools import partial
 
-from .engine import DEFAULT_PARAMS, FilterParams, Matcher, SearchOutcome, _as_bytes, _match_len, preprocess
-from .errors import ConfigurationError, InvalidPatternError
+from .engine import DEFAULT_PARAMS, FilterParams, Matcher, SearchOutcome, _as_bytes, _as_pattern, _match_len, preprocess
+from .errors import ConfigurationError
 
 ALGORITHMS = ("wfr", "naive", "horspool")
 
 
 def prepare(algo: str, pattern: bytes, params: FilterParams = DEFAULT_PARAMS) -> Matcher:
     """Preprocess ``pattern`` for ``algo`` (:class:`ConfigurationError` unless
-    it is in :data:`ALGORITHMS`) into its :class:`Matcher`. The baselines
-    ignore wfr's ``params`` and, apart from its check, ``k``; naive's
-    counters stay 0. A pattern raises ``TypeError`` unless bytes-like,
-    :class:`InvalidPatternError` if empty."""
-    pattern = _as_bytes(pattern, "pattern")
+    it is in :data:`ALGORITHMS`) into its :class:`Matcher`, which checks the
+    pattern. The baselines ignore wfr's ``params`` and, apart from its check,
+    ``k``; naive's counters stay 0, and their scans are Python."""
     if algo == "wfr":
         return preprocess(pattern, params)
-    if algo not in ALGORITHMS:
-        raise ConfigurationError(f"unknown algorithm {algo!r} (known: {', '.join(ALGORITHMS)})")
-    m = len(pattern)
-    if m == 0:  # the driver's window end m-1 and its carry need m >= 1
-        raise InvalidPatternError("pattern must be at least one byte")
     if algo == "naive":
-        return Matcher(pattern, _scan_naive)
-    shift = [m] * 256
-    for t in range(m - 1):
-        shift[pattern[t]] = m - 1 - t
-    return Matcher(pattern, partial(_scan_horspool, shift))
+        return Matcher(pattern, _scan_naive, "python")
+    if algo != "horspool":
+        raise ConfigurationError(f"unknown algorithm {algo!r} (known: {', '.join(ALGORITHMS)})")
+    shift: list[int] = []  # filled from the pattern that the matcher checked
+    matcher = Matcher(pattern, partial(_scan_horspool, shift), "python")
+    m = len(matcher.pattern)
+    shift += [m] * 256
+    for t, c in enumerate(matcher.pattern[:-1]):
+        shift[c] = m - 1 - t
+    return matcher
 
 
 def naive_search(pattern: bytes, text: bytes) -> list[int]:
     """All start positions of ``pattern`` in ``text``, by direct comparison
     at every alignment. O(n*m) worst case; this is the correctness oracle.
-    ``TypeError`` unless both are bytes-like."""
-    pattern, text = _as_bytes(pattern, "pattern"), _as_bytes(text, "text")
+    Both are taken as :class:`Matcher` takes them."""
+    pattern, text = _as_pattern(pattern), _as_bytes(text, "text")
     m = len(pattern)
-    if m == 0:
-        raise InvalidPatternError("pattern must be at least one byte")
     return [p for p in range(len(text) - m + 1) if text[p : p + m] == pattern]
 
 

@@ -12,9 +12,8 @@ import sys
 
 import click
 
-from . import engine
 from .baselines import ALGORITHMS, prepare
-from .engine import FilterParams
+from .engine import ALPHA_MIN, FilterParams, preprocess, read_chunks
 from .errors import ConfigurationError, CorrectnessViolation, InvalidPatternError
 
 # wfr.harness (json, random, pathlib) is imported only by the commands that
@@ -45,11 +44,6 @@ def _mapped_errors(fn):
     return wrapper
 
 
-def _backend() -> str:
-    """The engine backend in use now, for the bench and stats headers."""
-    return "python" if engine._native is None else "native"
-
-
 def _read_pattern(pattern: str | None, pattern_file: str | None) -> bytes:
     if (pattern is None) == (pattern_file is None):
         raise ConfigurationError("exactly one of --pattern or --pattern-file is required")
@@ -62,7 +56,7 @@ def _read_pattern(pattern: str | None, pattern_file: str | None) -> bytes:
 def _chunks(text_file: str):
     """The chunks of TEXT_FILE (- for standard input), opened on the first read."""
     with click.open_file(text_file, "rb") as fh:
-        yield from engine.read_chunks(fh)
+        yield from read_chunks(fh)
 
 
 def _parse_m_list(raw: str) -> tuple[int, ...]:
@@ -73,6 +67,14 @@ def _parse_m_list(raw: str) -> tuple[int, ...]:
     if not values or any(m < 1 for m in values):
         raise ConfigurationError(f"--m values must be positive, got {raw!r}")
     return values
+
+
+def _echo_header(corpus, runs: int, seed: int, params: FilterParams, extra: str = "") -> None:
+    """The bench and stats stderr header. Its backend is that of a wfr
+    matcher built now (a 32-byte table), as each run's will be."""
+    backend = preprocess(b"\0", FilterParams(alpha=ALPHA_MIN)).backend
+    header = f"corpus={corpus.source} runs={runs} seed={seed} alpha={params.alpha} shift_s={params.shift_s}{extra}"
+    click.echo(f"{header} backend={backend}", err=True)
 
 
 def _resolve_corpus(text_path: str | None, synth: str | None, seed: int):
@@ -146,11 +148,7 @@ def cmd_bench(text_path, synth, m_spec, runs, seed, algos, alpha, shift_s, fmt):
         algorithms=tuple(name.strip() for name in algos.split(",") if name.strip()),
         params=FilterParams(alpha=alpha, shift_s=shift_s),
     )
-    click.echo(
-        f"corpus={corpus.source} runs={config.runs_per_length} seed={config.seed} "
-        f"alpha={config.params.alpha} shift_s={config.params.shift_s} backend={_backend()}",
-        err=True,
-    )
+    _echo_header(corpus, runs, seed, config.params)
     rows = run_benchmark(config, corpus)
     click.echo(emit_table(rows, fmt), nl=False)
 
@@ -174,11 +172,7 @@ def cmd_stats(text_path, synth, m_spec, runs, seed, k, alpha, shift_s, fmt):
 
     corpus = _resolve_corpus(text_path, synth, seed)
     params = FilterParams(alpha=alpha, shift_s=shift_s)
-    click.echo(
-        f"corpus={corpus.source} runs={runs} seed={seed} alpha={params.alpha} "
-        f"shift_s={params.shift_s} k={k} backend={_backend()}",
-        err=True,
-    )
+    _echo_header(corpus, runs, seed, params, f" k={k}")
     rows = verification_stats(corpus, _parse_m_list(m_spec), runs, seed, params=params, k=k)
     click.echo(emit_table(rows, fmt), nl=False)
 

@@ -40,16 +40,16 @@ into ``__pycache__/_kernel-<cache tag>-<crc32 of the source>.so`` beside
 this module and loaded with :mod:`ctypes`. When that fails (no compiler, a
 read-only package directory, a load error) the pure-Python loops below run
 instead; they are also the reference the tests compare the kernel against.
-:attr:`SearchOutcome.backend` names the backend that ran.
+A matcher's ``backend``, and each search's, names the backend that runs.
 
 The algorithm's two phases are two calls: ``preprocess(pattern, params)``
 builds the :class:`FactorFilter`, and its ``search(text, k)`` scans a text;
 module-level :func:`search` composes the two. Every algorithm of
-:func:`wfr.baselines.prepare` is a :class:`Matcher` like the filter, and
-:meth:`Matcher.stream` is the one scan driver and the one check of ``k`` for
-all of them. A ``bytes`` pattern or text is read in place; any other
-bytes-like one is copied once into ``bytes``, so both backends see the same
-bytes.
+:func:`wfr.baselines.prepare` is a :class:`Matcher` like the filter: its
+constructor is the one check of a pattern, and :meth:`Matcher.stream` the
+one scan driver and check of ``k``. A ``bytes`` pattern or text is read in
+place; any other bytes-like one is copied once into ``bytes``, so both
+backends see the same bytes.
 
 The scan is resumable: every scan (the filter's two backends, Horspool and
 naive) scans one window of the text at a time and carries the next window
@@ -91,6 +91,8 @@ _POSITIONS_PER_CALL = 4096
 # 256 KiB, 1 MiB and 4 MiB chunks scanned a 16 MiB sigma=4 file in 28.5-29.7 ms
 # on a 2-vCPU VM, so the size is set by memory alone.
 _CHUNK_BYTES = 1 << 20
+# Sets a slot of an immutable Matcher; a global saves preprocess a lookup per slot.
+_set_slot = object.__setattr__
 
 
 def _build_kernel(source: str, library: str) -> None:
@@ -309,22 +311,32 @@ def _as_bytes(arg, name: str) -> bytes:
         raise TypeError(f"{name} must be bytes-like, not {type(arg).__name__}") from None
 
 
+def _as_pattern(arg) -> bytes:
+    """:func:`_as_bytes` of a pattern; :class:`InvalidPatternError` if empty,
+    since the driver's first window end ``m-1`` and its carry need ``m >= 1``."""
+    pattern = arg if type(arg) is bytes else _as_bytes(arg, "pattern")
+    if not pattern:
+        raise InvalidPatternError("pattern must be at least one byte")
+    return pattern
+
+
 class Matcher:
     """One preprocessed pattern, which scans any number of texts with
     :meth:`search`, :meth:`search_file` and :meth:`stream_file`, all on
-    :meth:`stream`. ``pattern`` is non-empty ``bytes``, and
-    ``scan(matcher, window, k, state, base, pos)`` has the contract of the
-    kernel's ``wfr_scan``: it scans ``window`` from window end ``state[0]``,
-    writes at most ``len(pos)`` occurrences plus ``base`` to ``pos``,
-    updates ``state`` and returns how many it wrote. A matcher is immutable
-    (assigning an attribute raises ``AttributeError``) and safe for any
-    number of concurrent searches."""
+    :meth:`stream`. ``pattern`` is checked by :func:`_as_pattern`, and
+    ``scan(matcher, window, k, state, base, pos)``, run by ``backend``
+    (``"native"`` or ``"python"``), has the contract of the kernel's
+    ``wfr_scan``: it scans ``window`` from window end ``state[0]``, writes at
+    most ``len(pos)`` occurrences plus ``base`` to ``pos``, updates ``state``
+    and returns how many it wrote. A matcher is immutable (assigning an
+    attribute raises ``AttributeError``) and safe for concurrent searches."""
 
-    __slots__ = ("pattern", "_scan")
+    __slots__ = ("pattern", "backend", "_scan")
 
-    def __init__(self, pattern: bytes, scan) -> None:
-        object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "_scan", scan)
+    def __init__(self, pattern: bytes, scan, backend: str = "python") -> None:
+        _set_slot(self, "pattern", _as_pattern(pattern))
+        _set_slot(self, "_scan", scan)
+        _set_slot(self, "backend", backend)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
@@ -389,7 +401,7 @@ class Matcher:
                 base += dropped
                 carry = window[dropped:]
 
-        return PositionStream(batches(), state, "native" if scan is _scan_native else "python")
+        return PositionStream(batches(), state, self.backend)
 
 
 class FactorFilter(Matcher):
@@ -411,31 +423,27 @@ class FactorFilter(Matcher):
     __slots__ = ("params", "bits")
 
     def __init__(self, pattern: bytes, params: FilterParams = DEFAULT_PARAMS) -> None:
-        pattern = _as_bytes(pattern, "pattern")
-        m = len(pattern)
-        if m == 0:
-            raise InvalidPatternError("pattern must be at least one byte")
         s = params.shift_s
         mask = params.hash_mask
         if _native is not None:
+            Matcher.__init__(self, pattern, _scan_native, "native")
             # A fresh object no one else holds yet: the kernel fills it in
             # place, which saves copying the whole table.
             bits = bytes(params.table_bits >> 3)
-            _native.wfr_build(pattern, m, bits, s, mask)
-            object.__setattr__(self, "_scan", _scan_native)
+            _native.wfr_build(self.pattern, len(self.pattern), bits, s, mask)
         else:
+            Matcher.__init__(self, pattern, _scan_python, "python")
+            pattern = self.pattern
             longest = -(-params.alpha // s)
             table = bytearray(params.table_bits >> 3)
-            for i in range(m - 1, -1, -1):
+            for i in range(len(pattern) - 1, -1, -1):
                 v = 0
                 for j in range(i, max(i - longest, -1), -1):
                     v = ((v << s) + pattern[j]) & mask
                     table[v >> 3] |= 1 << (v & 7)
             bits = bytes(table)
-            object.__setattr__(self, "_scan", _scan_python)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "bits", bits)
+        _set_slot(self, "params", params)
+        _set_slot(self, "bits", bits)
 
     def test_bit(self, v: int) -> bool:
         """True iff bit ``v`` is set; ``ValueError`` outside ``[0, 2**alpha)``."""
@@ -484,13 +492,11 @@ def _match_len(x: bytes, y: bytes, i: int) -> int:
 
 
 def check(pattern: bytes, text: bytes, i: int) -> bool:
-    """True iff ``pattern`` occurs in ``text`` at start index ``i``.
-
-    Performs at most ``len(pattern)`` byte comparisons.
-    """
+    """True iff ``pattern`` occurs in ``text`` at start index ``i``, in at
+    most ``len(pattern)`` byte comparisons; both are taken as
+    :class:`Matcher` takes them, so a ``bytes`` text is read in place."""
+    pattern, text = _as_pattern(pattern), _as_bytes(text, "text")
     m = len(pattern)
-    if m == 0:
-        raise InvalidPatternError("pattern must be at least one byte")
     if i < 0 or i + m > len(text):
         raise ValueError(f"alignment {i} out of range for n={len(text)}, m={m}")
     return _match_len(pattern, text, i) == m

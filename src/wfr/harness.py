@@ -23,14 +23,14 @@ from pathlib import Path
 from typing import Callable, ClassVar, Sequence
 
 from .baselines import ALGORITHMS, naive_search, prepare
-from .engine import DEFAULT_PARAMS, FilterParams, SearchOutcome, search
+from .engine import DEFAULT_PARAMS, K_MAX, FilterParams, SearchOutcome
 from .errors import ConfigurationError, CorrectnessViolation
 
 MIB = 1_048_576
 
 DEFAULT_PATTERN_LENGTHS = (4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
-ALGORITHM_NAMES = (*ALGORITHMS, "wfr2", "wfr3", "wfr4")
+ALGORITHM_NAMES = (*ALGORITHMS, *(f"wfr{k}" for k in range(2, K_MAX + 1)))
 
 
 @dataclass
@@ -98,19 +98,26 @@ class Algorithm:
     run: Callable[[bytes, bytes], SearchOutcome]
 
 
-def make_algorithm(name: str, params: FilterParams = DEFAULT_PARAMS) -> Algorithm:
-    """Resolve a registry name to a runnable Algorithm.
+def bench_entry(name: str) -> tuple[str, int]:
+    """The (registry id, k) pair that bench name ``name`` runs: ``wfrK`` is
+    ``("wfr", K)`` and a registry id is ``(id, 1)``."""
+    if name not in ALGORITHM_NAMES:
+        raise ConfigurationError(f"unknown algorithm {name!r} (known: {', '.join(ALGORITHM_NAMES)})")
+    return (name, 1) if name in ALGORITHMS else ("wfr", int(name[3:]))
 
-    Names: "wfr" (k=1), "wfr2".."wfr4" (chained), "naive", "horspool".
-    ``params`` apply to the wfr variants only.
-    """
+
+def make_algorithm(name: str, params: FilterParams = DEFAULT_PARAMS) -> Algorithm:
+    """The Algorithm that bench name ``name`` runs: the ``naive_search``
+    oracle for "naive", else its :func:`bench_entry` pair."""
     if name == "naive":
         # The oracle measures positions only; its counters stay 0.
         return Algorithm("naive", lambda pattern, text: SearchOutcome(naive_search(pattern, text)))
-    if name not in ALGORITHM_NAMES:
-        raise ConfigurationError(f"unknown algorithm {name!r} (known: {', '.join(ALGORITHM_NAMES)})")
-    algo, k = (name, 1) if name in ALGORITHMS else ("wfr", int(name[3:]))  # wfrK is wfr with k=K
-    return Algorithm(name, lambda pattern, text: prepare(algo, pattern, params).search(text, k))
+    return _registry_algorithm(name, *bench_entry(name), params)
+
+
+def _registry_algorithm(label: str, algo: str, k: int, params: FilterParams) -> Algorithm:
+    """``label``, timed as ``prepare(algo, pattern, params).search(text, k)``."""
+    return Algorithm(label, lambda pattern, text: prepare(algo, pattern, params).search(text, k))
 
 
 @dataclass
@@ -232,19 +239,16 @@ def run_benchmark(
         sums = [[0.0, 0.0, 0.0, 0.0] for _ in algorithms]
         for pattern in patterns:
             reference: list[int] | None = None
-            reference_id = ""
-            for idx, algo in enumerate(algorithms):
+            for algo, acc in zip(algorithms, sums):
                 seconds, outcome = time_run(algo, pattern, corpus.data)
                 if reference is None:
                     reference = outcome.positions
-                    reference_id = algo.id
                 elif outcome.positions != reference:
                     raise CorrectnessViolation(
                         f"algorithm {algo.id!r} found {len(outcome.positions)} occurrence(s) "
-                        f"but {reference_id!r} found {len(reference)} for m={m}, "
+                        f"but {algorithms[0].id!r} found {len(reference)} for m={m}, "
                         f"pattern={pattern.hex()[:48]}..."
                     )
-                acc = sums[idx]
                 acc[0] += seconds
                 acc[1] += outcome.verification_count
                 acc[2] += outcome.occurrence_count
@@ -274,8 +278,7 @@ def verification_stats(
     ``1048576 / len(corpus)``.
     """
     config = BenchConfig(pattern_lengths=m_values, runs_per_length=runs, seed=seed)
-    wfr = Algorithm("wfr", lambda pattern, text: search(pattern, text, params=params, k=k))
-    (bench,) = run_benchmark(config, corpus, algorithms=[wfr])
+    (bench,) = run_benchmark(config, corpus, algorithms=[_registry_algorithm("wfr", "wfr", k, params)])
     scale = MIB / len(corpus.data)
     row = StatsRow(corpus=corpus.name)
     for m, cell in bench.cells.items():

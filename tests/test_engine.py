@@ -1,6 +1,7 @@
 """Engine tests: factor hashing, preprocessing, verification, and search."""
 
 import array
+import functools
 import hashlib
 import io
 import json
@@ -154,6 +155,55 @@ def test_check_empty_pattern_rejected():
         check(b"", b"abc", 0)
 
 
+def test_check_bytes_like_inputs():
+    # Both are taken as a Matcher takes them: a multi-byte item is its bytes.
+    assert check(bytearray(b"ab"), memoryview(b"xab"), 1) is True
+    assert check(array.array("H", [1]), b"\x00\x01\x00", 1) is True
+    assert check(array.array("H", [1]), b"\x00\x01\x05", 1) is False
+
+
+# --- the Matcher constructor -------------------------------------------------
+
+
+def test_matcher_checks_its_pattern():
+    # The constructor is the one check of a pattern, for every matcher.
+    with pytest.raises(TypeError, match="pattern must be bytes-like, not str"):
+        engine.Matcher("ab", baselines._scan_naive)
+    with pytest.raises(InvalidPatternError, match="pattern must be at least one byte"):
+        engine.Matcher(b"", baselines._scan_naive)
+    matcher = engine.Matcher(bytearray(b"ab"), baselines._scan_naive)
+    assert type(matcher.pattern) is bytes and matcher.search(b"xxab").positions == [2]
+    pattern = b"ab"
+    assert engine.Matcher(pattern, baselines._scan_naive).pattern is pattern  # read in place
+    for algo in baselines.ALGORITHMS:
+        with pytest.raises(InvalidPatternError, match="pattern must be at least one byte"):
+            baselines.prepare(algo, b"")
+
+
+def test_matcher_backend_is_the_one_given():
+    # The label comes from where the scan is chosen, not from the scan's
+    # identity: a native scan behind functools.partial is reported native.
+    scan = baselines.prepare("horspool", b"ab")._scan
+    assert isinstance(scan, functools.partial)
+    matcher = engine.Matcher(b"ab", scan, backend="native")
+    assert matcher.backend == "native"
+    outcomes = [matcher.search(b"xxab"), matcher.search_file(io.BytesIO(b"xxab"))]
+    assert [out.backend for out in outcomes] == ["native", "native"]
+    assert outcomes[0] == outcomes[1] == baselines.prepare("horspool", b"ab").search(b"xxab")
+    stream = matcher.stream_file(io.BytesIO(b"xxab"))
+    assert stream.backend == "native" and list(stream) == [[2]]
+    assert engine.Matcher(b"ab", scan).backend == "python"
+
+
+@pytest.mark.parametrize("algo", baselines.ALGORITHMS)
+def test_prepare_backend_is_the_search_backend(backend, algo):
+    matcher = baselines.prepare(algo, b"ab")
+    want = backend if algo == "wfr" else "python"
+    assert matcher.backend == matcher.search(b"xxab").backend == want
+    with pytest.raises(AttributeError):
+        matcher.backend = "native"
+
+
 # --- search ------------------------------------------------------------------
 
 
@@ -260,7 +310,7 @@ def test_search_prebuilt_filter_for_other_pattern_rejected():
 
 def test_search_rejects_str_inputs():
     # A str text is refused whether or not m > n, and a str pattern by the
-    # filter constructor.
+    # Matcher constructor.
     with pytest.raises(TypeError, match="text must be bytes-like, not str"):
         search(b"abc", "ab")
     with pytest.raises(TypeError, match="text must be bytes-like, not str"):
@@ -280,6 +330,11 @@ def test_search_rejects_str_inputs():
         naive_search("ab", b"xxab")
     with pytest.raises(TypeError, match="text must be bytes-like, not str"):
         naive_search(b"ab", "xxab")
+    # check refuses them too.
+    with pytest.raises(TypeError, match="pattern must be bytes-like, not str"):
+        check("ab", b"xab", 1)
+    with pytest.raises(TypeError, match="text must be bytes-like, not str"):
+        check(b"ab", "xab", 1)
 
 
 def test_search_prebuilt_filter_param_conflict():
@@ -617,6 +672,9 @@ def test_bytes_like_inputs_searched_as_bytes(backend):
     assert search(array.array("H", [1, 2]), wide).positions == [0, 4]
     assert search(b"\x02\x00\x01", memoryview(wide)).positions == [2]
     assert preprocess(array.array("H", [1, 2])).bits == preprocess(b"\x01\x00\x02\x00").bits
+    # Every registry id builds its tables from the pattern's bytes.
+    for algo in baselines.ALGORITHMS:
+        assert baselines.prepare(algo, array.array("H", [1, 2])).search(wide).positions == [0, 4]
 
 
 def test_shared_matcher_concurrent_searches(backend):
