@@ -12,6 +12,16 @@
  * verification counts byte comparisons even where it compares a word at a
  * time.
  *
+ * The k = 1 scan also has a branch-free entry. It tests the probes at j,
+ * j - 1 and j - 2 of a window at once and branches only on "all three
+ * pass". Where an attempt stops at its 2nd or 3rd probe about equally
+ * often, as for short patterns on small alphabets, the loop's exit branch
+ * is mispredicted on a large share of attempts, and the entry saves that
+ * cost. Where the first probes are predictable it costs more than it
+ * saves, so wfr_scan chooses per call, from what it observes of the
+ * pattern and the text, whether the scan takes it. Either way every probe
+ * has the same outcome.
+ *
  * As in engine.py, one loop serves every k: k = 1 is the chained loop with
  * one character per probe. The filter is a packed bitset: bit v is
  * tbl[v >> 3] & (1 << (v & 7)). Hash arithmetic is unsigned 64-bit; with
@@ -22,6 +32,7 @@
 #include <string.h>
 
 #define HAS(tbl, v) ((tbl)[(v) >> 3] & (1u << ((v) & 7)))
+#define BIT(tbl, v) ((tbl)[(v) >> 3] >> ((v) & 7) & 1)
 
 /* The hash horizon L = ceil(alpha / s), from mask = 2**alpha - 1: a hash
  * depends only on the first L bytes of the sequence it hashes. */
@@ -60,6 +71,22 @@ void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, uint64_t mask)
  * way lim <= j, so cursor > lim on entry to every fold, and a fold takes
  * at least one character.
  *
+ * With entry set (k = 1 only), an attempt first computes the hashes of
+ * the probes at j, j - 1 and j - 2 and loads their three table bits, with
+ * no branch between the loads. pN is 1 when the Nth probe passes, so
+ * cursor = j - p1 - (p1 & p2) is where the first failing probe stands, and
+ * the attempt ends there as the loop would end it. Only "all three pass"
+ * branches, into the loop at cursor j - 2. The entry runs only when
+ * j - 2 > lim, so it never reaches the window start or a probe the memo
+ * knows, and it reads only y[i..j]. (With m >= 4 this always holds: i <=
+ * j - 3, and hi + 1 <= j - L + 1 <= j - 3 since L >= 4.) No probe changes
+ * its outcome, so positions and counters are those of the loop. The loop
+ * pays a mispredicted exit branch on many attempts when the first probes
+ * pass or fail about equally often: for m = 8 on 4 symbols, as on the
+ * dna-short workload, 0.94, 0.41 and 0.09 of the attempts passed their 1st,
+ * 2nd and 3rd probe (8 patterns, 256 KiB). Where the exit is predictable
+ * the entry costs more than it saves: see ENTRY_MISS_SHARE.
+ *
  * The verification compares a word at a time up to the first unequal word
  * and then byte by byte, so t, the length of the match, and the comparison
  * counter are those of a byte loop; every word lies in y[i..j].
@@ -71,15 +98,15 @@ void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, uint64_t mask)
  * the probe memo, against 1.3% with end (10 and 4 alternating runs, 2-vCPU
  * Xeon VM).
  *
- * always_inline, so that each case of the switch in wfr_scan gets its own
- * copy with k a constant, in which the k = 1 fold is a single step: with
+ * always_inline, so that each call in wfr_scan gets its own copy with k
+ * and entry constants, in which the k = 1 fold is a single step: with
  * plain inline, gcc 12 -O2 emits one generic copy and calls it from every
  * case, and with k read at run time the k = 1 scan took 1.2 times as long
  * on the dna-short benchmark workload and 1.7 times on zero-runs (2-vCPU
  * Xeon VM). */
 static inline __attribute__((always_inline)) int64_t
 scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
-       const uint8_t *tbl, int s, uint64_t mask, const int k,
+       const uint8_t *tbl, int s, uint64_t mask, const int k, const int entry,
        int64_t *pos, int64_t cap, int64_t *st, int64_t base)
 {
     const int64_t L = horizon(s, mask);
@@ -91,6 +118,20 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
         int64_t i = j - m + 1, cursor = j + 1;
         int64_t lim = k == 1 && hi >= i ? hi + 1 : i;
         uint64_t v = 0;
+        if (entry && j - 2 > lim) {
+            uint64_t v1 = y[j] & mask;
+            uint64_t v2 = ((v1 << s) + y[j - 1]) & mask;
+            uint64_t v3 = ((v2 << s) + y[j - 2]) & mask;
+            int64_t p1 = BIT(tbl, v1), p2 = BIT(tbl, v2), p3 = BIT(tbl, v3);
+            if (!(p1 & p2 & p3)) {
+                cursor = j - p1 - (p1 & p2);
+                j = cursor + m;
+                shift += cursor + 1 - i;
+                continue;
+            }
+            cursor = j - 2;
+            v = v3;
+        }
         do {
             int64_t stop = cursor - k > lim ? cursor - k : lim;
             do {
@@ -131,6 +172,70 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
     return found;
 }
 
+/* When a k = 1 call takes the branch-free entry (see scan_k): when
+ * ENTRY_M_MIN <= m <= ENTRY_M_MAX and entry_pays. Both are needed. The
+ * bounds on m alone would take the entry where the first probe fails
+ * predictably: taken on every call, it slowed m = 8 scans of 1 MiB from
+ * 0.89-0.91 to 1.35-1.41 ms on 64 symbols and from 0.58-0.64 to 1.34-1.39
+ * ms on 256 (3 alternating runs each). The sample alone would take it on
+ * the text-long benchmark workload (m = 256 and 1024 on 64 symbols at
+ * shift_s = 2, where 2-byte hashes collide and the second probe passes
+ * about half the time), whose query_ms_p95 then rose from 0.49-0.54 to
+ * 0.62-0.73 ms and query_ms_p50 from 0.21-0.23 to 0.22-0.25 ms (5
+ * alternating perfbench pairs). Times are from a 2-vCPU Xeon VM.
+ *
+ * ENTRY_M_MIN: below it the probe at j - 2 is at or left of the window
+ * start, whose probe the loop's verify test makes, so the entry never runs.
+ * ENTRY_M_MAX: stands in for table loads that miss the cache. A predicted
+ * exit branch lets the next window's loads start while a probe's load is
+ * still out, and the entry makes the next window end wait for its three
+ * loads. Timed in turn in one library, each search building its filter
+ * afresh as text-long's queries do, the entry took 1.22-1.26 times the
+ * loop's time at m = 256 on 64 symbols with a 2 MiB table (alpha = 24), but
+ * 0.86-0.95 times with an 8 KiB one (alpha = 16), 0.80-0.93 times at m = 32
+ * and 64 on 64 symbols with the 2 MiB one, and 0.79-0.86 times at m = 8 on
+ * 4 symbols, whose probes stay in a few lines of it.
+ * ENTRY_SAMPLE: at a share of 0.3 one binomial standard deviation over 256
+ * window ends is 0.03. The sample took 1.1-1.8 us a call on 4, 64 and 256
+ * symbols, 0.2% of an m = 8 scan of 1 MiB on 64 symbols.
+ * ENTRY_MISS_SHARE: the ratio of the entry's time to the loop's, per
+ * pattern, with both copies in one library timed in turn on 1 MiB, was
+ * 0.96-1.52 for shares below 0.2 (1.35-1.52 on 64 and 256 symbols),
+ * 0.87-1.15 from 0.2 to 0.3, 0.93-1.04 from 0.3 to 0.35 and 0.64-0.98
+ * above (114 patterns, sigma 2 to 256, m 4 to 64). */
+#define ENTRY_M_MIN 4
+#define ENTRY_M_MAX 64
+#define ENTRY_SAMPLE 256
+#define ENTRY_MISS_SHARE 0.3
+
+/* Whether a predictor that guesses, for each of the first three k = 1
+ * probes, the outcome that most of the windows reaching it have would miss
+ * on at least ENTRY_MISS_SHARE of the window ends j0, j0 + 1, ... (up to
+ * ENTRY_SAMPLE of them, all < n). A window's probes stop at the first that
+ * fails, so the guesses amount to one guessed stop, after d passes, and the
+ * predictor misses every window that stops elsewhere. Like the entry, the
+ * sample loads the three bits with no branch; it reads y[j0 - 2 ..], and
+ * j0 >= m - 1 >= 3. */
+static int entry_pays(const uint8_t *y, int64_t n, const uint8_t *tbl, int s,
+                      uint64_t mask, int64_t j0)
+{
+    int64_t end = n - j0 < ENTRY_SAMPLE ? n : j0 + ENTRY_SAMPLE;
+    int64_t reach[5] = {end - j0, 0, 0, 0, 0}; /* windows whose first d probes pass */
+    for (int64_t j = j0; j < end; j++) {
+        uint64_t v1 = y[j] & mask;
+        uint64_t v2 = ((v1 << s) + y[j - 1]) & mask;
+        uint64_t v3 = ((v2 << s) + y[j - 2]) & mask;
+        int p1 = BIT(tbl, v1), p12 = p1 & BIT(tbl, v2);
+        reach[1] += p1;
+        reach[2] += p12;
+        reach[3] += p12 & BIT(tbl, v3);
+    }
+    int d = 0;
+    while (d < 3 && 2 * reach[d + 1] > reach[d]) /* most of those reaching probe d + 1 pass it */
+        d++;
+    return reach[0] - (reach[d] - reach[d + 1]) >= ENTRY_MISS_SHARE * (double)reach[0];
+}
+
 /* The scan contract that every scan of the engine follows: this kernel,
  * and in Python its reference scan and the naive and Horspool baselines,
  * all called by one driver, engine.Matcher.stream, with one pos buffer per
@@ -147,12 +252,14 @@ int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
 {
     switch (k) {
     case 1:
-        return scan_k(x, m, y, n, tbl, s, mask, 1, pos, cap, st, base);
+        if (m >= ENTRY_M_MIN && m <= ENTRY_M_MAX && entry_pays(y, n, tbl, s, mask, st[0]))
+            return scan_k(x, m, y, n, tbl, s, mask, 1, 1, pos, cap, st, base);
+        return scan_k(x, m, y, n, tbl, s, mask, 1, 0, pos, cap, st, base);
     case 2:
-        return scan_k(x, m, y, n, tbl, s, mask, 2, pos, cap, st, base);
+        return scan_k(x, m, y, n, tbl, s, mask, 2, 0, pos, cap, st, base);
     case 3:
-        return scan_k(x, m, y, n, tbl, s, mask, 3, pos, cap, st, base);
+        return scan_k(x, m, y, n, tbl, s, mask, 3, 0, pos, cap, st, base);
     default:
-        return scan_k(x, m, y, n, tbl, s, mask, 4, pos, cap, st, base);
+        return scan_k(x, m, y, n, tbl, s, mask, 4, 0, pos, cap, st, base);
     }
 }

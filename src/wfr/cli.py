@@ -64,7 +64,7 @@ def _parse_m_list(raw: str) -> tuple[int, ...]:
         values = tuple(int(part) for part in raw.split(","))
     except ValueError:
         raise ConfigurationError(f"--m expects comma-separated integers, got {raw!r}") from None
-    if not values or any(m < 1 for m in values):
+    if any(m < 1 for m in values):
         raise ConfigurationError(f"--m values must be positive, got {raw!r}")
     return values
 

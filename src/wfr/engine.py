@@ -32,7 +32,11 @@ C kernel in ``_kernel.c``. It skips the ``k=1`` probes whose outcome it
 already knows: a hash depends only on the first ``L = ceil(alpha/shift_s)``
 bytes of its suffix, so after a verified window ``[i, j]`` every probe at or
 left of ``j-L+1`` is known to pass, and the next window does not repeat
-them. It also verifies a word at a time. The counters, and the inspected
+them. It also verifies a word at a time. Its ``k=1`` scan has a second,
+branch-free entry that tests the first three probes of a window at once. A
+call takes it when ``4 <= m <= 64`` and its first 256 window ends show
+those probes hard to predict, as for short patterns on small alphabets;
+the outcomes are the same either way. The counters, and the inspected
 bytes derived from them, stay the algorithm's logical counts: none counts
 probes, and ``check_comparisons`` counts bytes. On the first import after
 the source changes the kernel is compiled with ``cc -O2 -shared -fPIC``

@@ -286,6 +286,14 @@ def test_bench_bad_synth_spec(runner):
     assert runner.invoke(main, ["bench", "--synth", "4,x", "--m", "2"]).exit_code == 2
 
 
+def test_bench_bad_m_list(runner):
+    # Refused before the corpus is built: "" is no integer, 0 no length.
+    for spec, message in (("", "--m expects comma-separated integers, got ''"), ("4,0", "--m values must be positive, got '4,0'")):
+        result = runner.invoke(main, ["bench", "--synth", "4,4096", "--m", spec, "--runs", "2"])
+        assert result.exit_code == 2
+        assert message in result.stderr
+
+
 def test_bench_missing_text_file(runner, tmp_path):
     result = runner.invoke(main, ["bench", "--text", str(tmp_path / "nope"), "--m", "2"])
     assert result.exit_code == 3

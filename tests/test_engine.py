@@ -579,16 +579,25 @@ def _record(out):
 
 
 def _edge_cases():
-    """m == n, m == 1, k == m, m > n, position counts at and around the
-    kernel's per-call buffer, which make the scan resume, and runs of
-    verified windows, where the kernel skips k=1 probes that it knows pass
-    (those at or left of j-L+1 after a verified window ending at j)."""
+    """(pattern, text, k, params) cases: m == n, m == 1, k == m, m > n,
+    position counts at and around the kernel's per-call buffer, which make
+    the scan resume, and runs of verified windows, where the kernel skips
+    k=1 probes that it knows pass (those at or left of j-L+1 after a
+    verified window ending at j). The rest are at the edges of the kernel's
+    branch-free k=1 entry, which tests the probes at j, j-1 and j-2 at once
+    and which each call takes only when 4 <= m <= 64 and its first 256
+    window ends make those probes hard to predict."""
     cap = engine._POSITIONS_PER_CALL
     params = FilterParams()
     L = -(-params.alpha // params.shift_s)
     periodic = bytearray(b"ab" * 500)
     periodic[517] = ord("c")  # breaks a run of verified windows mid-window
-    return [
+    rng = random.Random(0xE17)
+    sigma8 = bytes(rng.choices(range(8), k=3000))
+    sigma4 = bytes(rng.choices(range(1, 5), k=3000))
+    sigma2 = bytes(rng.choices(range(2), k=3000))
+    runs = (b"\0" * 40 + b"\1") * 40
+    cases = [
         (b"abcab", b"abcab", 1),
         (b"abcab", b"abcab", 4),
         (b"abcd", b"xabcdabcd", 4),
@@ -614,7 +623,26 @@ def _edge_cases():
         # and m = L, where none is skipped.
         (b"\0" * (L + 1), (b"\0" * 40 + b"\x07") * 40, 1),
         (b"\0" * L, (b"\0" * 40 + b"\x07") * 40, 1),
+        # m around the entry's bounds: it is never taken at m = 3 and 65.
+        *((sigma8[1000 : 1000 + m], sigma8, 1) for m in (3, 4, 64, 65)),
+        # The first 256 window ends choose one copy of the scan and the rest
+        # of the text favours the other: zeros, on which no probe passes,
+        # then sigma=4 text, and the reverse.
+        (sigma4[1000:1016], bytes(300) + sigma4, 1),
+        (sigma4[1000:1016], sigma4 + bytes(300), 1),
+        # Position buffers filled in a zero run and then in random text, and
+        # the reverse, so a resumed call chooses its copy again in mid-text.
+        (b"\0" * 4, bytes(cap + 3) + sigma2, 1),
+        (b"\0" * 4, sigma2 + bytes(cap + 3), 1),
     ]
+    cases = [(p, t, k, params) for p, t, k in cases]
+    # Runs of verified windows behind a random prefix that makes the calls
+    # take the entry. At alpha=8 (L=4) the probe at lim = j-3 follows the
+    # entry's three probes at once; at alpha=10 (L=5) one probe of the loop
+    # comes between.
+    for alpha in (8, 10):
+        cases.append((b"\0" * 8, sigma2[:300] + runs, 1, FilterParams(alpha=alpha, shift_s=2)))
+    return cases
 
 
 def test_native_matches_python_reference(monkeypatch):
@@ -623,7 +651,7 @@ def test_native_matches_python_reference(monkeypatch):
     if engine._native is None:
         pytest.skip("native kernel unavailable: cc missing or the build failed")
     rng = random.Random(0xD1FF)
-    cases = [(p, t, k, FilterParams()) for p, t, k in _edge_cases()]
+    cases = _edge_cases()
     for sigma in (2, 4, 64, 256):
         pool = bytes(rng.choices(range(sigma), k=8000))
         for alpha in (8, 16, 24):
@@ -654,8 +682,8 @@ def test_native_matches_python_reference(monkeypatch):
 
 
 def test_edge_cases_against_oracle(backend):
-    for pattern, text, k in _edge_cases():
-        out = search(pattern, text, k=k)
+    for pattern, text, k, params in _edge_cases():
+        out = search(pattern, text, params, k=k)
         assert out.positions == naive_search(pattern, text)
         assert out.backend == backend
     out = search(b"a", b"a" * 20_000)
