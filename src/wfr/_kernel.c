@@ -23,16 +23,62 @@
  * has the same outcome.
  *
  * As in engine.py, one loop serves every k: k = 1 is the chained loop with
- * one character per probe. The filter is a packed bitset: bit v is
- * tbl[v >> 3] & (1 << (v & 7)). Hash arithmetic is unsigned 64-bit; with
+ * one character per probe. Hash arithmetic is unsigned 64-bit; with
  * alpha <= 30 and shift_s <= 2 no intermediate value overflows. Built by
  * engine.py with cc -O2 -shared -fPIC.
- */
+ *
+ * The filter has two parts, sized by the pattern (engine._layout decides the
+ * sizes; engine.py builds the same bytes when no kernel is loaded):
+ * - the direct part tbl, a packed bitset of the hash values below 2**D:
+ *   bit v is tbl[v >> 3] & (1 << (v & 7));
+ * - the hashed part set, an exact open-addressed set of the values at or
+ *   above 2**D in `slots` uint32 slots: a power of two at least 2 m L, so
+ *   at most half the slots are used and every probe chain ends at an
+ *   EMPTY slot. A value's home slot is the top log2(slots) bits of
+ *   (uint32_t)v * HASH_MUL, and linear probing goes on from there.
+ * D is DIRECT_BITS when the set exists (slots > 0). It is alpha when the
+ * set does not exist: for alpha <= DIRECT_BITS, and where the two parts
+ * would take no less memory than the 2**(alpha-3)-byte bitset of all
+ * values. A value is in the filter iff it is in its part, so every probe
+ * has the outcome a 2**alpha-bit bitset would give.
+ * The k = 1 entry and entry_pays read tbl alone, which holds every value
+ * they probe: their probes hash at most 3 bytes, so each value is below
+ * 2**14 < 2**DIRECT_BITS and below 2**alpha. */
 #include <stdint.h>
 #include <string.h>
 
 #define HAS(tbl, v) ((tbl)[(v) >> 3] & (1u << ((v) & 7)))
 #define BIT(tbl, v) ((tbl)[(v) >> 3] >> ((v) & 7) & 1)
+
+#define DIRECT_BITS 16
+#define EMPTY 0xFFFFFFFFu
+#define HASH_MUL 0x9E3779B1u /* 2**32 / golden ratio, odd */
+
+/* The shift that takes the top log2(slots) bits of a 32-bit product. */
+static inline int slot_shift(int64_t slots)
+{
+    return 32 - __builtin_ctzll(slots);
+}
+
+/* The slot of v in the set, or the EMPTY slot where its probe stops: linear
+ * probing from its home slot. last is slots - 1 and sh slot_shift(slots).
+ * Every value is below 2**alpha <= 2**30, so none equals EMPTY. */
+static inline uint32_t find_slot(const uint32_t *set, uint32_t last, int sh, uint64_t v)
+{
+    uint32_t h = (uint32_t)v * HASH_MUL >> sh;
+    while (set[h] != v && set[h] != EMPTY)
+        h = (h + 1) & last;
+    return h;
+}
+
+/* Whether v is in the filter; hashed says whether the set exists. */
+static inline __attribute__((always_inline)) int
+has(const uint8_t *tbl, const uint32_t *set, uint32_t last, int sh, const int hashed, uint64_t v)
+{
+    if (!hashed || v < (1u << DIRECT_BITS))
+        return HAS(tbl, v) != 0;
+    return set[find_slot(set, last, sh, v)] == v;
+}
 
 /* The hash horizon L = ceil(alpha / s), from mask = 2**alpha - 1: a hash
  * depends only on the first L bytes of the sequence it hashes. */
@@ -41,20 +87,45 @@ static inline int64_t horizon(int s, uint64_t mask)
     return (__builtin_popcountll(mask) + s - 1) / s;
 }
 
-/* Set the bit of every factor of x[0..m) of length at most L. A hash depends
- * only on the first L bytes of a factor, and that prefix is itself a factor,
- * so longer factors set no new bit. */
-void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, uint64_t mask)
+/* Put the hash of every factor of x[0..m) of length at most L in the
+ * filter: tbl comes zeroed, and set, of `slots` slots (0 when there is
+ * none), with every slot EMPTY. A hash depends only on the first L bytes
+ * of a factor, and that prefix is itself a factor, so longer factors add
+ * no value. The set's bytes depend on the order of the inserts, and
+ * engine.py inserts in this same order. */
+static void build(const uint8_t *x, int64_t m, uint8_t *tbl, uint32_t *set, int64_t slots,
+                  int s, int alpha)
 {
+    const uint64_t mask = ((uint64_t)1 << alpha) - 1;
     const int64_t L = horizon(s, mask);
+    const uint32_t last = (uint32_t)(slots - 1);
+    const int sh = slots ? slot_shift(slots) : 0;
     for (int64_t i = m - 1; i >= 0; i--) {
         int64_t lo = i - L + 1 > 0 ? i - L + 1 : 0;
         uint64_t v = 0;
         for (int64_t j = i; j >= lo; j--) {
             v = ((v << s) + x[j]) & mask;
-            tbl[v >> 3] |= (uint8_t)(1u << (v & 7));
+            if (!slots || v < (1u << DIRECT_BITS))
+                tbl[v >> 3] |= (uint8_t)(1u << (v & 7));
+            else
+                set[find_slot(set, last, sh, v)] = (uint32_t)v;
         }
     }
+}
+
+/* build for a filter with a set, and for one without, which takes two
+ * arguments fewer: ctypes converts each argument on every call, and the
+ * two made a preprocess of an 8-byte pattern at alpha = 16 take 0.25 us
+ * more, against 2.7 us (best of 8 alternating runs, 2-vCPU Xeon VM). */
+void wfr_build_hashed(const uint8_t *x, int64_t m, uint8_t *tbl, uint32_t *set, int64_t slots,
+                      int s, int alpha)
+{
+    build(x, m, tbl, set, slots, s, alpha);
+}
+
+void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, int alpha)
+{
+    build(x, m, tbl, 0, 0, s, alpha);
 }
 
 /* The scan loop for one k: fold up to k characters into the suffix hash
@@ -98,18 +169,26 @@ void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, uint64_t mask)
  * the probe memo, against 1.3% with end (10 and 4 alternating runs, 2-vCPU
  * Xeon VM).
  *
- * always_inline, so that each call in wfr_scan gets its own copy with k
- * and entry constants, in which the k = 1 fold is a single step: with
+ * With hashed set (the filter has a set), a probe of a value at or above
+ * 2**DIRECT_BITS searches the set; without it every probe reads tbl alone.
+ * hashed is a constant because a run-time test of the set in one shared
+ * copy cost the dna-short benchmark workload about 20% in a prototype.
+ *
+ * always_inline, so that each call in wfr_scan gets its own copy with k,
+ * entry and hashed constants, in which the k = 1 fold is a single step: with
  * plain inline, gcc 12 -O2 emits one generic copy and calls it from every
  * case, and with k read at run time the k = 1 scan took 1.2 times as long
  * on the dna-short benchmark workload and 1.7 times on zero-runs (2-vCPU
  * Xeon VM). */
 static inline __attribute__((always_inline)) int64_t
 scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
-       const uint8_t *tbl, int s, uint64_t mask, const int k, const int entry,
+       const uint8_t *tbl, const uint32_t *set, int64_t slots, int s, uint64_t mask,
+       const int k, const int entry, const int hashed,
        int64_t *pos, int64_t cap, int64_t *st, int64_t base)
 {
     const int64_t L = horizon(s, mask);
+    const uint32_t last = (uint32_t)(slots - 1);
+    const int sh = hashed ? slot_shift(slots) : 0;
     int64_t j = st[0], ver = st[1], att = st[2], shift = st[3], cmp = st[4];
     int64_t found = 0, hi = -1;
     int64_t end = cap > 0 ? n : 0; /* 0 once pos is full */
@@ -138,8 +217,8 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
                 cursor--;
                 v = ((v << s) + y[cursor]) & mask;
             } while (cursor > stop);
-        } while (cursor > lim && HAS(tbl, v));
-        if (cursor == lim && HAS(tbl, v)) {
+        } while (cursor > lim && has(tbl, set, last, sh, hashed, v));
+        if (cursor == lim && has(tbl, set, last, sh, hashed, v)) {
             int64_t t = 0;
             cursor = i;
             hi = j - L + 1;
@@ -245,21 +324,36 @@ static int entry_pays(const uint8_t *y, int64_t n, const uint8_t *tbl, int s,
  * cap occurrence positions, each plus base (the offset of y[0] in the whole
  * text), to pos and returns how many it wrote. The scan of y is finished
  * when st[0] >= n; otherwise the caller drains pos and calls again. k is in
- * [1, 4]; the caller checks it. */
+ * [1, 4], and tbl and set are laid out as wfr_build fills them; the caller
+ * checks both. mask is 2**alpha - 1: computed here from alpha, it took a
+ * register in the k = 1 loop, and gcc 12 -O2 kept the window end on the
+ * stack there instead. */
 int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
-                 const uint8_t *tbl, int s, uint64_t mask, int k,
-                 int64_t *pos, int64_t cap, int64_t *st, int64_t base)
+                 const uint8_t *tbl, const uint32_t *set, int64_t slots, int s, uint64_t mask,
+                 int k, int64_t *pos, int64_t cap, int64_t *st, int64_t base)
 {
+    int entry;
     switch (k) {
     case 1:
-        if (m >= ENTRY_M_MIN && m <= ENTRY_M_MAX && entry_pays(y, n, tbl, s, mask, st[0]))
-            return scan_k(x, m, y, n, tbl, s, mask, 1, 1, pos, cap, st, base);
-        return scan_k(x, m, y, n, tbl, s, mask, 1, 0, pos, cap, st, base);
+        entry = m >= ENTRY_M_MIN && m <= ENTRY_M_MAX && entry_pays(y, n, tbl, s, mask, st[0]);
+        if (entry && slots)
+            return scan_k(x, m, y, n, tbl, set, slots, s, mask, 1, 1, 1, pos, cap, st, base);
+        if (entry)
+            return scan_k(x, m, y, n, tbl, set, slots, s, mask, 1, 1, 0, pos, cap, st, base);
+        if (slots)
+            return scan_k(x, m, y, n, tbl, set, slots, s, mask, 1, 0, 1, pos, cap, st, base);
+        return scan_k(x, m, y, n, tbl, set, slots, s, mask, 1, 0, 0, pos, cap, st, base);
     case 2:
-        return scan_k(x, m, y, n, tbl, s, mask, 2, 0, pos, cap, st, base);
+        if (slots)
+            return scan_k(x, m, y, n, tbl, set, slots, s, mask, 2, 0, 1, pos, cap, st, base);
+        return scan_k(x, m, y, n, tbl, set, slots, s, mask, 2, 0, 0, pos, cap, st, base);
     case 3:
-        return scan_k(x, m, y, n, tbl, s, mask, 3, 0, pos, cap, st, base);
+        if (slots)
+            return scan_k(x, m, y, n, tbl, set, slots, s, mask, 3, 0, 1, pos, cap, st, base);
+        return scan_k(x, m, y, n, tbl, set, slots, s, mask, 3, 0, 0, pos, cap, st, base);
     default:
-        return scan_k(x, m, y, n, tbl, s, mask, 4, 0, pos, cap, st, base);
+        if (slots)
+            return scan_k(x, m, y, n, tbl, set, slots, s, mask, 4, 0, 1, pos, cap, st, base);
+        return scan_k(x, m, y, n, tbl, set, slots, s, mask, 4, 0, 0, pos, cap, st, base);
     }
 }

@@ -4,7 +4,7 @@ The engine finds every (possibly overlapping) occurrence of a byte pattern
 ``x`` of length ``m`` in a byte text ``y`` of length ``n``. Preprocessing
 hashes the nonempty factors (contiguous substrings) of the pattern into a
 :class:`FactorFilter`: if ``z`` is a factor of
-``x`` then the bit at ``hash_factor(z)`` is set. The converse need not hold,
+``x`` then ``hash_factor(z)`` is in the filter. The converse need not hold,
 so the filter recognizes a superset of the factor set: false positives are
 possible, false negatives are not.
 
@@ -97,6 +97,12 @@ _POSITIONS_PER_CALL = 4096
 _CHUNK_BYTES = 1 << 20
 # Sets a slot of an immutable Matcher; a global saves preprocess a lookup per slot.
 _set_slot = object.__setattr__
+# The filter layout, as _kernel.c defines it: hash values below 2**_DIRECT_BITS
+# go to the direct bitset when the hashed set exists; an empty set slot holds
+# _EMPTY, and a value's home slot is the top bits of v * _HASH_MUL mod 2**32.
+_DIRECT_BITS = 16
+_EMPTY = 0xFFFFFFFF
+_HASH_MUL = 0x9E3779B1
 
 
 def _build_kernel(source: str, library: str) -> None:
@@ -146,10 +152,14 @@ def _load_kernel(source: str = KERNEL_SOURCE) -> ctypes.CDLL | None:
                 pass
         lib = ctypes.CDLL(library)
         i64, ptr = ctypes.c_int64, ctypes.POINTER(ctypes.c_int64)
-        lib.wfr_build.argtypes = [ctypes.c_char_p, i64, ctypes.c_char_p, ctypes.c_int, ctypes.c_uint64]
+        lib.wfr_build.argtypes = [ctypes.c_char_p, i64, ctypes.c_char_p, ctypes.c_int, ctypes.c_int]
         lib.wfr_build.restype = None
+        lib.wfr_build_hashed.argtypes = [
+            ctypes.c_char_p, i64, ctypes.c_char_p, ctypes.c_char_p, i64, ctypes.c_int, ctypes.c_int,
+        ]
+        lib.wfr_build_hashed.restype = None
         lib.wfr_scan.argtypes = [
-            ctypes.c_char_p, i64, ctypes.c_char_p, i64, ctypes.c_char_p,
+            ctypes.c_char_p, i64, ctypes.c_char_p, i64, ctypes.c_char_p, ctypes.c_char_p, i64,
             ctypes.c_int, ctypes.c_uint64, ctypes.c_int, ptr, i64, ptr, i64,
         ]
         lib.wfr_scan.restype = i64
@@ -165,7 +175,7 @@ _native = _load_kernel()
 class FilterParams:
     """Tunable constants for factor hashing and filter size.
 
-    alpha: bit width of hash values; the filter holds ``2**alpha`` bits.
+    alpha: bit width of hash values, which lie in ``[0, 2**alpha)``.
     shift_s: bits shifted in per character when a hash is extended.
     """
 
@@ -182,7 +192,9 @@ class FilterParams:
 
     @property
     def table_bits(self) -> int:
-        """Total number of bits in a filter built with these params."""
+        """Size of the hash space, ``2**alpha``: the number of values a factor
+        hash can take. A filter's memory depends on its pattern as well; see
+        :class:`FactorFilter`."""
         return 1 << self.alpha
 
     @property
@@ -408,66 +420,125 @@ class Matcher:
         return PositionStream(batches(), state, self.backend)
 
 
-class FactorFilter(Matcher):
-    """The factor filter of one pattern: a ``2**alpha``-bit membership table.
+def _layout(params: FilterParams, m: int) -> tuple[int, int]:
+    """``(D, slots)`` of the filter of an ``m``-byte pattern: its direct
+    bitset holds the hash values below ``2**D`` and its hashed set the rest
+    in ``slots`` slots, 0 when there is no set.
 
-    The constructor sets bit ``hash_factor(z)`` for every nonempty factor
-    ``z`` of ``pattern``, and the backend that builds the table scans with
-    it. The filter is an immutable :class:`Matcher`, so the table always
+    The pattern has at most ``m*L`` distinct hash values, ``L =
+    ceil(alpha/shift_s)``, and ``slots`` is the smallest power of two at
+    least ``2*m*L``, so at most half the slots are used. When the two parts
+    would take no less memory than a bitset of all ``2**alpha`` values, and
+    always when ``alpha <= 16``, that bitset is the whole filter.
+    """
+    alpha = params.alpha
+    if alpha > _DIRECT_BITS:
+        slots = 1 << (2 * m * -(-alpha // params.shift_s) - 1).bit_length()
+        if (1 << (_DIRECT_BITS - 3)) + 4 * slots < 1 << (alpha - 3):
+            return _DIRECT_BITS, slots
+    return alpha, 0
+
+
+def _find_slot(cells, v: int) -> int:
+    """The slot of ``v`` in the hashed set ``cells`` (uint32 items), or the
+    empty slot where its probe stops: linear probing from its home slot, as
+    the kernel's ``find_slot``. ``v`` is in the set iff ``cells[h] == v``."""
+    last = len(cells) - 1
+    h = (v * _HASH_MUL & 0xFFFFFFFF) >> (33 - len(cells).bit_length())
+    while cells[h] != v and cells[h] != _EMPTY:
+        h = (h + 1) & last
+    return h
+
+
+class FactorFilter(Matcher):
+    """The factor filter of one pattern: exact membership of the hash of
+    every nonempty factor.
+
+    The constructor puts ``hash_factor(z)`` in the filter for every nonempty
+    factor ``z`` of ``pattern``, and the backend that builds the filter
+    scans with it. The filter is an immutable :class:`Matcher`, so it always
     belongs to ``pattern``.
 
-    The table is a ``bytes`` bitset, the one layout both backends read in
-    place: bit ``v`` is ``bits[v >> 3] & (1 << (v & 7))``. It costs
-    ``2**(alpha-3)`` bytes (8 KiB at alpha=16, 2 MiB at 24, 128 MiB at 30)
-    and no per-word objects. Only factors up to ``L = ceil(alpha/shift_s)``
-    bytes long are hashed, in O(m*L) time: a hash depends only on the first
-    ``L`` bytes of a factor, and that prefix is itself a factor.
+    Its two parts are ``bytes``, the one layout both backends build byte for
+    byte and read in place, sized by :func:`_layout`:
+
+    - ``bits``, a bitset of the values below ``2**D``: bit ``v`` is
+      ``bits[v >> 3] & (1 << (v & 7))``. ``D = min(alpha, 16)``, 8 KiB at
+      most, unless the whole filter is one bitset of ``2**(alpha-3)`` bytes.
+    - ``hashed``, the values at or above ``2**D`` in an open-addressed set
+      of native-endian uint32 slots (empty when there is no set); an empty
+      slot holds ``0xFFFFFFFF``. It takes 4 bytes per slot, and there are
+      ``2*m*L`` to ``4*m*L`` slots, ``L = ceil(alpha/shift_s)``.
+
+    So the filter costs about ``8 KiB + 16*m*L`` bytes at most, and never
+    more than a ``2**alpha``-bit bitset: 16 KiB for ``m = 64`` and 136 KiB
+    for ``m = 1024`` at alpha=24 and shift_s=2, where that bitset is 2 MiB.
+    Membership is exact, so every probe has the outcome a ``2**alpha``-bit
+    bitset would give. Only factors up to ``L`` bytes long are hashed, in
+    O(m*L) time: a hash depends only on the first ``L`` bytes of a factor,
+    and that prefix is itself a factor.
     """
 
-    __slots__ = ("params", "bits")
+    __slots__ = ("params", "bits", "hashed")
 
     def __init__(self, pattern: bytes, params: FilterParams = DEFAULT_PARAMS) -> None:
         s = params.shift_s
-        mask = params.hash_mask
         if _native is not None:
             Matcher.__init__(self, pattern, _scan_native, "native")
-            # A fresh object no one else holds yet: the kernel fills it in
-            # place, which saves copying the whole table.
-            bits = bytes(params.table_bits >> 3)
-            _native.wfr_build(self.pattern, len(self.pattern), bits, s, mask)
+            x = self.pattern
+            direct, slots = _layout(params, len(x))
+            # Fresh objects no one else holds yet: the kernel fills them in
+            # place, which saves copying them.
+            bits = bytes(1 << (direct - 3))
+            hashed = b"\xff" * (4 * slots)
+            if slots:
+                _native.wfr_build_hashed(x, len(x), bits, hashed, slots, s, params.alpha)
+            else:
+                _native.wfr_build(x, len(x), bits, s, params.alpha)
         else:
             Matcher.__init__(self, pattern, _scan_python, "python")
             pattern = self.pattern
+            mask = params.hash_mask
+            direct, slots = _layout(params, len(pattern))
             longest = -(-params.alpha // s)
-            table = bytearray(params.table_bits >> 3)
+            table = bytearray(1 << (direct - 3))
+            hashed = bytearray(b"\xff" * (4 * slots))
+            cells = memoryview(hashed).cast("I")
+            below = 1 << direct
             for i in range(len(pattern) - 1, -1, -1):
                 v = 0
                 for j in range(i, max(i - longest, -1), -1):
                     v = ((v << s) + pattern[j]) & mask
-                    table[v >> 3] |= 1 << (v & 7)
-            bits = bytes(table)
+                    if v < below:
+                        table[v >> 3] |= 1 << (v & 7)
+                    else:
+                        cells[_find_slot(cells, v)] = v
+            bits, hashed = bytes(table), bytes(hashed)
         _set_slot(self, "params", params)
         _set_slot(self, "bits", bits)
+        _set_slot(self, "hashed", hashed)
 
     def test_bit(self, v: int) -> bool:
-        """True iff bit ``v`` is set; ``ValueError`` outside ``[0, 2**alpha)``."""
+        """True iff ``v`` is in the filter; ``ValueError`` outside ``[0, 2**alpha)``."""
         if not 0 <= v < self.params.table_bits:
             raise ValueError(f"bit index {v} outside [0, 2**{self.params.alpha})")
-        return bool(self.bits[v >> 3] & (1 << (v & 7)))
+        if v < len(self.bits) << 3:
+            return bool(self.bits[v >> 3] & (1 << (v & 7)))
+        cells = memoryview(self.hashed).cast("I")
+        return cells[_find_slot(cells, v)] == v
 
     def popcount(self) -> int:
-        """Number of set bits."""
-        bits = self.bits
-        step = 1 << 16  # bounds the temporary int at alpha=30
-        return sum(
-            int.from_bytes(bits[at : at + step], "little").bit_count()
-            for at in range(0, len(bits), step)
-        )
+        """Number of values in the filter: the set bits plus the used slots."""
+        cells = memoryview(self.hashed).cast("I").tolist()
+        return int.from_bytes(self.bits, "little").bit_count() + len(cells) - cells.count(_EMPTY)
 
     def stream(self, chunks, k: int) -> PositionStream:
-        """:meth:`Matcher.stream`, after checking that the table has the
-        size of its params: the scans index it without bounds checks."""
-        if len(self.bits) != self.params.table_bits >> 3:
+        """:meth:`Matcher.stream`, after checking that both parts have the
+        sizes :func:`_layout` gives for the params and the pattern: the scans
+        index them without bounds checks, and a probe of the set stops only
+        at ``v`` or an empty slot."""
+        direct, slots = _layout(self.params, len(self.pattern))
+        if len(self.bits) != 1 << (direct - 3) or len(self.hashed) != 4 * slots:
             raise ConfigurationError("filter table size does not match its params")
         return super().stream(chunks, k)
 
@@ -530,8 +601,11 @@ def search(
 
 def _scan_native(flt: FactorFilter, y: bytes, k: int, state, base: int, pos) -> int:
     """The filter's scan as one call of the C kernel."""
-    x, bits, params = flt.pattern, flt.bits, flt.params
-    return _native.wfr_scan(x, len(x), y, len(y), bits, params.shift_s, params.hash_mask, k, pos, len(pos), state, base)
+    x, hashed, params = flt.pattern, flt.hashed, flt.params
+    return _native.wfr_scan(
+        x, len(x), y, len(y), flt.bits, hashed, len(hashed) >> 2,
+        params.shift_s, params.hash_mask, k, pos, len(pos), state, base,
+    )
 
 
 def _scan_python(flt: FactorFilter, y: bytes, k: int, state, base: int, pos) -> int:
@@ -539,6 +613,8 @@ def _scan_python(flt: FactorFilter, y: bytes, k: int, state, base: int, pos) -> 
     One loop serves every ``k``; ``k=1`` probes after every character."""
     # Hot loop: everything bound to locals, bit test inlined.
     x, bits, params = flt.pattern, flt.bits, flt.params
+    direct = len(bits) << 3  # values below it are in bits, the rest in cells
+    cells = memoryview(flt.hashed).cast("I")
     s = params.shift_s
     hmask = params.hash_mask
     m = len(x)
@@ -559,9 +635,10 @@ def _scan_python(flt: FactorFilter, y: bytes, k: int, state, base: int, pos) -> 
             while cursor > stop:
                 cursor -= 1
                 v = ((v << s) + y[cursor]) & hmask
-            if cursor == i or not bits[v >> 3] & (1 << (v & 7)):
+            hit = bits[v >> 3] & (1 << (v & 7)) if v < direct else cells[_find_slot(cells, v)] == v
+            if cursor == i or not hit:
                 break
-        if cursor == i and bits[v >> 3] & (1 << (v & 7)):
+        if cursor == i and hit:
             verifications += 1
             t = _match_len(x, y, i)
             comparisons += t if t == m else t + 1

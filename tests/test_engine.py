@@ -646,8 +646,9 @@ def _edge_cases():
 
 
 def test_native_matches_python_reference(monkeypatch):
-    """Positions, all four counters and the filter bits agree between the two
-    backends over a seeded c1-style sweep plus the edge cases."""
+    """Positions, all four counters and both filter parts, the bits and the
+    hashed set, agree between the two backends over a seeded c1-style sweep
+    plus the edge cases."""
     if engine._native is None:
         pytest.skip("native kernel unavailable: cc missing or the build failed")
     rng = random.Random(0xD1FF)
@@ -670,14 +671,15 @@ def test_native_matches_python_reference(monkeypatch):
                     cases.extend((pattern, text, k, params) for k in range(1, min(4, m) + 1))
     for pattern, text, k, params in cases:
         native = search(pattern, text, params=params, k=k)
-        native_bits = FactorFilter(pattern, params).bits
+        native_filter = FactorFilter(pattern, params)
         with monkeypatch.context() as patched:
             patched.setattr(engine, "_native", None)
             python = search(pattern, text, params=params, k=k)
-            python_bits = FactorFilter(pattern, params).bits
+            python_filter = FactorFilter(pattern, params)
         assert (native.backend, python.backend) == ("native", "python")
         assert _record(native) == _record(python), (pattern, len(text), k, params)
-        assert native_bits == python_bits
+        assert native_filter.bits == python_filter.bits
+        assert native_filter.hashed == python_filter.hashed
     assert len(cases) > 600
 
 

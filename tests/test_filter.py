@@ -1,6 +1,7 @@
 """Tests for the factor filter and its params."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,8 @@ from wfr import (
     preprocess,
     search,
 )
-from wfr.baselines import prepare
+from wfr import engine
+from wfr.baselines import naive_search, prepare
 
 
 def test_default_params():
@@ -153,3 +155,103 @@ def test_table_size_checked_before_scan():
     object.__setattr__(flt, "bits", b"\xff")
     with pytest.raises(ConfigurationError):
         search(b"ab", b"xxab", factors=flt)
+
+
+def _home(v, slots):
+    """The slot where a probe of ``v`` starts in a hashed set of ``slots`` slots."""
+    return (v * engine._HASH_MUL & 0xFFFFFFFF) >> (33 - slots.bit_length())
+
+
+def _wrapped_chain(flt):
+    """Whether some value in the hashed set sits before its home slot: its
+    probe chain wrapped past the last slot."""
+    cells = memoryview(flt.hashed).cast("I")
+    return any(v != engine._EMPTY and _home(v, len(cells)) > h for h, v in enumerate(cells))
+
+
+def _wrapping_pattern(params, rng):
+    """``z1 + z2``, two ``L``-byte factors whose hashes are at least 2**16 and
+    have the set's last slot as home, so the second one inserted wraps."""
+    longest = -(-params.alpha // params.shift_s)
+    _, slots = engine._layout(params, 2 * longest)
+    found = []
+    while len(found) < 2:
+        z = rng.randbytes(longest)
+        v = hash_factor(z, params)
+        if v >= 1 << 16 and _home(v, slots) == slots - 1:
+            found.append(z)
+    return found[0] + found[1]
+
+
+@pytest.mark.parametrize("shift_s", [1, 2])
+@pytest.mark.parametrize("alpha", [17, 20, 24, 30])
+def test_membership_exact_above_direct_part(alpha, shift_s, backend):
+    # Every factor hash is in the filter, and popcount counts exactly those,
+    # so the filter holds the reference set, without iterating 2**alpha values.
+    params = FilterParams(alpha=alpha, shift_s=shift_s)
+    rng = random.Random(alpha * 10 + shift_s)
+    # Hashes 0 and 2**16, 2**17, ... (mod 2**alpha): equal modulo 2**16.
+    colliding = b"\x00" * (24 // shift_s) + b"\x01"
+    assert hash_factor(colliding[-(16 // shift_s) - 1 :], params) == 1 << 16
+    patterns = [colliding, rng.randbytes(30 // shift_s)]
+    patterns += [bytes(rng.choices(range(sigma), k=rng.randint(1, 30))) for sigma in (2, 4, 64, 256)]
+    if (alpha, shift_s) != (17, 1):  # there the set of a 2*L-byte pattern would outgrow the bitset
+        patterns.append(_wrapping_pattern(params, rng))
+        assert _wrapped_chain(preprocess(patterns[-1], params))
+    for pattern in patterns:
+        flt = preprocess(pattern, params)
+        reference = _factor_hashes(pattern, params)
+        assert flt.hashed and len(flt.bits) == 1 << 13, pattern
+        assert all(flt.test_bit(v) for v in reference)
+        assert flt.popcount() == len(reference)
+        for v in reference:  # a neighbour of a member is in the filter iff it is in the reference
+            for other in (v ^ 1, v ^ (1 << 16), v ^ (1 << (alpha - 1))):
+                assert flt.test_bit(other) == (other in reference)
+        text = rng.randbytes(300) + pattern + bytes(pattern[:1]) * 40 + pattern
+        assert search(pattern, text, params).positions == naive_search(pattern, text)
+
+
+def test_hashed_part_size_checked_before_scan():
+    # A probe of the set stops only at its value or an empty slot, and indexes
+    # the set without a bounds check.
+    flt = preprocess(b"ab", FilterParams(alpha=24))
+    assert flt.hashed
+    object.__setattr__(flt, "hashed", flt.hashed[:-4])
+    with pytest.raises(ConfigurationError):
+        flt.search(b"xxab")
+    plain = preprocess(b"ab")
+    object.__setattr__(plain, "hashed", b"\xff" * 128)
+    with pytest.raises(ConfigurationError):
+        plain.search(b"xxab")
+
+
+def test_filter_memory_bounded_by_pattern(backend):
+    # alpha=30 hashes into 2**30 values, but a 64-byte pattern has at most
+    # 64 * 15 of them: the filter is 8 KiB of bitset plus an 8 KiB set.
+    pattern = random.Random(3).randbytes(64)
+    tracemalloc.start()
+    try:
+        flt = preprocess(pattern, FilterParams(alpha=30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (len(flt.bits), len(flt.hashed)) == (8 << 10, 8 << 10)
+
+
+def test_plain_bitset_where_set_is_no_smaller(backend):
+    # alpha=20, shift_s=2: a 2**17-byte bitset, L=10. Up to m=819 the set has
+    # 2**14 slots (8 KiB + 64 KiB); from m=820 it would have 2**15, and
+    # 8 KiB + 128 KiB is not smaller than the bitset.
+    params = FilterParams(alpha=20, shift_s=2)
+    rng = random.Random(5)
+    for m, plain in ((819, False), (820, True), (1000, True)):
+        pattern = bytes(rng.choices(range(64), k=m))
+        flt = preprocess(pattern, params)
+        assert (len(flt.bits), len(flt.hashed)) == ((1 << 17, 0) if plain else (1 << 13, 1 << 16))
+        # Factors up to L=10 bytes long have every factor hash.
+        reference = {hash_factor(pattern[i:j], params) for i in range(m) for j in range(i + 1, min(i + 10, m) + 1)}
+        assert all(flt.test_bit(v) for v in reference)
+        assert flt.popcount() == len(reference)
+        text = bytes(rng.choices(range(64), k=2000)) + pattern + pattern[: m // 2] + pattern
+        assert search(pattern, text, params).positions == naive_search(pattern, text)
