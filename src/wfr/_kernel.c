@@ -23,9 +23,20 @@
  * has the same outcome.
  *
  * As in engine.py, one loop serves every k: k = 1 is the chained loop with
- * one character per probe. Hash arithmetic is unsigned 64-bit; with
- * alpha <= 30 and shift_s <= 2 no intermediate value overflows. Built by
- * engine.py with cc -O2 -shared -fPIC.
+ * one character per probe. wfr_scan inlines that loop five times (scan_k
+ * gives the measurements behind each copy):
+ * - four copies for k = 1, with k constant: run-time k made the k = 1 scan
+ *   1.2 times slower on the dna-short benchmark workload and 1.7 times on
+ *   zero-runs. They are the loop and the branch-free entry, each with and
+ *   without the hashed set, whose test is constant: a run-time test cost
+ *   dna-short about 20%.
+ * - one copy for k = 2..4 that reads k and the set test at run time: on
+ *   text-long, k = 4 queries took as long as with six constant copies
+ *   (+0.5% at m = 256, -0.6% at m = 1024), and .text is 5150 bytes, not
+ *   7886.
+ * Hash arithmetic is unsigned 64-bit; with alpha <= 30 and shift_s <= 2 no
+ * intermediate value overflows. Built by engine.py with cc -O2 -shared
+ * -fPIC.
  *
  * The filter has two parts, sized by the pattern (engine._layout decides the
  * sizes; engine.py builds the same bytes when no kernel is loaded):
@@ -171,15 +182,23 @@ void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, int alpha)
  *
  * With hashed set (the filter has a set), a probe of a value at or above
  * 2**DIRECT_BITS searches the set; without it every probe reads tbl alone.
- * hashed is a constant because a run-time test of the set in one shared
- * copy cost the dna-short benchmark workload about 20% in a prototype.
+ * The four k = 1 copies take hashed as a constant, because a run-time test
+ * of the set in one shared k = 1 copy cost the dna-short benchmark workload
+ * about 20% in a prototype. The k = 2..4 copy tests it at run time (see
+ * below).
  *
- * always_inline, so that each call in wfr_scan gets its own copy with k,
- * entry and hashed constants, in which the k = 1 fold is a single step: with
- * plain inline, gcc 12 -O2 emits one generic copy and calls it from every
- * case, and with k read at run time the k = 1 scan took 1.2 times as long
- * on the dna-short benchmark workload and 1.7 times on zero-runs (2-vCPU
- * Xeon VM). */
+ * always_inline, so that wfr_scan's five calls give five copies. In the
+ * four k = 1 copies k, entry and hashed are constants and the k = 1 fold is
+ * a single step: with plain inline, gcc 12 -O2 emits one generic copy and
+ * calls it from every call site, and with k read at run time the k = 1 scan
+ * took 1.2 times as long on the dna-short benchmark workload and 1.7 times
+ * on zero-runs (2-vCPU Xeon VM). The k = 2..4 copy reads k and hashed at
+ * run time, which costs nothing measurable there: against six copies with
+ * both constant, the text-long benchmark workload's k = 4 queries (alpha =
+ * 24, so with a set) took 86.9 against 86.4 us at m = 256 and 118.1 against
+ * 118.9 us at m = 1024 (medians of 10 alternating perfbench pairs, 2-vCPU
+ * Xeon VM), and the library's .text shrank from 7886 to 5150 bytes (gcc
+ * 12.2 -O2). */
 static inline __attribute__((always_inline)) int64_t
 scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
        const uint8_t *tbl, const uint32_t *set, int64_t slots, int s, uint64_t mask,
@@ -327,15 +346,23 @@ static int entry_pays(const uint8_t *y, int64_t n, const uint8_t *tbl, int s,
  * [1, 4], and tbl and set are laid out as wfr_build fills them; the caller
  * checks both. mask is 2**alpha - 1: computed here from alpha, it took a
  * register in the k = 1 loop, and gcc 12 -O2 kept the window end on the
- * stack there instead. */
+ * stack there instead.
+ *
+ * The scan runs one of five copies of scan_k, for the reasons given there:
+ * - for k = 1, the loop or the branch-free entry, as entry_pays chooses per
+ *   call (see ENTRY_MISS_SHARE), each with or without the hashed set, with
+ *   k and the set test constant: run-time k cost the k = 1 scan 1.2 times
+ *   on dna-short and 1.7 times on zero-runs, a run-time set test dna-short
+ *   20%;
+ * - for k = 2..4, one copy with k and the set test read at run time: text-
+ *   long k = 4 queries took as long as with six constant copies, and .text
+ *   is 2.7 KB smaller. */
 int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
                  const uint8_t *tbl, const uint32_t *set, int64_t slots, int s, uint64_t mask,
                  int k, int64_t *pos, int64_t cap, int64_t *st, int64_t base)
 {
-    int entry;
-    switch (k) {
-    case 1:
-        entry = m >= ENTRY_M_MIN && m <= ENTRY_M_MAX && entry_pays(y, n, tbl, s, mask, st[0]);
+    if (k == 1) {
+        int entry = m >= ENTRY_M_MIN && m <= ENTRY_M_MAX && entry_pays(y, n, tbl, s, mask, st[0]);
         if (entry && slots)
             return scan_k(x, m, y, n, tbl, set, slots, s, mask, 1, 1, 1, pos, cap, st, base);
         if (entry)
@@ -343,17 +370,6 @@ int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
         if (slots)
             return scan_k(x, m, y, n, tbl, set, slots, s, mask, 1, 0, 1, pos, cap, st, base);
         return scan_k(x, m, y, n, tbl, set, slots, s, mask, 1, 0, 0, pos, cap, st, base);
-    case 2:
-        if (slots)
-            return scan_k(x, m, y, n, tbl, set, slots, s, mask, 2, 0, 1, pos, cap, st, base);
-        return scan_k(x, m, y, n, tbl, set, slots, s, mask, 2, 0, 0, pos, cap, st, base);
-    case 3:
-        if (slots)
-            return scan_k(x, m, y, n, tbl, set, slots, s, mask, 3, 0, 1, pos, cap, st, base);
-        return scan_k(x, m, y, n, tbl, set, slots, s, mask, 3, 0, 0, pos, cap, st, base);
-    default:
-        if (slots)
-            return scan_k(x, m, y, n, tbl, set, slots, s, mask, 4, 0, 1, pos, cap, st, base);
-        return scan_k(x, m, y, n, tbl, set, slots, s, mask, 4, 0, 0, pos, cap, st, base);
     }
+    return scan_k(x, m, y, n, tbl, set, slots, s, mask, k, 0, slots != 0, pos, cap, st, base);
 }

@@ -39,12 +39,14 @@ those probes hard to predict, as for short patterns on small alphabets;
 the outcomes are the same either way. The counters, and the inspected
 bytes derived from them, stay the algorithm's logical counts: none counts
 probes, and ``check_comparisons`` counts bytes. On the first import after
-the source changes the kernel is compiled with ``cc -O2 -shared -fPIC``
-into ``__pycache__/_kernel-<cache tag>-<crc32 of the source>.so`` beside
-this module and loaded with :mod:`ctypes`. When that fails (no compiler, a
-read-only package directory, a load error) the pure-Python loops below run
-instead; they are also the reference the tests compare the kernel against.
-A matcher's ``backend``, and each search's, names the backend that runs.
+the source or the compile command changes, the kernel is compiled with
+``cc -O2 -shared -fPIC`` (``_KERNEL_CC``) into
+``__pycache__/_kernel-<cache tag>-<crc32 of the command and the source>.so``
+beside this module and loaded with :mod:`ctypes`. When that fails (no
+compiler, a read-only package directory, a load error) the pure-Python loops
+below run instead; they are also the reference the tests compare the
+kernel against. A matcher's ``backend``, and each search's, names the
+backend that runs.
 
 The algorithm's two phases are two calls: ``preprocess(pattern, params)``
 builds the :class:`FactorFilter`, and its ``search(text, k)`` scans a text;
@@ -89,6 +91,9 @@ K_MIN = 1
 K_MAX = 4
 
 KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+# The command that compiles the kernel, before its output and source. It
+# enters the library's name with the source, so that changed flags build anew.
+_KERNEL_CC = ("cc", "-O2", "-shared", "-fPIC")
 # Positions a scan writes per call: the size of the driver's one buffer per stream.
 _POSITIONS_PER_CALL = 4096
 # Bytes :func:`read_chunks` reads per call; it bounds the memory.
@@ -117,7 +122,7 @@ def _build_kernel(source: str, library: str) -> None:
     tmp = f"{library}.{os.getpid()}.tmp"
     try:
         subprocess.run(
-            ["cc", "-O2", "-shared", "-fPIC", "-o", tmp, source],
+            [*_KERNEL_CC, "-o", tmp, source],
             check=True,
             stdin=subprocess.DEVNULL,
             stdout=subprocess.DEVNULL,
@@ -137,7 +142,7 @@ def _load_kernel(source: str = KERNEL_SOURCE) -> ctypes.CDLL | None:
     built or loaded; never raises."""
     try:
         with open(source, "rb") as fh:
-            crc = zlib.crc32(fh.read())
+            crc = zlib.crc32(fh.read(), zlib.crc32(" ".join(_KERNEL_CC).encode()))
         folder = os.path.join(os.path.dirname(source), "__pycache__")
         prefix = f"_kernel-{sys.implementation.cache_tag}-"
         name = f"{prefix}{crc:08x}.so"

@@ -642,6 +642,12 @@ def _edge_cases():
     # comes between.
     for alpha in (8, 10):
         cases.append((b"\0" * 8, sigma2[:300] + runs, 1, FilterParams(alpha=alpha, shift_s=2)))
+    # k = 2..4 with a hashed set, over more positions than the buffer holds,
+    # so the scan resumes: at alpha=24 the filter has a set, 5 of the 12
+    # factor hashes are at or above 2**16, and every verified window looks
+    # one of them up.
+    for k in (2, 3, 4):
+        cases.append((b"\x07" * 16, b"\x07" * (cap + 50), k, FilterParams(alpha=24)))
     return cases
 
 
@@ -767,7 +773,7 @@ def test_kernel_build_failure_falls_back(tmp_path, monkeypatch):
     assert out.backend == "python"
 
 
-def test_kernel_builds_into_pycache(tmp_path):
+def test_kernel_builds_into_pycache(tmp_path, monkeypatch):
     if engine._native is None:
         pytest.skip("native kernel unavailable: cc missing or the build failed")
     source = tmp_path / "_kernel.c"
@@ -785,3 +791,8 @@ def test_kernel_builds_into_pycache(tmp_path):
     assert engine._load_kernel(str(source)) is not None
     rebuilt = sorted(os.listdir(tmp_path / "__pycache__"))
     assert len(rebuilt) == 2 and other.name in rebuilt and built not in rebuilt
+    # So does a changed compile command with the same source.
+    monkeypatch.setattr(engine, "_KERNEL_CC", (*engine._KERNEL_CC, "-g"))
+    assert engine._load_kernel(str(source)) is not None
+    reflagged = sorted(os.listdir(tmp_path / "__pycache__"))
+    assert len(reflagged) == 2 and other.name in reflagged and reflagged != rebuilt
