@@ -23,7 +23,7 @@
  * has the same outcome.
  *
  * As in engine.py, one loop serves every k: k = 1 is the chained loop with
- * one character per probe. wfr_scan inlines that loop five times (scan_k
+ * one character per probe. scan inlines that loop five times (scan_k
  * gives the measurements behind each copy):
  * - four copies for k = 1, with k constant: run-time k made the k = 1 scan
  *   1.2 times slower on the dna-short benchmark workload and 1.7 times on
@@ -34,9 +34,16 @@
  *   text-long, k = 4 queries took as long as with six constant copies
  *   (+0.5% at m = 256, -0.6% at m = 1024), and .text is 5150 bytes, not
  *   7886.
+ * A call with at least SPLIT_MIN_WINDOWS windows scans on two threads where
+ * two CPUs are usable (see split). The next window end is a function of the
+ * window end alone, so a helper thread can start its own sequence of window
+ * ends at the midpoint, and the calling thread, once its window end equals
+ * one of the helper's, takes the helper's state and adds its counters and
+ * positions since then. Positions and counters are those of one thread.
+ *
  * Hash arithmetic is unsigned 64-bit; with alpha <= 30 and shift_s <= 2 no
- * intermediate value overflows. Built by engine.py with cc -O2 -shared
- * -fPIC.
+ * intermediate value overflows. Built by engine.py with cc -O2 -pthread
+ * -shared -fPIC.
  *
  * The filter has two parts, sized by the pattern (engine._layout decides the
  * sizes; engine.py builds the same bytes when no kernel is loaded):
@@ -55,7 +62,11 @@
  * The k = 1 entry and entry_pays read tbl alone, which holds every value
  * they probe: their probes hash at most 3 bytes, so each value is below
  * 2**14 < 2**DIRECT_BITS and below 2**alpha. */
+#define _GNU_SOURCE /* sched_getaffinity */
+#include <pthread.h>
+#include <sched.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define HAS(tbl, v) ((tbl)[(v) >> 3] & (1u << ((v) & 7)))
@@ -187,7 +198,7 @@ void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, int alpha)
  * about 20% in a prototype. The k = 2..4 copy tests it at run time (see
  * below).
  *
- * always_inline, so that wfr_scan's five calls give five copies. In the
+ * always_inline, so that scan's five calls give five copies. In the
  * four k = 1 copies k, entry and hashed are constants and the k = 1 fold is
  * a single step: with plain inline, gcc 12 -O2 emits one generic copy and
  * calls it from every call site, and with k read at run time the k = 1 scan
@@ -334,6 +345,183 @@ static int entry_pays(const uint8_t *y, int64_t n, const uint8_t *tbl, int s,
     return reach[0] - (reach[d] - reach[d + 1]) >= ENTRY_MISS_SHARE * (double)reach[0];
 }
 
+/* The arguments of one wfr_scan call that all of its scans share. */
+struct call {
+    const uint8_t *x, *y, *tbl;
+    const uint32_t *set;
+    int64_t m, slots, base;
+    uint64_t mask;
+    int s, k, entry;
+};
+
+/* Scan the windows of y[0..n) from st[0] with the copy of scan_k that k,
+ * the call's entry and the filter's set select: four for k = 1, the loop or
+ * the branch-free entry each with or without the set, and one for k = 2..4
+ * (scan_k gives the measurements behind each copy). Out of line, so that a
+ * split call, its helper and its join share the five copies, and aligned to
+ * a cache line, so that the loops' placement does not move with the code
+ * before them: unaligned, the m = 4 scan of 1 MiB of zeros took 29.0-29.8
+ * ms, against 27.8-28.6 ms with the copies inline in wfr_scan, and aligned
+ * 27.9-28.6 ms (interleaved in one process, medians of 15-21 runs, 2-vCPU
+ * Xeon VM). The loops' speed still moves with where they land in a line:
+ * the zero-runs workload's m = 32 zero-run queries took 5% longer than with
+ * the copies inline in wfr_scan, as long as that code took when aligned to
+ * 64 bytes itself, and 1% longer with this function started 16 or 32 bytes
+ * past a line. */
+static __attribute__((noinline, aligned(64))) int64_t
+scan(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st)
+{
+    const uint8_t *x = c->x, *y = c->y, *tbl = c->tbl;
+    const uint32_t *set = c->set;
+    const int64_t m = c->m, slots = c->slots, base = c->base;
+    const uint64_t mask = c->mask;
+    const int s = c->s, k = c->k;
+    if (k == 1) {
+        if (c->entry && slots)
+            return scan_k(x, m, y, n, tbl, set, slots, s, mask, 1, 1, 1, pos, cap, st, base);
+        if (c->entry)
+            return scan_k(x, m, y, n, tbl, set, slots, s, mask, 1, 1, 0, pos, cap, st, base);
+        if (slots)
+            return scan_k(x, m, y, n, tbl, set, slots, s, mask, 1, 0, 1, pos, cap, st, base);
+        return scan_k(x, m, y, n, tbl, set, slots, s, mask, 1, 0, 0, pos, cap, st, base);
+    }
+    return scan_k(x, m, y, n, tbl, set, slots, s, mask, k, 0, slots != 0, pos, cap, st, base);
+}
+
+/* A call with at least SPLIT_MIN_WINDOWS windows, (n - st[0]) / m, scans
+ * on two threads (see split); shorter calls stay on one.
+ * SPLIT_MIN_WINDOWS: starting and joining the helper costs tens of us. An
+ * m = 8 search of 4-symbol text took 57.4 us split against 57.9 us not at
+ * 8,192 windows, 81 against 111 us at 16,384 and 150 against 226 us at
+ * 32,768 (medians of 31, interleaved). At 2**15 every dna-short library
+ * query (m <= 16 on 1 MiB) and every 1 MiB chunk of its CLI run splits, and
+ * no text-long (m >= 256 on 1 MiB) or zero-runs (m >= 8 on 128 KiB) call
+ * does, nor the m = 64 scans of 1 MiB that test_c6_chained_variant_throughput
+ * times (16,384 windows).
+ * SPLIT_LEAD: the calling thread first scans 1/SPLIT_LEAD of the range alone
+ * and stays alone when its positions there, times SPLIT_LEAD, exceed 2 cap:
+ * the first half would then fill pos before the join, and the helper's scan
+ * would be wasted. Without that check an m = 8 scan of 1 MiB of zero runs
+ * took 30.9-31.1 ms against 21.1-21.4 ms unsplit, and an m = 4 scan of 1 MiB
+ * of zeros 41.1-43.8 against 28.0 ms; with it, 21.4-21.6 and 27.9 ms
+ * (medians of 11, interleaved).
+ * MERGE_PREFIX: the helper records its first attempts one at a time. Over
+ * 10 rounds of the dna-short workload, the calling thread met a record
+ * within the first 16 in 234 of 315 library splits, within 64 in 68 more,
+ * within 128 in 10 and within 256 in the other 3; of the 320 CLI splits
+ * (m = 16), 160, 130, 27 and 3. Chained probes (k > 1) meet later or not at
+ * all: at m = 8 on 64 symbols, 7 of 8 k = 4 splits met none of 256, and the
+ * calling thread scanned on alone. 256 records take 12 KiB.
+ * Times are from a 2-vCPU Xeon VM. */
+#define SPLIT_MIN_WINDOWS (1 << 15)
+#define SPLIT_LEAD 16
+#define MERGE_PREFIX 256
+
+/* The helper's half of a split call: its scan of y[0..n) from window end
+ * st[0] into pos, which has cap slots. Record t is st before the helper's
+ * attempt t, then the positions found before it. */
+struct half {
+    const struct call *c;
+    int64_t n, cap, found, records;
+    int64_t st[5];
+    int64_t rec[MERGE_PREFIX][6];
+    int64_t pos[];
+};
+
+/* The helper thread: MERGE_PREFIX attempts, each a scan of one window end
+ * that records the state before it, then the rest at full speed. */
+static void *scan_half(void *arg)
+{
+    struct half *h = arg;
+    int64_t found = 0, t = 0;
+    for (; t < MERGE_PREFIX && h->st[0] < h->n; t++) {
+        memcpy(h->rec[t], h->st, sizeof h->st);
+        h->rec[t][5] = found;
+        found += scan(h->c, h->st[0] + 1, h->pos + found, h->cap - found, h->st);
+    }
+    h->records = t;
+    h->found = found + scan(h->c, h->n, h->pos + found, h->cap - found, h->st);
+    return NULL;
+}
+
+/* The CPUs this process may run on, counted once; read atomically, since
+ * threads of the caller may scan at once. */
+static int usable_cpus(void)
+{
+    static int cpus;
+    int n = __atomic_load_n(&cpus, __ATOMIC_RELAXED);
+    if (!n) {
+        cpu_set_t mask;
+        n = sched_getaffinity(0, sizeof mask, &mask) ? 1 : CPU_COUNT(&mask);
+        __atomic_store_n(&cpus, n, __ATOMIC_RELAXED);
+    }
+    return n;
+}
+
+/* The rest of a split call once the helper h has ended: this thread, at or
+ * past the helper's first window end unless pos is full, walks on one scan
+ * per record until its window end equals the record's, and there takes the
+ * helper's state, counters and positions. found positions are already in
+ * pos. */
+static int64_t join(const struct call *c, const struct half *h, int64_t *pos, int64_t cap,
+                    int64_t *st, int64_t found)
+{
+    for (int64_t t = 0; t < h->records; t++) {
+        const int64_t *r = h->rec[t];
+        found += scan(c, r[0], pos + found, cap - found, st);
+        if (st[0] != r[0])
+            continue; /* past r[0], or pos is full */
+        int64_t more = h->found - r[5];
+        if (more > cap - found)
+            return found; /* the helper's positions overflow pos: the next call resumes here */
+        for (int i = 1; i < 5; i++)
+            st[i] += h->st[i] - r[i];
+        st[0] = h->st[0];
+        memcpy(pos + found, h->pos + r[5], more * sizeof *pos);
+        return found + more;
+    }
+    return found + scan(c, h->n, pos + found, cap - found, st); /* no join: on alone */
+}
+
+/* The scan of a long call on two threads, with the positions and counters
+ * of one. The next window end is a function of the window end alone, and so
+ * is what an attempt adds to each counter: the scan is the orbit of st[0]
+ * under that step. After a lead (see SPLIT_LEAD), a helper thread starts its
+ * own orbit at the midpoint of the rest, while this thread scans up to it.
+ * Then this thread walks on until its window end equals one the helper
+ * recorded: from there the two orbits are one, so the helper's state at its
+ * end, and its counters and positions since that record, are this
+ * thread's (see join). If the positions do not fit in pos, the call returns
+ * at the join and the next call resumes there; if no window end matches,
+ * this thread scans on alone. A failed malloc or pthread_create leaves the
+ * scan on one thread. The helper touches only its struct half and the
+ * call's read-only inputs, and is joined before return. */
+static int64_t split(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st)
+{
+    int64_t found = scan(c, st[0] + (n - st[0]) / SPLIT_LEAD, pos, cap, st);
+    int64_t mid = st[0] + (n - st[0]) / 2;
+    struct half *h = NULL;
+    pthread_t helper;
+    if (found * SPLIT_LEAD <= 2 * cap && (h = malloc(sizeof *h + cap * sizeof *pos))) {
+        h->c = c;
+        h->n = n;
+        h->cap = cap;
+        memcpy(h->st, st, sizeof h->st);
+        h->st[0] = mid;
+        if (pthread_create(&helper, NULL, scan_half, h)) {
+            free(h);
+            h = NULL;
+        }
+    }
+    if (!h)
+        return found + scan(c, n, pos + found, cap - found, st); /* dense lead, or no helper */
+    found += scan(c, mid, pos + found, cap - found, st);
+    pthread_join(helper, NULL);
+    found = join(c, h, pos, cap, st, found);
+    free(h);
+    return found;
+}
+
 /* The scan contract that every scan of the engine follows: this kernel,
  * and in Python its reference scan and the naive and Horspool baselines,
  * all called by one driver, engine.Matcher.stream, with one pos buffer per
@@ -348,28 +536,19 @@ static int entry_pays(const uint8_t *y, int64_t n, const uint8_t *tbl, int s,
  * register in the k = 1 loop, and gcc 12 -O2 kept the window end on the
  * stack there instead.
  *
- * The scan runs one of five copies of scan_k, for the reasons given there:
- * - for k = 1, the loop or the branch-free entry, as entry_pays chooses per
- *   call (see ENTRY_MISS_SHARE), each with or without the hashed set, with
- *   k and the set test constant: run-time k cost the k = 1 scan 1.2 times
- *   on dna-short and 1.7 times on zero-runs, a run-time set test dna-short
- *   20%;
- * - for k = 2..4, one copy with k and the set test read at run time: text-
- *   long k = 4 queries took as long as with six constant copies, and .text
- *   is 2.7 KB smaller. */
+ * A k = 1 call chooses once whether its scans take the branch-free entry,
+ * from the window ends at st[0] (see ENTRY_MISS_SHARE). A call with at least
+ * SPLIT_MIN_WINDOWS windows scans on two threads where two CPUs are usable
+ * (see split); the rest scan on the calling thread alone. */
 int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
                  const uint8_t *tbl, const uint32_t *set, int64_t slots, int s, uint64_t mask,
                  int k, int64_t *pos, int64_t cap, int64_t *st, int64_t base)
 {
-    if (k == 1) {
-        int entry = m >= ENTRY_M_MIN && m <= ENTRY_M_MAX && entry_pays(y, n, tbl, s, mask, st[0]);
-        if (entry && slots)
-            return scan_k(x, m, y, n, tbl, set, slots, s, mask, 1, 1, 1, pos, cap, st, base);
-        if (entry)
-            return scan_k(x, m, y, n, tbl, set, slots, s, mask, 1, 1, 0, pos, cap, st, base);
-        if (slots)
-            return scan_k(x, m, y, n, tbl, set, slots, s, mask, 1, 0, 1, pos, cap, st, base);
-        return scan_k(x, m, y, n, tbl, set, slots, s, mask, 1, 0, 0, pos, cap, st, base);
-    }
-    return scan_k(x, m, y, n, tbl, set, slots, s, mask, k, 0, slots != 0, pos, cap, st, base);
+    const struct call c = {
+        x, y, tbl, set, m, slots, base, mask, s, k,
+        k == 1 && m >= ENTRY_M_MIN && m <= ENTRY_M_MAX && entry_pays(y, n, tbl, s, mask, st[0]),
+    };
+    if ((n - st[0]) / m < SPLIT_MIN_WINDOWS || usable_cpus() < 2)
+        return scan(&c, n, pos, cap, st);
+    return split(&c, n, pos, cap, st);
 }

@@ -168,12 +168,18 @@ def cmd_stats(text_path, synth, m_spec, runs, seed, k, alpha, shift_s, fmt):
     """Report the benchmark's mean occurrences and verifications for wfr
     with one --k over seeded random patterns of each length, scaled to
     1,048,576 bytes of text."""
-    from .harness import emit_table, verification_stats
+    from .harness import BenchConfig, emit_table, verification_stats
 
     corpus = _resolve_corpus(text_path, synth, seed)
-    params = FilterParams(alpha=alpha, shift_s=shift_s)
-    _echo_header(corpus, runs, seed, params, f" k={k}")
-    rows = verification_stats(corpus, _parse_m_list(m_spec), runs, seed, params=params, k=k)
+    # Checked before the header, as bench checks its config.
+    config = BenchConfig(
+        pattern_lengths=_parse_m_list(m_spec),
+        runs_per_length=runs,
+        seed=seed,
+        params=FilterParams(alpha=alpha, shift_s=shift_s),
+    )
+    _echo_header(corpus, runs, seed, config.params, f" k={k}")
+    rows = verification_stats(corpus, config.pattern_lengths, runs, seed, params=config.params, k=k)
     click.echo(emit_table(rows, fmt), nl=False)
 
 

@@ -36,11 +36,16 @@ them. It also verifies a word at a time. Its ``k=1`` scan has a second,
 branch-free entry that tests the first three probes of a window at once. A
 call takes it when ``4 <= m <= 64`` and its first 256 window ends show
 those probes hard to predict, as for short patterns on small alphabets;
-the outcomes are the same either way. The counters, and the inspected
+the outcomes are the same either way. A call with at least 2**15 windows
+scans on two threads where two CPUs are usable: a helper thread scans from
+the midpoint while the calling thread scans up to it, and the calling thread
+takes over the helper's state where their window ends meet, so the positions
+and counters are those of one thread. The helper touches no Python object
+and ends before the call returns. The counters, and the inspected
 bytes derived from them, stay the algorithm's logical counts: none counts
 probes, and ``check_comparisons`` counts bytes. On the first import after
 the source or the compile command changes, the kernel is compiled with
-``cc -O2 -shared -fPIC`` (``_KERNEL_CC``) into
+``cc -O2 -pthread -shared -fPIC`` (``_KERNEL_CC``) into
 ``__pycache__/_kernel-<cache tag>-<crc32 of the command and the source>.so``
 beside this module and loaded with :mod:`ctypes`. When that fails (no
 compiler, a read-only package directory, a load error) the pure-Python loops
@@ -93,7 +98,7 @@ K_MAX = 4
 KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 # The command that compiles the kernel, before its output and source. It
 # enters the library's name with the source, so that changed flags build anew.
-_KERNEL_CC = ("cc", "-O2", "-shared", "-fPIC")
+_KERNEL_CC = ("cc", "-O2", "-pthread", "-shared", "-fPIC")
 # Positions a scan writes per call: the size of the driver's one buffer per stream.
 _POSITIONS_PER_CALL = 4096
 # Bytes :func:`read_chunks` reads per call; it bounds the memory.

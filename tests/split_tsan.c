@@ -1,0 +1,103 @@
+/* The native kernel's two-thread scan under ThreadSanitizer. Build and run
+ * from the repository root:
+ *
+ *   cc -O1 -g -fsanitize=thread -pthread -o split_tsan tests/split_tsan.c src/wfr/_kernel.c
+ *   TSAN_OPTIONS=halt_on_error=1 ./split_tsan
+ *
+ * Each case searches 1 MiB of text twice with wfr_scan: once whole, so that
+ * its long calls scan on two threads where two CPUs are usable, and once
+ * with each call's window ends capped 8 KiB past its first, so that no call
+ * splits. The positions and all four counters must be equal. Exits 1 on a
+ * difference; ThreadSanitizer halts on a data race. */
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+
+void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, int alpha);
+int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
+                 const uint8_t *tbl, const uint32_t *set, int64_t slots, int s, uint64_t mask,
+                 int k, int64_t *pos, int64_t cap, int64_t *st, int64_t base);
+
+#define N (1 << 20)
+#define CAP 4096
+#define ALPHA 16
+#define SHIFT 2
+#define STEP 8192
+
+static uint64_t seed = 0x9E3779B97F4A7C15u;
+
+static uint64_t next(void) /* xorshift64 */
+{
+    seed ^= seed << 13;
+    seed ^= seed >> 7;
+    seed ^= seed << 17;
+    return seed;
+}
+
+/* The positions of x in y written to out, their count returned and the
+ * final state in st; each call's window ends stop at most step past its
+ * first, or at n when step is 0. */
+static int64_t search(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
+                      const uint8_t *tbl, int k, int64_t step, int64_t *out, int64_t *st)
+{
+    static int64_t pos[CAP];
+    int64_t count = 0;
+    memset(st, 0, 5 * sizeof *st);
+    st[0] = m - 1;
+    while (st[0] < n) {
+        int64_t end = step && n - st[0] > step ? st[0] + step : n;
+        int64_t found = wfr_scan(x, m, y, end, tbl, NULL, 0, SHIFT, (1u << ALPHA) - 1, k, pos, CAP,
+                                 st, 0);
+        memcpy(out + count, pos, found * sizeof *pos);
+        count += found;
+    }
+    return count;
+}
+
+static int check(const char *name, const uint8_t *y, int64_t at, int64_t m, int k)
+{
+    static uint8_t tbl[1 << (ALPHA - 3)];
+    static int64_t whole[N], capped[N];
+    int64_t st_whole[5], st_capped[5];
+    const uint8_t *x = y + at;
+    memset(tbl, 0, sizeof tbl);
+    wfr_build(x, m, tbl, SHIFT, ALPHA);
+    int64_t a = search(x, m, y, N, tbl, k, 0, whole, st_whole);
+    int64_t b = search(x, m, y, N, tbl, k, STEP, capped, st_capped);
+    int same = a == b && !memcmp(whole, capped, a * sizeof *whole) &&
+               !memcmp(st_whole, st_capped, sizeof st_whole);
+    printf("%s m=%lld k=%d: %lld positions, %lld attempts: %s\n", name, (long long)m, k,
+           (long long)a, (long long)st_whole[2], same ? "equal" : "DIFFERENT");
+    return !same;
+}
+
+int main(void)
+{
+    static uint8_t acgt[N], sigma64[N], zero_runs[N];
+    int failed = 0;
+    for (int64_t i = 0; i < N; i++) {
+        acgt[i] = "ACGT"[next() & 3];
+        sigma64[i] = next() & 63;
+    }
+    /* Zero runs of 1280-1791 bytes between 384-639 random non-zero bytes. */
+    for (int64_t i = 0; i < N;) {
+        int64_t run = 1280 + next() % 512, noise = 384 + next() % 256;
+        for (int64_t r = 0; r < run && i < N; r++)
+            zero_runs[i++] = 0;
+        for (int64_t r = 0; r < noise && i < N; r++)
+            zero_runs[i++] = 1 + next() % 255;
+    }
+    for (int64_t m = 4; m <= 16; m *= 2)
+        for (int k = 1; k <= 4; k += 3)
+            failed |= check("acgt", acgt, 1000, m, k);
+    for (int k = 1; k <= 4; k++)
+        failed |= check("sigma64", sigma64, 5000, 8, k);
+    /* A pattern inside the first zero run, and one across its end. */
+    failed |= check("zero-runs", zero_runs, 40, 8, 1);
+    int64_t edge = 40;
+    while (!zero_runs[edge])
+        edge++;
+    failed |= check("zero-runs edge", zero_runs, edge - 4, 8, 1);
+    return failed;
+}

@@ -309,10 +309,16 @@ def test_bench_bad_alpha_without_wfr(runner):
 
 @pytest.mark.parametrize("command", ["bench", "stats"])
 def test_repeated_length_rejected(runner, command):
-    # A length given twice would be timed twice and reported once.
+    # A length given twice would be timed twice and reported once. The
+    # config is checked before the stderr header, so the error is all there
+    # is; so is a run count below 1.
     result = runner.invoke(main, [command, "--synth", "4,4096", "--m", "4,4", "--runs", "2", "--format", "csv"])
     assert result.exit_code == 2
-    assert "pattern_lengths must be distinct" in result.stderr
+    assert result.stderr == "error: pattern_lengths must be distinct, got (4, 4)\n"
+    assert result.stdout == ""
+    result = runner.invoke(main, [command, "--synth", "4,1000", "--runs", "0", "--m", "4"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: runs_per_length must be >= 1, got 0\n"
     assert result.stdout == ""
     if command == "bench":
         # So would an algorithm given twice, as two identical rows.

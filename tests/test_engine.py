@@ -648,7 +648,46 @@ def _edge_cases():
     # one of them up.
     for k in (2, 3, 4):
         cases.append((b"\x07" * 16, b"\x07" * (cap + 50), k, FilterParams(alpha=24)))
-    return cases
+    return cases + [(p, t, k, params) for p, t, k in _split_cases()]
+
+
+def _split_cases():
+    """(pattern, text, k) cases of kernel calls with at least 2**15 windows,
+    (n - m + 1) / m, which scan on two threads where two CPUs are usable: a
+    helper scans from the midpoint of the rest after a lead, recording its
+    first window ends, and the main thread takes over the helper's state
+    where its own window end meets one of them. Between them they take every
+    path of that join."""
+    rng = random.Random(0x5B17)
+    windows = 1 << 15
+    acgt = bytes(rng.choices(b"ACGT", k=8 * windows + 7))
+    sigma64 = bytes(rng.choices(range(64), k=8 * windows + 7))
+    # A 4-byte pattern every 16 to 32 bytes: about 6,000 positions, too few
+    # for the lead to keep the call on one thread and too many for one buffer.
+    planted = bytearray()
+    while len(planted) < 4 * windows + 4099:
+        planted += acgt[1000:1004] + bytes(rng.choices(b"ACGT", k=rng.randint(12, 28)))
+    zero_runs = bytearray()
+    while len(zero_runs) < 8 * windows + 7:
+        zero_runs += bytes(rng.randint(40, 72)) + bytes(rng.choices(range(1, 256), k=rng.randint(12, 24)))
+    return [
+        # The window ends meet, and the helper's positions fit.
+        (acgt[2000:2008], acgt, 1),
+        # They meet, and the helper's positions overflow the buffer: the
+        # call returns at the join, and the next call scans on from there.
+        (acgt[1000:1004], bytes(planted), 1),
+        # k = 3 meets none of the recorded window ends here, and the main
+        # thread scans on alone; k = 4 meets one.
+        *((sigma64[5000:5008], sigma64, k) for k in (3, 4)),
+        # A dense lead: the call stays on one thread.
+        (bytes(8), bytes(zero_runs[: 8 * windows + 7]), 1),
+        # Zeros past the midpoint fill the helper's buffer, and the main
+        # thread takes over its stopped state.
+        (bytes(8), acgt[: 5 * windows] + bytes(3 * windows + 7), 1),
+        # Zeros before the midpoint fill the main thread's buffer before it
+        # reaches the helper's window ends.
+        (bytes(8), acgt[: 5 * windows] + bytes(100_000) + acgt[: 3 * windows], 1),
+    ]
 
 
 def test_native_matches_python_reference(monkeypatch):
@@ -687,6 +726,16 @@ def test_native_matches_python_reference(monkeypatch):
         assert native_filter.bits == python_filter.bits
         assert native_filter.hashed == python_filter.hashed
     assert len(cases) > 600
+
+
+def test_split_scan_equals_short_calls():
+    """A search whose kernel calls scan on two threads gives the positions and
+    counters of the same kernel in calls of about 8 KiB, which never split."""
+    if engine._native is None:
+        pytest.skip("native kernel unavailable: cc missing or the build failed")
+    for pattern, text, k in _split_cases():
+        flt = preprocess(pattern)
+        assert flt.search(text, k) == flt.search_file(_ShortReads(text, 8192), k)
 
 
 def test_edge_cases_against_oracle(backend):
