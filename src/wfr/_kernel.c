@@ -12,6 +12,25 @@
  * verification counts byte comparisons even where it compares a word at a
  * time.
  *
+ * Runs of one byte value are the worst case made common: the shift-add hash
+ * of 0^r is 0 at every length r, so a pattern that holds a zero byte passes
+ * every probe of every window inside a run of zeros, as in the zero padding
+ * of binary files, and each such window is verified and shifts by 1. If a
+ * verified window [i, j] holds one byte value b alone, every later window
+ * that ends inside the same run of b holds the same bytes and repeats that
+ * attempt exactly, for every k and either filter layout: every probe
+ * passes, the verification matches the same t bytes, and the shift is 1.
+ * run_skip finds the run's end a word at a time and adds those windows to
+ * the counters, and their positions when t = m, in O(1) each (see scan).
+ * The three copies of the scan without the branch-free entry apply this
+ * rule; the two entry copies scan such runs window by window. Searches of
+ * 1 MiB through engine.py, without the rule -> with it, against a loop of
+ * bytes.find: 0^31 x in zeros 11.4 -> 0.058 ms (find 3.15 ms); a^8 in a's,
+ * with 2**20 - 7 positions, 28.6 -> 21.4 ms (find 148 ms), most of it now
+ * the Python ints of the positions (medians of 15, 2-vCPU Xeon VM).
+ * Periodic text with a period of 2 or more, such as (ab)^16 in (ab)^n,
+ * stays quadratic.
+ *
  * The k = 1 scan also has a branch-free entry. It tests the probes at j,
  * j - 1 and j - 2 of a window at once and branches only on "all three
  * pass". Where an attempt stops at its 2nd or 3rd probe about equally
@@ -23,7 +42,7 @@
  * has the same outcome.
  *
  * As in engine.py, one loop serves every k: k = 1 is the chained loop with
- * one character per probe. scan inlines that loop five times (scan_k
+ * one character per probe. scan_copy inlines that loop five times (scan_k
  * gives the measurements behind each copy):
  * - four copies for k = 1, with k constant: run-time k made the k = 1 scan
  *   1.2 times slower on the dna-short benchmark workload and 1.7 times on
@@ -185,11 +204,13 @@ void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, int alpha)
  * counter are those of a byte loop; every word lies in y[i..j].
  *
  * The loop tests only j < end, and end drops to 0 when pos fills, which
- * stops the scan after that attempt. Testing found < cap on every attempt
- * as well kept one more value live in the attempt loop: the dna-short
- * benchmark workload's query_ms_p50 then rose 4.9% over the kernel without
- * the probe memo, against 1.3% with end (10 and 4 alternating runs, 2-vCPU
- * Xeon VM).
+ * stops the scan after that attempt. Without the entry, it also drops to 0
+ * after a verified window whose bytes at i, j and j + 1 are equal, where a
+ * run of one byte value may start (see run_skip). Testing found < cap on
+ * every attempt as well kept one more value live in the attempt loop: the
+ * dna-short benchmark workload's query_ms_p50 then rose 4.9% over the
+ * kernel without the probe memo, against 1.3% with end (10 and 4
+ * alternating runs, 2-vCPU Xeon VM).
  *
  * With hashed set (the filter has a set), a probe of a value at or above
  * 2**DIRECT_BITS searches the set; without it every probe reads tbl alone.
@@ -198,7 +219,7 @@ void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, int alpha)
  * about 20% in a prototype. The k = 2..4 copy tests it at run time (see
  * below).
  *
- * always_inline, so that scan's five calls give five copies. In the
+ * always_inline, so that scan_copy's five calls give five copies. In the
  * four k = 1 copies k, entry and hashed are constants and the k = 1 fold is
  * a single step: with plain inline, gcc 12 -O2 emits one generic copy and
  * calls it from every call site, and with k read at run time the k = 1 scan
@@ -269,6 +290,8 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
                 if (found == cap)
                     end = 0;
             }
+            if (!entry && j + 1 < n && y[j] == y[i] && y[j + 1] == y[i])
+                end = 0; /* perhaps a run of y[i]: scan hands it to run_skip */
         }
         j = cursor + m;
         shift += cursor + 1 - i;
@@ -354,6 +377,58 @@ struct call {
     int s, k, entry;
 };
 
+/* The length of the run of byte b at p, at most n: a word at a time. */
+static int64_t run_length(const uint8_t *p, uint8_t b, int64_t n)
+{
+    const uint64_t word = b * 0x0101010101010101u;
+    int64_t r = 0;
+    while (r + 8 <= n) {
+        uint64_t a;
+        memcpy(&a, p + r, 8);
+        if (a != word)
+            break;
+        r += 8;
+    }
+    while (r < n && p[r] == b)
+        r++;
+    return r;
+}
+
+/* The windows of y[0..n) that repeat the verified window before st[0], done
+ * in O(1) each (see the header). scan_k has just verified [i, j], i = j - m
+ * + 1, and shifted by 1 to st[0] = j + 1, and y[i] = y[j] = y[j + 1] = b.
+ * If y[i..j + 1] is one run of b, each of the w windows that end inside
+ * that run verifies, matches the same t bytes and shifts by 1: they add w
+ * to the verification, attempt and shift counters and w (t == m ? m : t +
+ * 1) to the comparisons, and when t == m their positions go to pos, at most
+ * cap of them, so that a full pos stops the scan where the window by window
+ * scan stops. Returns the positions written; when y[i..j + 1] is not one
+ * run, it writes none and leaves st as it is. */
+static __attribute__((noinline, cold)) int64_t
+run_skip(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st)
+{
+    const int64_t m = c->m, i = st[0] - m;
+    const uint8_t b = c->y[i];
+    int64_t w = run_length(c->y + i, b, n - i) - m; /* the window ends st[0], ... in the run */
+    if (w < 1)
+        return 0;
+    const int64_t t = run_length(c->x, b, m);
+    if (t < m)
+        st[4] += w * (t + 1); /* each verification stops at the byte after the match */
+    else {
+        if (w > cap)
+            w = cap; /* pos fills inside the run: the next call resumes there */
+        for (int64_t q = 0; q < w; q++)
+            pos[q] = i + 1 + q + c->base;
+        st[4] += w * m;
+    }
+    st[0] += w;
+    st[1] += w;
+    st[2] += w;
+    st[3] += w;
+    return t < m ? 0 : w;
+}
+
 /* Scan the windows of y[0..n) from st[0] with the copy of scan_k that k,
  * the call's entry and the filter's set select: four for k = 1, the loop or
  * the branch-free entry each with or without the set, and one for k = 2..4
@@ -369,7 +444,7 @@ struct call {
  * 64 bytes itself, and 1% longer with this function started 16 or 32 bytes
  * past a line. */
 static __attribute__((noinline, aligned(64))) int64_t
-scan(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st)
+scan_copy(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st)
 {
     const uint8_t *x = c->x, *y = c->y, *tbl = c->tbl;
     const uint32_t *set = c->set;
@@ -386,6 +461,27 @@ scan(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st)
         return scan_k(x, m, y, n, tbl, set, slots, s, mask, 1, 0, 0, pos, cap, st, base);
     }
     return scan_k(x, m, y, n, tbl, set, slots, s, mask, k, 0, slots != 0, pos, cap, st, base);
+}
+
+/* Scan the windows of y[0..n) from st[0]: scan_copy, and run_skip wherever
+ * it stops after a verified window whose bytes at i, j and j + 1 are equal.
+ * The three copies without the branch-free entry stop there. The two entry
+ * copies do not: with that stop in them too, the dna-short workload's m = 8
+ * and 16 queries, where they run, took 7-9% longer in a prototype, and
+ * their code spilled more values to the stack (2-vCPU Xeon VM). scan_copy
+ * stops for nothing else before n while pos has room. A skip ends before n,
+ * so the scans of a split call, each to its own bound, pass through the
+ * window ends of the window by window scan. */
+static int64_t scan(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st)
+{
+    int64_t found = scan_copy(c, n, pos, cap, st);
+    while (st[0] < n && found < cap) {
+        found += run_skip(c, n, pos + found, cap - found, st);
+        if (st[0] == n)
+            return found; /* the run reaches the end of y */
+        found += scan_copy(c, n, pos + found, cap - found, st);
+    }
+    return found;
 }
 
 /* A call with at least SPLIT_MIN_WINDOWS windows, (n - st[0]) / m, scans

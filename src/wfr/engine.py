@@ -36,8 +36,19 @@ them. It also verifies a word at a time. Its ``k=1`` scan has a second,
 branch-free entry that tests the first three probes of a window at once. A
 call takes it when ``4 <= m <= 64`` and its first 256 window ends show
 those probes hard to predict, as for short patterns on small alphabets;
-the outcomes are the same either way. A call with at least 2**15 windows
-scans on two threads where two CPUs are usable: a helper thread scans from
+the outcomes are the same either way. The kernel's other copies of the
+scan do the windows inside a run of one byte value ``b`` in O(1) each:
+once a verified window holds ``b`` alone, every later window that ends in
+the same run holds the same bytes and repeats that attempt, for every
+``k``, with the same match length ``t`` and a shift of 1, so the kernel
+finds the run's end and adds those windows to the counters, and their
+positions when ``t == m``, at once. The shift-add hash of ``0^r`` is 0 at
+every length, so a pattern with a zero byte passes every probe inside a
+zero run, as in zero-padded binary files: ``0^31 x`` in 1 MiB of zeros
+takes 0.06 ms, not 11.4 ms window by window (a ``bytes.find`` loop:
+3.2 ms). The entry's copies and the Python scan go window by window. A
+call with at least 2**15 windows scans on two threads where two CPUs are
+usable: a helper thread scans from
 the midpoint while the calling thread scans up to it, and the calling thread
 takes over the helper's state where their window ends meet, so the positions
 and counters are those of one thread. The helper touches no Python object

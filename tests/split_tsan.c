@@ -74,12 +74,17 @@ static int check(const char *name, const uint8_t *y, int64_t at, int64_t m, int 
 
 int main(void)
 {
-    static uint8_t acgt[N], sigma64[N], zero_runs[N];
+    static uint8_t acgt[N], sigma64[N], sevens[N], zero_runs[N];
     int failed = 0;
     for (int64_t i = 0; i < N; i++) {
         acgt[i] = "ACGT"[next() & 3];
         sigma64[i] = next() & 63;
     }
+    /* Runs of 32 7s every 4 KiB of sigma64: few enough positions of 7^8 in
+     * the lead for a split, and each thread skips the rest of each run. */
+    memcpy(sevens, sigma64, N);
+    for (int64_t i = 1000; i < N; i += 4096)
+        memset(sevens + i, 7, 32);
     /* Zero runs of 1280-1791 bytes between 384-639 random non-zero bytes. */
     for (int64_t i = 0; i < N;) {
         int64_t run = 1280 + next() % 512, noise = 384 + next() % 256;
@@ -93,6 +98,8 @@ int main(void)
             failed |= check("acgt", acgt, 1000, m, k);
     for (int k = 1; k <= 4; k++)
         failed |= check("sigma64", sigma64, 5000, 8, k);
+    for (int k = 1; k <= 4; k += 3)
+        failed |= check("sevens", sevens, 1000, 8, k);
     /* A pattern inside the first zero run, and one across its end. */
     failed |= check("zero-runs", zero_runs, 40, 8, 1);
     int64_t edge = 40;

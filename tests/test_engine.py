@@ -648,7 +648,46 @@ def _edge_cases():
     # one of them up.
     for k in (2, 3, 4):
         cases.append((b"\x07" * 16, b"\x07" * (cap + 50), k, FilterParams(alpha=24)))
-    return cases + [(p, t, k, params) for p, t, k in _split_cases()]
+    return cases + [(p, t, k, params) for p, t, k in _run_cases() + _split_cases()]
+
+
+def _run_cases():
+    """(pattern, text, k) cases of runs of one byte value, where the kernel
+    does every window that ends inside a run after the first verified one
+    at once: the pattern's first t bytes match each such window, with t ==
+    m (a position each), 0 < t < m or t == 0. A pattern with a zero byte
+    passes every probe inside a zero run, since the hash of 0^r is 0."""
+    cap = engine._POSITIONS_PER_CALL
+    rng = random.Random(0x5C1D)
+    noise = bytes(rng.choices(range(8, 256), k=3000))
+    sigma4 = bytes(rng.choices(range(1, 5), k=3000))
+    seven = noise[:300] + b"\x07" * 100 + noise[300:700] + b"\x07" * 9 + noise[700:900]
+    # Runs of 7, 8 and 9 zero bytes, for m = 8, side by side, and windows
+    # whose first, last and next bytes are equal with a 5 between them.
+    short = noise[:300]
+    for r in (7, 8, 9):
+        short += bytes(r) + b"\x05" + bytes(r) + noise[16 * r : 16 * r + 16]
+    cases = [
+        # More positions in one run than the buffer holds: the run is cut where
+        # the buffer fills, and the next call resumes inside it.
+        (b"\x07" * 8, noise[:300] + b"\x07" * (2 * cap + 100) + noise[:300] + b"\x07" * 50, 1),
+        # 0 < t < m: the pattern's first 8 bytes match each window in the run.
+        (b"\x07" * 8 + b"\x01\x07", seven, 1),
+        # t = 0: the zero byte puts hash 0 in the filter, but x[0] is not 0.
+        (b"\x01\0\x02", noise[:500] + bytes(700) + noise[500:900], 1),
+        # A run that reaches the end of the text.
+        (b"\x07" * 8, noise[:300] + b"\x07" * 300, 1),
+        (b"\0" * 8, short, 1),
+        (b"\0\x05" + bytes(6), short, 1),
+        # The entry's copy of the scan, chosen by the first 256 window ends,
+        # meets a zero run, which it scans window by window.
+        (bytes(2) + sigma4[1000:1006], sigma4[:300] + bytes(1000) + sigma4[300:600], 1),
+    ]
+    # k = 2..4 in runs, with t == m and t < m.
+    for k in (2, 3, 4):
+        cases.append((b"\x07" * 8, seven, k))
+        cases.append((b"\x07" * 8 + b"\x01\x07", seven, k))
+    return cases
 
 
 def _split_cases():
@@ -670,6 +709,11 @@ def _split_cases():
     zero_runs = bytearray()
     while len(zero_runs) < 8 * windows + 7:
         zero_runs += bytes(rng.randint(40, 72)) + bytes(rng.choices(range(1, 256), k=rng.randint(12, 24)))
+    # Runs of 7s, which a pattern with t = 8 < m matches in part: no
+    # positions, so no dense lead, and most midpoints fall inside a run.
+    sevens = bytearray()
+    while len(sevens) < 9 * windows + 8:
+        sevens += b"\x07" * rng.randint(2000, 4000) + bytes(rng.choices(range(8, 72), k=rng.randint(100, 300)))
     return [
         # The window ends meet, and the helper's positions fit.
         (acgt[2000:2008], acgt, 1),
@@ -679,6 +723,9 @@ def _split_cases():
         # k = 3 meets none of the recorded window ends here, and the main
         # thread scans on alone; k = 4 meets one.
         *((sigma64[5000:5008], sigma64, k) for k in (3, 4)),
+        # Both threads skip runs, and the main thread meets the helper's
+        # first window end at the end of a skip.
+        (b"\x07" * 8 + b"\x01", bytes(sevens), 1),
         # A dense lead: the call stays on one thread.
         (bytes(8), bytes(zero_runs[: 8 * windows + 7]), 1),
         # Zeros past the midpoint fill the helper's buffer, and the main
@@ -736,6 +783,16 @@ def test_split_scan_equals_short_calls():
     for pattern, text, k in _split_cases():
         flt = preprocess(pattern)
         assert flt.search(text, k) == flt.search_file(_ShortReads(text, 8192), k)
+
+
+def test_runs_across_reads(backend):
+    """Reads that end inside a run of one byte value, where each kernel call
+    stops, give the positions and counters of a whole-text search."""
+    for pattern, text, k in _run_cases():
+        flt = preprocess(pattern)
+        whole = flt.search(text, k)
+        for most in (97, 1000):
+            assert flt.search_file(_ShortReads(text, most), k) == whole
 
 
 def test_edge_cases_against_oracle(backend):
