@@ -56,9 +56,15 @@
  * A call with at least SPLIT_MIN_WINDOWS windows scans on two threads where
  * two CPUs are usable (see split). The next window end is a function of the
  * window end alone, so a helper thread can start its own sequence of window
- * ends at the midpoint, and the calling thread, once its window end equals
- * one of the helper's, takes the helper's state and adds its counters and
- * positions since then. Positions and counters are those of one thread.
+ * ends (an orbit) at the midpoint, and the calling thread, once its window
+ * end equals one of the helper's, takes the helper's state and adds its
+ * counters and positions since then. Positions and counters are those of
+ * one thread. Where such a call takes the entry without the hashed set,
+ * each thread scans each range it would scan alone on two orbits, and joins
+ * them the same way (see scan_two): the k = 1 entry waits about 20 cycles
+ * on a chain of loads and hash steps from one window end to the next, and
+ * two orbits in one loop overlap their chains. On one usable CPU such a
+ * call scans its whole range on two orbits.
  *
  * Hash arithmetic is unsigned 64-bit; with alpha <= 30 and shift_s <= 2 no
  * intermediate value overflows. Built by engine.py with cc -O2 -pthread
@@ -169,6 +175,29 @@ void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, int alpha)
     build(x, m, tbl, 0, 0, s, alpha);
 }
 
+/* The branch-free entry of a k = 1 attempt at window end j (see scan_k):
+ * the hashes of the probes at j, j - 1 and j - 2 and their three table bits,
+ * loaded with no branch between the loads. pN is 1 when the Nth probe
+ * passes; pass is 1 when all three pass, and otherwise stop = j - p1 - (p1 &
+ * p2) is where the first failing probe stands and the attempt ends. v3 is
+ * the hash of y[j - 2..j]. Reads y[j - 2..j]. scan_k and next_end make
+ * every entry attempt here: written with a branch inside, or with pointers
+ * out, it changed gcc 12's block layout of scan_copy's copies. */
+struct entry {
+    int64_t pass, stop;
+    uint64_t v3;
+};
+
+static inline __attribute__((always_inline)) struct entry
+entry_probes(const uint8_t *y, const uint8_t *tbl, int s, uint64_t mask, int64_t j)
+{
+    uint64_t v1 = y[j] & mask;
+    uint64_t v2 = ((v1 << s) + y[j - 1]) & mask;
+    uint64_t v3 = ((v2 << s) + y[j - 2]) & mask;
+    int64_t p1 = BIT(tbl, v1), p2 = BIT(tbl, v2), p3 = BIT(tbl, v3);
+    return (struct entry){p1 & p2 & p3, j - p1 - (p1 & p2), v3};
+}
+
 /* The scan loop for one k: fold up to k characters into the suffix hash
  * (fewer at the window's left end), probe the filter, and repeat until a
  * probe fails or the window is used up; verify when the probe at the window
@@ -249,18 +278,15 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
         int64_t lim = k == 1 && hi >= i ? hi + 1 : i;
         uint64_t v = 0;
         if (entry && j - 2 > lim) {
-            uint64_t v1 = y[j] & mask;
-            uint64_t v2 = ((v1 << s) + y[j - 1]) & mask;
-            uint64_t v3 = ((v2 << s) + y[j - 2]) & mask;
-            int64_t p1 = BIT(tbl, v1), p2 = BIT(tbl, v2), p3 = BIT(tbl, v3);
-            if (!(p1 & p2 & p3)) {
-                cursor = j - p1 - (p1 & p2);
+            struct entry e = entry_probes(y, tbl, s, mask, j);
+            if (!e.pass) {
+                cursor = e.stop;
                 j = cursor + m;
                 shift += cursor + 1 - i;
                 continue;
             }
             cursor = j - 2;
-            v = v3;
+            v = e.v3;
         }
         do {
             int64_t stop = cursor - k > lim ? cursor - k : lim;
@@ -507,14 +533,19 @@ static int64_t scan(const struct call *c, int64_t n, int64_t *pos, int64_t cap, 
  * within 128 in 10 and within 256 in the other 3; of the 320 CLI splits
  * (m = 16), 160, 130, 27 and 3. Chained probes (k > 1) meet later or not at
  * all: at m = 8 on 64 symbols, 7 of 8 k = 4 splits met none of 256, and the
- * calling thread scanned on alone. 256 records take 12 KiB.
+ * calling thread scanned on alone. 256 records take 12 KiB. The second of
+ * a thread's two orbits records its first attempts the same way: a struct
+ * half with cap = 4096 positions takes 44 KiB, and a split call that takes
+ * the entry allocates three at a time (the helper's, then one second orbit
+ * in each thread), 132 KiB.
  * Times are from a 2-vCPU Xeon VM. */
 #define SPLIT_MIN_WINDOWS (1 << 15)
 #define SPLIT_LEAD 16
 #define MERGE_PREFIX 256
 
-/* The helper's half of a split call: its scan of y[0..n) from window end
- * st[0] into pos, which has cap slots. Record t is st before the helper's
+/* A second orbit of a range: the helper's part of a split call, or the
+ * second of a thread's two orbits (see scan_two). Its scan of y[0..n) from
+ * window end st[0] into pos, which has cap slots. Record t is st before its
  * attempt t, then the positions found before it. */
 struct half {
     const struct call *c;
@@ -524,11 +555,26 @@ struct half {
     int64_t pos[];
 };
 
-/* The helper thread: MERGE_PREFIX attempts, each a scan of one window end
- * that records the state before it, then the rest at full speed. */
-static void *scan_half(void *arg)
+/* A struct half for the orbit of window end `start` up to n, with the
+ * counters of st; NULL when malloc fails. */
+static struct half *new_half(const struct call *c, int64_t n, int64_t cap, const int64_t *st,
+                             int64_t start)
 {
-    struct half *h = arg;
+    struct half *h = malloc(sizeof *h + cap * sizeof *h->pos);
+    if (h) {
+        h->c = c;
+        h->n = n;
+        h->cap = cap;
+        memcpy(h->st, st, sizeof h->st);
+        h->st[0] = start;
+    }
+    return h;
+}
+
+/* h's first MERGE_PREFIX attempts, each a scan of one window end that
+ * records the state before it. Returns the positions found. */
+static int64_t record(struct half *h)
+{
     int64_t found = 0, t = 0;
     for (; t < MERGE_PREFIX && h->st[0] < h->n; t++) {
         memcpy(h->rec[t], h->st, sizeof h->st);
@@ -536,8 +582,7 @@ static void *scan_half(void *arg)
         found += scan(h->c, h->st[0] + 1, h->pos + found, h->cap - found, h->st);
     }
     h->records = t;
-    h->found = found + scan(h->c, h->n, h->pos + found, h->cap - found, h->st);
-    return NULL;
+    return found;
 }
 
 /* The CPUs this process may run on, counted once; read atomically, since
@@ -554,10 +599,10 @@ static int usable_cpus(void)
     return n;
 }
 
-/* The rest of a split call once the helper h has ended: this thread, at or
- * past the helper's first window end unless pos is full, walks on one scan
- * per record until its window end equals the record's, and there takes the
- * helper's state, counters and positions. found positions are already in
+/* The rest of a scan on two orbits once the second, h, has ended: this
+ * thread, at or past h's first window end unless pos is full, walks on one
+ * scan per record until its window end equals the record's, and there
+ * takes h's state, counters and positions. found positions are already in
  * pos. */
 static int64_t join(const struct call *c, const struct half *h, int64_t *pos, int64_t cap,
                     int64_t *st, int64_t found)
@@ -569,7 +614,7 @@ static int64_t join(const struct call *c, const struct half *h, int64_t *pos, in
             continue; /* past r[0], or pos is full */
         int64_t more = h->found - r[5];
         if (more > cap - found)
-            return found; /* the helper's positions overflow pos: the next call resumes here */
+            return found; /* h's positions overflow pos: the next call resumes here */
         for (int i = 1; i < 5; i++)
             st[i] += h->st[i] - r[i];
         st[0] = h->st[0];
@@ -577,6 +622,103 @@ static int64_t join(const struct call *c, const struct half *h, int64_t *pos, in
         return found + more;
     }
     return found + scan(c, h->n, pos + found, cap - found, st); /* no join: on alone */
+}
+
+/* Bring st to window end j after att attempts made since st[0] without
+ * it: each adds 1 to the attempts and moves the window end by its shift
+ * (see scan_k). */
+static inline void advance(int64_t *st, int64_t j, int64_t att)
+{
+    st[2] += att;
+    st[3] += j - st[0];
+    st[0] = j;
+}
+
+/* The next window end after the k = 1 attempt at window end j, or j itself
+ * when the attempt verifies and is left to scan. The attempt is scan_k's
+ * with the entry, no memo and no set: the entry's probes, and where all
+ * three pass, the probe loop down to the window start. The entry's probes
+ * lie right of the window start, since m >= ENTRY_M_MIN. */
+static inline __attribute__((always_inline)) int64_t
+next_end(const uint8_t *y, int64_t m, const uint8_t *tbl, int s, uint64_t mask, int64_t j)
+{
+    struct entry e = entry_probes(y, tbl, s, mask, j);
+    if (!e.pass)
+        return e.stop + m;
+    int64_t i = j - m + 1, cursor = j - 2;
+    uint64_t v = e.v3;
+    do {
+        cursor--;
+        v = ((v << s) + y[cursor]) & mask;
+    } while (cursor > i && HAS(tbl, v));
+    return cursor == i && HAS(tbl, v) ? j : cursor + m;
+}
+
+/* scan, on two orbits where the call takes the entry and the filter has no
+ * set: a second orbit starts at the midpoint of the range in a struct half
+ * and records its first attempts (see record). Then one loop makes one
+ * attempt of each orbit per pass, so that the chain of loads and hash steps
+ * that leads from one window end to the next in one orbit overlaps that of
+ * the other, and hands both attempts to scan where one of them verifies.
+ * Each orbit then finishes its own bound alone, and join merges them, so
+ * positions and counters are those of one orbit. When pos fills before the
+ * midpoint, the second orbit is not needed. A failed malloc leaves the range
+ * on one orbit.
+ * The loop reads tbl alone. With the set's probes in it as well, four more
+ * values were live there, and 1 MiB ACGT scans on two threads took 0.268
+ * against 0.252 ms at m = 16 and 0.409 against 0.404 ms at m = 8, and on
+ * one CPU 0.432 against 0.409 and 0.685 against 0.665 ms (medians of 15,
+ * 8 patterns each, interleaved in one process, 2-vCPU Xeon VM), so a call
+ * with the set scans on one orbit; the benchmark workloads have none that
+ * takes the entry. Against one orbit, 1 MiB ACGT on two threads: m = 4 1.43
+ * -> 1.01 ms, m = 8 0.55 -> 0.39 ms, m = 16 0.32 -> 0.25 ms; on one CPU:
+ * m = 4 1.98 -> 1.77 ms (its 4,096 or so positions overflow pos at the join,
+ * and the next call scans the second half again), m = 8 0.99 -> 0.67 ms,
+ * m = 16 0.55 -> 0.41 ms (same runs). */
+static int64_t scan_two(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st)
+{
+    struct half *h = c->entry && !c->slots ? new_half(c, n, cap, st, st[0] + (n - st[0]) / 2) : NULL;
+    if (!h)
+        return scan(c, n, pos, cap, st);
+    const uint8_t *y = c->y, *tbl = c->tbl;
+    const int64_t m = c->m, mid = h->st[0];
+    const int s = c->s;
+    const uint64_t mask = c->mask;
+    int64_t more = record(h), found = 0, a = st[0], b = h->st[0];
+    while (a < mid && b < n && found < cap && more < cap) {
+        int64_t att = 0;
+        for (; a < mid && b < n; att++) {
+            int64_t a2 = next_end(y, m, tbl, s, mask, a), b2 = next_end(y, m, tbl, s, mask, b);
+            if (a2 == a || b2 == b)
+                break; /* one of the two attempts verifies */
+            a = a2;
+            b = b2;
+        }
+        advance(st, a, att);
+        advance(h->st, b, att);
+        if (a >= mid || b >= n)
+            break;
+        found += scan(c, a + 1, pos + found, cap - found, st);
+        more += scan(c, b + 1, h->pos + more, cap - more, h->st);
+        a = st[0];
+        b = h->st[0];
+    }
+    found += scan(c, mid, pos + found, cap - found, st);
+    if (found < cap) {
+        h->found = more + scan(c, n, h->pos + more, cap - more, h->st);
+        found = join(c, h, pos, cap, st, found);
+    }
+    free(h);
+    return found;
+}
+
+/* The helper thread: its records, then the rest on two orbits. */
+static void *scan_half(void *arg)
+{
+    struct half *h = arg;
+    int64_t found = record(h);
+    h->found = found + scan_two(h->c, h->n, h->pos + found, h->cap - found, h->st);
+    return NULL;
 }
 
 /* The scan of a long call on two threads, with the positions and counters
@@ -589,29 +731,26 @@ static int64_t join(const struct call *c, const struct half *h, int64_t *pos, in
  * end, and its counters and positions since that record, are this
  * thread's (see join). If the positions do not fit in pos, the call returns
  * at the join and the next call resumes there; if no window end matches,
- * this thread scans on alone. A failed malloc or pthread_create leaves the
- * scan on one thread. The helper touches only its struct half and the
- * call's read-only inputs, and is joined before return. */
+ * this thread scans on alone. The lead, this thread's part up to the
+ * midpoint and the helper's after its records are each scanned on two
+ * orbits of the thread (see scan_two). A failed malloc or pthread_create
+ * leaves the scan on one thread. The helper touches
+ * only its struct half and the call's read-only inputs, and is joined before
+ * return. */
 static int64_t split(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st)
 {
-    int64_t found = scan(c, st[0] + (n - st[0]) / SPLIT_LEAD, pos, cap, st);
-    int64_t mid = st[0] + (n - st[0]) / 2;
+    int64_t found = scan_two(c, st[0] + (n - st[0]) / SPLIT_LEAD, pos, cap, st);
+    const int64_t mid = st[0] + (n - st[0]) / 2;
     struct half *h = NULL;
     pthread_t helper;
-    if (found * SPLIT_LEAD <= 2 * cap && (h = malloc(sizeof *h + cap * sizeof *pos))) {
-        h->c = c;
-        h->n = n;
-        h->cap = cap;
-        memcpy(h->st, st, sizeof h->st);
-        h->st[0] = mid;
-        if (pthread_create(&helper, NULL, scan_half, h)) {
-            free(h);
-            h = NULL;
-        }
+    if (found * SPLIT_LEAD <= 2 * cap && (h = new_half(c, n, cap, st, mid)) &&
+        pthread_create(&helper, NULL, scan_half, h)) {
+        free(h);
+        h = NULL;
     }
     if (!h)
         return found + scan(c, n, pos + found, cap - found, st); /* dense lead, or no helper */
-    found += scan(c, mid, pos + found, cap - found, st);
+    found += scan_two(c, mid, pos + found, cap - found, st);
     pthread_join(helper, NULL);
     found = join(c, h, pos, cap, st, found);
     free(h);
@@ -635,7 +774,9 @@ static int64_t split(const struct call *c, int64_t n, int64_t *pos, int64_t cap,
  * A k = 1 call chooses once whether its scans take the branch-free entry,
  * from the window ends at st[0] (see ENTRY_MISS_SHARE). A call with at least
  * SPLIT_MIN_WINDOWS windows scans on two threads where two CPUs are usable
- * (see split); the rest scan on the calling thread alone. */
+ * (see split), and on two orbits of the calling thread where one is, if it
+ * takes the entry without the hashed set (see scan_two); the rest scan on
+ * the calling thread alone, on one orbit. */
 int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
                  const uint8_t *tbl, const uint32_t *set, int64_t slots, int s, uint64_t mask,
                  int k, int64_t *pos, int64_t cap, int64_t *st, int64_t base)
@@ -644,7 +785,9 @@ int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
         x, y, tbl, set, m, slots, base, mask, s, k,
         k == 1 && m >= ENTRY_M_MIN && m <= ENTRY_M_MAX && entry_pays(y, n, tbl, s, mask, st[0]),
     };
-    if ((n - st[0]) / m < SPLIT_MIN_WINDOWS || usable_cpus() < 2)
+    if ((n - st[0]) / m < SPLIT_MIN_WINDOWS)
         return scan(&c, n, pos, cap, st);
+    if (usable_cpus() < 2)
+        return scan_two(&c, n, pos, cap, st);
     return split(&c, n, pos, cap, st);
 }

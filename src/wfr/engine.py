@@ -52,7 +52,11 @@ usable: a helper thread scans from
 the midpoint while the calling thread scans up to it, and the calling thread
 takes over the helper's state where their window ends meet, so the positions
 and counters are those of one thread. The helper touches no Python object
-and ends before the call returns. The counters, and the inspected
+and ends before the call returns. Where such a call takes the entry and its
+filter has no hashed set, each thread scans its part as two sequences of
+window ends, one from the part's midpoint, one attempt of each per pass of
+one loop so that their chains of loads overlap, and joins them the same
+way; on one usable CPU the calling thread does so over the whole call. The counters, and the inspected
 bytes derived from them, stay the algorithm's logical counts: none counts
 probes, and ``check_comparisons`` counts bytes. On the first import after
 the source or the compile command changes, the kernel is compiled with

@@ -74,12 +74,21 @@ static int check(const char *name, const uint8_t *y, int64_t at, int64_t m, int 
 
 int main(void)
 {
-    static uint8_t acgt[N], sigma64[N], sevens[N], zero_runs[N];
+    static uint8_t acgt[N], dense[N], sigma64[N], sevens[N], zero_runs[N];
     int failed = 0;
     for (int64_t i = 0; i < N; i++) {
         acgt[i] = "ACGT"[next() & 3];
         sigma64[i] = next() & 63;
     }
+    /* acgt with its 8 bytes at 2000, which take the branch-free entry, back
+     * to back over 0.35-0.48 N and 0.80-0.93 N: past the lead, each thread's
+     * second orbit (see scan_two in the kernel), from near 0.30 N and 0.77
+     * N, fills its buffer. */
+    memcpy(dense, acgt, N);
+    for (int64_t i = N * 35 / 100; i + 8 <= N * 48 / 100; i += 8)
+        memcpy(dense + i, acgt + 2000, 8);
+    for (int64_t i = N * 80 / 100; i + 8 <= N * 93 / 100; i += 8)
+        memcpy(dense + i, acgt + 2000, 8);
     /* Runs of 32 7s every 4 KiB of sigma64: few enough positions of 7^8 in
      * the lead for a split, and each thread skips the rest of each run. */
     memcpy(sevens, sigma64, N);
@@ -96,6 +105,7 @@ int main(void)
     for (int64_t m = 4; m <= 16; m *= 2)
         for (int k = 1; k <= 4; k += 3)
             failed |= check("acgt", acgt, 1000, m, k);
+    failed |= check("dense", dense, 2000, 8, 1);
     for (int k = 1; k <= 4; k++)
         failed |= check("sigma64", sigma64, 5000, 8, k);
     for (int k = 1; k <= 4; k += 3)

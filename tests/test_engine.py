@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 import threading
 
@@ -695,8 +696,10 @@ def _split_cases():
     (n - m + 1) / m, which scan on two threads where two CPUs are usable: a
     helper scans from the midpoint of the rest after a lead, recording its
     first window ends, and the main thread takes over the helper's state
-    where its own window end meets one of them. Between them they take every
-    path of that join."""
+    where its own window end meets one of them. Where a call takes the
+    branch-free k=1 entry, each thread scans on two orbits joined the same
+    way, and on one CPU the calling thread does so over the whole call.
+    Between them the cases take every path of both joins."""
     rng = random.Random(0x5B17)
     windows = 1 << 15
     acgt = bytes(rng.choices(b"ACGT", k=8 * windows + 7))
@@ -714,6 +717,31 @@ def _split_cases():
     sevens = bytearray()
     while len(sevens) < 9 * windows + 8:
         sevens += b"\x07" * rng.randint(2000, 4000) + bytes(rng.choices(range(8, 72), k=rng.randint(100, 300)))
+    # Calls that take the branch-free entry scan each range that one thread
+    # scans alone on two orbits (sequences of window ends), the second from
+    # the range's midpoint, joined as above. With two CPUs the calling
+    # thread's ranges are the lead [0, n/16) and [n/16, 17n/32), second
+    # orbits near n/32 and 0.30 n, and the helper's starts past its records,
+    # second orbit near 0.77 n; on one CPU the range is the whole text,
+    # second orbit at n/2. x8 is planted over spans of acgt given as
+    # fractions of n: back to back, more positions than one buffer holds, or
+    # every few bytes.
+    acgt16 = bytes(rng.choices(b"ACGT", k=16 * windows + 15))
+    x8 = acgt[2000:2008]
+
+    def planted_in(spans):
+        text = bytearray(acgt)
+        for lo, hi, every in spans:
+            for at in range(int(lo * len(text)), int(hi * len(text)) - 8, every):
+                text[at : at + 8] = x8
+        return bytes(text)
+
+    # No pattern byte in 0.24-0.32 n or 0.46-0.56 n: every attempt there
+    # shifts by m, so orbits whose window ends differ mod m stay apart.
+    apart = bytearray(acgt)
+    for lo, hi in ((0.24, 0.32), (0.46, 0.56)):
+        lo, hi = int(lo * len(apart)), int(hi * len(apart)) + 5
+        apart[lo:hi] = b"N" * (hi - lo)
     return [
         # The window ends meet, and the helper's positions fit.
         (acgt[2000:2008], acgt, 1),
@@ -734,6 +762,23 @@ def _split_cases():
         # Zeros before the midpoint fill the main thread's buffer before it
         # reaches the helper's window ends.
         (bytes(8), acgt[: 5 * windows] + bytes(100_000) + acgt[: 3 * windows], 1),
+        # Two orbits per thread. Their window ends meet and the second
+        # orbit's positions fit, at m = 4 and 16 (m = 8 is the first case).
+        (acgt[3000:3004], acgt, 1),
+        (acgt16[5000:5016], acgt16, 1),
+        # The first orbit's buffer fills before it reaches the second's start.
+        (x8, planted_in([(0.10, 0.25, 8)]), 1),
+        # The second orbit's buffer fills before the join: the calling
+        # thread's with two CPUs, and on one CPU the first orbit's.
+        (x8, planted_in([(0.35, 0.48, 8)]), 1),
+        # The helper's second orbit fills, and on one CPU the second orbit.
+        (x8, planted_in([(0.80, 0.93, 8)]), 1),
+        # The second orbit's positions overflow pos at the join: the calling
+        # thread's with two CPUs, and on one CPU across the whole text.
+        (x8, planted_in([(0.07, 0.53, 20)]), 1),
+        (x8, planted_in([(0.0, 1.0, 48)]), 1),
+        # The window ends never meet, and the first orbit scans on alone.
+        (x8, bytes(apart), 1),
     ]
 
 
@@ -775,14 +820,42 @@ def test_native_matches_python_reference(monkeypatch):
     assert len(cases) > 600
 
 
-def test_split_scan_equals_short_calls():
-    """A search whose kernel calls scan on two threads gives the positions and
-    counters of the same kernel in calls of about 8 KiB, which never split."""
-    if engine._native is None:
-        pytest.skip("native kernel unavailable: cc missing or the build failed")
+def _compare_split_cases():
     for pattern, text, k in _split_cases():
         flt = preprocess(pattern)
         assert flt.search(text, k) == flt.search_file(_ShortReads(text, 8192), k)
+
+
+def test_split_scan_equals_short_calls():
+    """A search whose kernel calls scan on two threads, each of them on two
+    orbits where the call takes the branch-free entry, gives the positions
+    and counters of the same kernel in calls of about 8 KiB, which neither
+    split nor interleave."""
+    if engine._native is None:
+        pytest.skip("native kernel unavailable: cc missing or the build failed")
+    _compare_split_cases()
+
+
+def test_one_cpu_scan_equals_short_calls():
+    """On one usable CPU a long kernel call that takes the branch-free entry
+    scans its whole range on two orbits of the calling thread, and gives the
+    positions and counters of calls of about 8 KiB. The kernel counts its
+    CPUs once per process, so the comparison runs in a child process that
+    first pins itself, and only itself, to one CPU."""
+    if engine._native is None:
+        pytest.skip("native kernel unavailable: cc missing or the build failed")
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("os.sched_setaffinity is unavailable on this platform")
+    cpu = min(os.sched_getaffinity(0))
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(engine.__file__)))
+    code = (
+        f"import os, sys; os.sched_setaffinity(0, {{{cpu}}}); sys.path[:0] = [{here!r}, {src!r}]; "
+        "import test_engine; assert len(os.sched_getaffinity(0)) == 1; "
+        "assert test_engine.engine._native is not None; test_engine._compare_split_cases()"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert child.returncode == 0, child.stderr
 
 
 def test_runs_across_reads(backend):
