@@ -13,7 +13,7 @@ import sys
 import click
 
 from .baselines import ALGORITHMS, prepare
-from .engine import ALPHA_MIN, FilterParams, preprocess, read_chunks
+from .engine import ALPHA_MIN, FilterParams, preprocess
 from .errors import ConfigurationError, CorrectnessViolation, InvalidPatternError
 
 # wfr.harness (json, random, pathlib) is imported only by the commands that
@@ -53,10 +53,25 @@ def _read_pattern(pattern: str | None, pattern_file: str | None) -> bytes:
         return fh.read()
 
 
-def _chunks(text_file: str):
-    """The chunks of TEXT_FILE (- for standard input), opened on the first read."""
-    with click.open_file(text_file, "rb") as fh:
-        yield from read_chunks(fh)
+class _TextFile:
+    """TEXT_FILE (- for standard input) as a binary file that opens on first
+    use, so that a search reports a bad pattern, params or k first."""
+
+    def __init__(self, path: str) -> None:
+        self._path = path
+        self._fh = None
+
+    def __getattr__(self, name):  # readinto, fileno, tell: those of the opened file
+        if self._fh is None:
+            self._fh = click.open_file(self._path, "rb")
+        return getattr(self._fh, name)
+
+    def __enter__(self) -> _TextFile:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._fh is not None:
+            self._fh.__exit__(*exc)  # closes a path, leaves standard input open
 
 
 def _parse_m_list(raw: str) -> tuple[int, ...]:
@@ -109,16 +124,18 @@ def main():
 def cmd_search(text_file, pattern, pattern_file, algo, k, alpha, shift_s):
     """Print every occurrence of a pattern in TEXT_FILE (- for standard
     input), one 0-based byte offset per line, then a summary line. Exits 1
-    when there is no match. Every --algo reads the text in 1 MiB chunks and
-    prints the positions as they are found."""
+    when there is no match. Every --algo reads the text through one buffer
+    of at most 1 MiB plus m-1 bytes and prints the positions as they are
+    found."""
     needle = _read_pattern(pattern, pattern_file)
-    # The baselines use neither the hash params nor k, but reject the values
-    # that wfr rejects. stream checks k now, before _chunks opens the text.
-    stream = prepare(algo, needle, FilterParams(alpha=alpha, shift_s=shift_s)).stream(_chunks(text_file), k)
-    occurrences = 0
-    for batch in stream:
-        occurrences += len(batch)
-        click.echo("\n".join(map(str, batch)))
+    with _TextFile(text_file) as text:
+        # The baselines use neither the hash params nor k, but reject the values
+        # that wfr rejects. stream_file checks k now, before the text opens.
+        stream = prepare(algo, needle, FilterParams(alpha=alpha, shift_s=shift_s)).stream_file(text, k)
+        occurrences = 0
+        for batch in stream:
+            occurrences += len(batch)
+            click.echo("\n".join(map(str, batch)))
     click.echo(f"occurrences={occurrences} verifications={stream.verification_count}")
     if occurrences == 0:
         sys.exit(EXIT_NO_MATCH)

@@ -81,23 +81,28 @@ The scan is resumable: every scan (the filter's two backends, Horspool and
 naive) scans one window of the text at a time and carries the next window
 end and the four counters in a 5-slot state. A window reads only its own
 ``m`` bytes and the next window end is never before the end of the scanned
-bytes, so the driver reads a text in chunks, scans the last ``m-1`` bytes
-of the previous window plus each chunk, and gets the positions and counters
-of a whole-text search. It never holds all the positions: every scan has
-the kernel's contract, writing at most one buffer of
-``_POSITIONS_PER_CALL`` positions, which the driver allocates once per
-stream, and returning how many it wrote. Each non-empty batch is a view of
-that buffer, valid until the next call. ``search(text, k)`` scans the text
-as its only window and ``search_file(fh, k)`` 1 MiB chunks of a file; both
-extend one list from the views. ``stream_file(fh, k)`` returns the
-:class:`PositionStream` itself, which hands each batch over as a list the
-caller owns.
+bytes, so :meth:`Matcher.stream` reads a file in windows, each the last
+``m-1`` bytes of the previous window plus what one ``readinto`` adds, and
+gets the positions and counters of a whole-text search. A file's windows
+are views of one ``bytearray`` per stream, ``_CHUNK_BYTES + m-1`` bytes or
+less for a smaller regular file: the kept bytes move to its front and the
+read fills it after them, so the text is never copied into a new object.
+It never holds all the positions: every scan has the kernel's contract,
+writing at most one buffer of ``_POSITIONS_PER_CALL`` positions, which the
+stream allocates once, and returning how many it wrote. Each
+non-empty batch is a view of that buffer, valid until the next call.
+``search(text, k)`` scans the text in place as its only window and
+``search_file(fh, k)`` a binary file; both extend one list from the views.
+``stream_file(fh, k)`` returns the :class:`PositionStream` itself, which
+hands each batch over as a list the caller owns.
 """
 
 from __future__ import annotations
 
 import ctypes
+import io
 import os
+import stat
 import sys
 import zlib
 from dataclasses import dataclass, field
@@ -116,9 +121,10 @@ KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kerne
 _KERNEL_CC = ("cc", "-O2", "-pthread", "-shared", "-fPIC")
 # Positions a scan writes per call: the size of the driver's one buffer per stream.
 _POSITIONS_PER_CALL = 4096
-# Bytes :func:`read_chunks` reads per call; it bounds the memory.
-# 256 KiB, 1 MiB and 4 MiB chunks scanned a 16 MiB sigma=4 file in 28.5-29.7 ms
-# on a 2-vCPU VM, so the size is set by memory alone.
+# Bytes of text a file's buffer holds after the m-1 it keeps: with the
+# positions, it bounds a file search's memory. 256 KiB, 1 MiB and 4 MiB reads
+# scanned a 16 MiB sigma=4 file in 28.5-29.7 ms on a 2-vCPU VM, so the size is
+# set by memory alone.
 _CHUNK_BYTES = 1 << 20
 # Sets a slot of an immutable Matcher; a global saves preprocess a lookup per slot.
 _set_slot = object.__setattr__
@@ -343,18 +349,20 @@ def extend_hash(v: int, c: int, params: FilterParams = DEFAULT_PARAMS) -> int:
 def _as_bytes(arg, name: str) -> bytes:
     """``arg`` itself when it is ``bytes``, else a ``bytes`` copy of its
     buffer (multi-byte items become their bytes); ``TypeError`` when ``arg``
-    is not bytes-like."""
+    is not bytes-like, which names ``str`` for a text-mode file."""
     if type(arg) is bytes:
         return arg
     try:
         return memoryview(arg).tobytes()
     except TypeError:
-        raise TypeError(f"{name} must be bytes-like, not {type(arg).__name__}") from None
+        kind = "str" if isinstance(arg, io.TextIOBase) else type(arg).__name__
+        raise TypeError(f"{name} must be bytes-like, not {kind}") from None
 
 
 def _as_pattern(arg) -> bytes:
     """:func:`_as_bytes` of a pattern; :class:`InvalidPatternError` if empty,
-    since the driver's first window end ``m-1`` and its carry need ``m >= 1``."""
+    since a stream's first window end ``m-1`` and the ``m-1`` bytes a
+    file's windows keep need ``m >= 1``."""
     pattern = arg if type(arg) is bytes else _as_bytes(arg, "pattern")
     if not pattern:
         raise InvalidPatternError("pattern must be at least one byte")
@@ -367,10 +375,11 @@ class Matcher:
     :meth:`stream`. ``pattern`` is checked by :func:`_as_pattern`, and
     ``scan(matcher, window, k, state, base, pos)``, run by ``backend``
     (``"native"`` or ``"python"``), has the contract of the kernel's
-    ``wfr_scan``: it scans ``window`` from window end ``state[0]``, writes at
-    most ``len(pos)`` occurrences plus ``base`` to ``pos``, updates ``state``
-    and returns how many it wrote. A matcher is immutable (assigning an
-    attribute raises ``AttributeError``) and safe for concurrent searches."""
+    ``wfr_scan``: it scans ``window`` (``bytes``, or a view of a file's
+    ``bytearray``) from window end ``state[0]``, writes at most ``len(pos)``
+    occurrences plus ``base`` to ``pos``, updates ``state`` and returns how
+    many it wrote. A matcher is immutable (assigning an attribute raises
+    ``AttributeError``) and safe for concurrent searches."""
 
     __slots__ = ("pattern", "backend", "_scan")
 
@@ -388,33 +397,34 @@ class Matcher:
     def search(self, text: bytes, k: int = 1) -> SearchOutcome:
         """All occurrences of the pattern in ``text`` and the scan's counters,
         with zero attempts if ``m > n``. ``k``, for wfr the characters folded
-        per filter probe, is checked as :meth:`stream` checks it; then a text
-        that is not bytes-like raises ``TypeError``. A text that is not
-        ``bytes`` is copied once."""
-        return self.stream((text,), k)._collect()
+        per filter probe, is checked as :meth:`stream` checks it; then
+        ``text`` is taken as :meth:`stream` takes its ``source``: a ``bytes``
+        text is read in place, any other bytes-like one copied once, and
+        anything else raises ``TypeError`` unless it is a binary file."""
+        return self.stream(text, k)._collect()
 
     def search_file(self, fh, k: int = 1) -> SearchOutcome:
-        """:meth:`search` over the chunks of at most 1 MiB that binary file
-        ``fh`` yields until ``b""``: it holds about one chunk plus ``m-1``
-        bytes of text at a time (a short read, from a pipe, is a smaller
-        chunk), with the positions and counters of ``search(fh.read(), k)``."""
-        return self.stream(read_chunks(fh), k)._collect()
+        """:meth:`search` over binary file ``fh``, read with ``fh.readinto``
+        until it returns 0, with the positions and counters of
+        ``search(fh.read(), k)``. It holds one buffer of at most 1 MiB plus
+        ``m-1`` bytes of text; a short read, from a pipe, fills less of it."""
+        return self.stream(fh, k)._collect()
 
     def stream_file(self, fh, k: int = 1) -> PositionStream:
         """:meth:`search_file` as a :class:`PositionStream`. ``k`` is checked
         now; ``fh`` is read as the stream is iterated, so the stream must be
         used up before ``fh`` is closed."""
-        return self.stream(read_chunks(fh), k)
+        return self.stream(fh, k)
 
-    def stream(self, chunks, k: int) -> PositionStream:
-        """The :class:`PositionStream` of the text ``chunks`` yields, scanned
-        as it is iterated; :class:`ConfigurationError` now unless ``k`` is an
-        ``int`` in ``[1, 4]`` and at most ``m``. Each chunk must be
-        bytes-like (``TypeError`` otherwise). The driver calls the scan
-        until ``state[0] >= len(window)`` and yields each non-empty batch as
-        an int64 memoryview of ``pos``. Each window is the last ``m-1``
-        bytes of the previous window plus the next chunk, so every alignment
-        lies whole in some window; a lone chunk is scanned in place."""
+    def stream(self, source, k: int) -> PositionStream:
+        """The :class:`PositionStream` of ``source``, scanned as it is
+        iterated; :class:`ConfigurationError` now unless ``k`` is an ``int``
+        in ``[1, 4]`` and at most ``m``. ``source`` is a binary file, which
+        is anything with ``readinto``, or else the text, which must be
+        bytes-like (``TypeError`` otherwise, and for a text-mode file). It
+        calls the scan until ``state[0] >= len(window)`` on each
+        window, the text or each of :func:`_file_windows`, and yields each
+        non-empty batch as an int64 memoryview of ``pos``."""
         m, scan = len(self.pattern), self._scan
         if not isinstance(k, int) or not K_MIN <= k <= K_MAX:
             raise ConfigurationError(f"k must be in [{K_MIN}, {K_MAX}], got {k!r}")
@@ -428,9 +438,11 @@ class Matcher:
             # fast as from a ctypes slice, which boxes each item through ctypes.
             found_at = memoryview(pos).cast("B").cast("q")
             base = 0  # offset of the window's first byte in the text
-            carry = b""
-            for chunk in chunks:
-                window = carry + _as_bytes(chunk, "text")  # no copy while carry is empty
+            if hasattr(source, "readinto"):
+                windows = _file_windows(source, m)
+            else:
+                windows = (_as_bytes(source, "text"),)  # one window, scanned in place
+            for window in windows:
                 while state[0] < len(window):
                     found = scan(self, window, k, state, base, pos)
                     if found:
@@ -440,9 +452,41 @@ class Matcher:
                 dropped = max(len(window) - (m - 1), 0)
                 state[0] -= dropped
                 base += dropped
-                carry = window[dropped:]
 
         return PositionStream(batches(), state, self.backend)
+
+
+def _file_windows(fh, m: int):
+    """The windows of binary file ``fh`` for an ``m``-byte pattern, views of
+    one ``bytearray``: each is the last ``m-1`` bytes of the previous window
+    (all of it when shorter), then what one ``fh.readinto`` adds, so every
+    alignment lies whole in some window. Bytes past a window's end are
+    stale."""
+    view = memoryview(bytearray(_buffer_size(fh) + m - 1))
+    n = 0
+    while True:
+        kept = min(n, m - 1)
+        view[:kept] = view[n - kept : n]  # memmove: the two may overlap
+        got = fh.readinto(view[kept:])
+        if got is None:
+            raise BlockingIOError("text file is non-blocking and has no data ready")
+        if not got:
+            return
+        n = kept + got
+        yield view[:n]
+
+
+def _buffer_size(fh) -> int:
+    """The bytes of text a buffer for ``fh`` holds after the ``m-1`` it
+    keeps: the bytes left in a regular file, if fewer than ``_CHUNK_BYTES``
+    and at least 1, else ``_CHUNK_BYTES``. It only sets the memory."""
+    try:
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            return max(min(st.st_size - fh.tell(), _CHUNK_BYTES), 1)
+    except (AttributeError, OSError, ValueError):  # no file descriptor, as io.BytesIO
+        pass
+    return _CHUNK_BYTES
 
 
 def _layout(params: FilterParams, m: int) -> tuple[int, int]:
@@ -557,7 +601,7 @@ class FactorFilter(Matcher):
         cells = memoryview(self.hashed).cast("I").tolist()
         return int.from_bytes(self.bits, "little").bit_count() + len(cells) - cells.count(_EMPTY)
 
-    def stream(self, chunks, k: int) -> PositionStream:
+    def stream(self, source, k: int) -> PositionStream:
         """:meth:`Matcher.stream`, after checking that both parts have the
         sizes :func:`_layout` gives for the params and the pattern: the scans
         index them without bounds checks, and a probe of the set stops only
@@ -565,12 +609,7 @@ class FactorFilter(Matcher):
         direct, slots = _layout(self.params, len(self.pattern))
         if len(self.bits) != 1 << (direct - 3) or len(self.hashed) != 4 * slots:
             raise ConfigurationError("filter table size does not match its params")
-        return super().stream(chunks, k)
-
-
-def read_chunks(fh):
-    """The chunks of at most 1 MiB that binary file ``fh`` yields until ``b""``."""
-    return iter(lambda: fh.read(_CHUNK_BYTES), b"")
+        return super().stream(source, k)
 
 
 def preprocess(pattern: bytes, params: FilterParams = DEFAULT_PARAMS) -> FactorFilter:
@@ -625,10 +664,12 @@ def search(
 
 
 def _scan_native(flt: FactorFilter, y: bytes, k: int, state, base: int, pos) -> int:
-    """The filter's scan as one call of the C kernel."""
+    """The filter's scan as one call of the C kernel. A file's window, a
+    view of a ``bytearray``, goes in as a pointer to its first byte."""
     x, hashed, params = flt.pattern, flt.hashed, flt.params
+    text = y if type(y) is bytes else ctypes.byref(ctypes.c_char.from_buffer(y))
     return _native.wfr_scan(
-        x, len(x), y, len(y), flt.bits, hashed, len(hashed) >> 2,
+        x, len(x), text, len(y), flt.bits, hashed, len(hashed) >> 2,
         params.shift_s, params.hash_mask, k, pos, len(pos), state, base,
     )
 

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -458,11 +459,11 @@ class _ShortReads(io.RawIOBase):
     def readable(self):
         return True
 
-    def read(self, size=-1):
-        size = self._most if size < 0 else min(size, self._most)
-        out = self._data[self._at : self._at + size]
+    def readinto(self, b):
+        out = self._data[self._at : self._at + min(len(b), self._most)]
+        b[: len(out)] = out
         self._at += len(out)
-        return out
+        return len(out)
 
 
 def test_counter_sweep_chunked(backend):
@@ -564,6 +565,68 @@ def test_baselines_chunked_equal_whole_text(backend, monkeypatch):
                     assert [p for batch in batches for p in batch] == want.positions
                     counters = [stream.verification_count, stream.attempt_count, stream.total_shift, stream.check_comparisons]
                     assert counters == _record(want)[1:]
+
+
+def test_stale_bytes_past_the_last_window(backend, monkeypatch):
+    """A file's last window is shorter than its buffer, and the bytes past
+    the window's end, left from the window before, complete a prefix of the
+    pattern that ends the text. Every algorithm of the registry gives the
+    positions and all four counters of a whole-text search: a scan that
+    read past the window's end would find an occurrence there."""
+    size = 64
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", size)  # io.BytesIO has no file descriptor
+    rng = random.Random(0x57A1E)
+    cases = 0
+    for sigma in (2, 4, 256):
+        for m in (2, 3, 5, 8, 16, 33, 64):
+            pattern = bytes(rng.choices(range(sigma), k=m))
+            for t in sorted({1, m // 2, m - 1}):
+                # The first read fills the buffer's size + m - 1 bytes, the
+                # second adds r, so the last window ends at m - 1 + r.
+                r = rng.randint(1, size - (m - t))
+                end = m - 1 + r
+                text = bytearray(rng.choices(range(sigma), k=size + m - 1 + r))
+                text[end : end + m - t] = pattern[t:]
+                text[-t:] = pattern[:t]
+                text = bytes(text)
+                for algo in baselines.ALGORITHMS:
+                    matcher = baselines.prepare(algo, pattern)
+                    for k in range(1, min(4, m) + 1) if algo == "wfr" else (1,):
+                        assert matcher.search_file(io.BytesIO(text), k) == matcher.search(text, k), (pattern, t, algo, k)
+                        cases += 1
+    assert cases > 100
+
+
+def test_search_file_memory_is_one_buffer(tmp_path):
+    """A file search allocates one buffer of at most _CHUNK_BYTES + m - 1
+    bytes, sized down to a smaller regular file, and no copy of the text,
+    as tracemalloc counts the allocations."""
+    flt = preprocess(b"acgtacgtacgtacgt")
+    for size, bound in ((3 << 20, engine._CHUNK_BYTES + (128 << 10)), (128 << 10, 256 << 10)):
+        path = tmp_path / "text.bin"
+        path.write_bytes(bytes(random.Random(size).choices(b"acgt", k=size)))
+        with open(path, "rb") as fh:
+            tracemalloc.start()
+            try:
+                flt.search_file(fh)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < bound, (size, peak)
+
+
+def test_search_file_non_blocking_without_data_raises():
+    # A non-blocking read with no data ready returns None, which must not
+    # end the search as if the text ended there.
+    r, w = os.pipe()
+    try:
+        os.set_blocking(r, False)
+        with open(r, "rb", buffering=0, closefd=False) as fh:
+            with pytest.raises(BlockingIOError):
+                preprocess(b"ab").search_file(fh)
+    finally:
+        os.close(r)
+        os.close(w)
 
 
 # --- native kernel vs the pure-Python reference -------------------------------
@@ -892,22 +955,31 @@ def test_bytes_like_inputs_searched_as_bytes(backend):
         assert baselines.prepare(algo, array.array("H", [1, 2])).search(wide).positions == [0, 4]
 
 
-def test_shared_matcher_concurrent_searches(backend):
-    # Each search allocates its own scan buffers, so threads sharing one
-    # matcher get a serial run's results (the native scan releases the GIL).
+def test_shared_matcher_concurrent_searches(backend, tmp_path):
+    # Each search allocates its own scan buffers, and a file search its own
+    # text buffer, so threads sharing one matcher get a serial run's results
+    # (the native scan releases the GIL), each thread from its own file too.
     rng = random.Random(5)
     flt = preprocess(b"abab", FilterParams(alpha=12))
     n = 200_000 if backend == "native" else 20_000
     texts = [bytes(rng.choices(b"abc", k=n)) for _ in range(4)]
+    paths = [tmp_path / f"text{i}.bin" for i in range(len(texts))]
+    for path, text in zip(paths, texts):
+        path.write_bytes(text)
     ks = (1, 2, 4)
     serial = [[_record(flt.search(text, k)) for k in ks] for text in texts]
     results = [[] for _ in texts]
     errors = []
 
+    def search_path(i, k):
+        with open(paths[i], "rb") as fh:
+            return flt.search_file(fh, k)
+
     def worker(i):
         try:
             for _ in range(3):
                 results[i].append([_record(flt.search(texts[i], k)) for k in ks])
+                results[i].append([_record(search_path(i, k)) for k in ks])
         except Exception as exc:
             errors.append(exc)
 
@@ -924,7 +996,7 @@ def test_shared_matcher_concurrent_searches(backend):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     for got, want in zip(results, serial):
-        assert got == [want] * 3
+        assert got == [want] * 6
 
 
 def test_backend_not_part_of_equality():
