@@ -56,15 +56,23 @@
  * A call with at least SPLIT_MIN_WINDOWS windows scans on two threads where
  * two CPUs are usable (see split). The next window end is a function of the
  * window end alone, so a helper thread can start its own sequence of window
- * ends (an orbit) at the midpoint, and the calling thread, once its window
+ * ends (an orbit) anywhere ahead, and the calling thread, once its window
  * end equals one of the helper's, takes the helper's state and adds its
  * counters and positions since then. Positions and counters are those of
- * one thread. Where such a call takes the entry without the hashed set,
- * each thread scans each range it would scan alone on two orbits, and joins
- * them the same way (see scan_two): the k = 1 entry waits about 20 cycles
- * on a chain of loads and hash steps from one window end to the next, and
- * two orbits in one loop overlap their chains. On one usable CPU such a
- * call scans its whole range on two orbits.
+ * one thread. The helper takes its part when it starts, the back half of
+ * what the calling thread has left, not a midpoint fixed before it runs: on
+ * a 2-vCPU Xeon VM (KVM) a thread created after >= 1.5 ms in which the
+ * other vCPU idled starts 138 us later (median; p90 188 us), against 11 us
+ * after a 20 us gap, and a thread parked on a condition variable wakes no
+ * sooner (135 us). When a call's positions overflow pos at a join, where its batch
+ * ends may depend on that timing; its final positions and counters do not.
+ * Where such a call takes the entry without the hashed set, the calling
+ * thread scans on two orbits, the second from the midpoint, and the helper
+ * takes a part of each, all joined the same way (see two_orbits): the k = 1
+ * entry waits about 20 cycles on a chain of loads and hash steps from one
+ * window end to the next, and two orbits in one loop overlap their chains.
+ * On one usable CPU such a call scans its whole range on two orbits (see
+ * scan_two).
  *
  * Hash arithmetic is unsigned 64-bit; with alpha <= 30 and shift_s <= 2 no
  * intermediate value overflows. Built by engine.py with cc -O2 -pthread
@@ -520,33 +528,35 @@ static int64_t scan(const struct call *c, int64_t n, int64_t *pos, int64_t cap, 
  * no text-long (m >= 256 on 1 MiB) or zero-runs (m >= 8 on 128 KiB) call
  * does, nor the m = 64 scans of 1 MiB that test_c6_chained_variant_throughput
  * times (16,384 windows).
- * SPLIT_LEAD: the calling thread first scans 1/SPLIT_LEAD of the range alone
- * and stays alone when its positions there, times SPLIT_LEAD, exceed 2 cap:
- * the first half would then fill pos before the join, and the helper's scan
- * would be wasted. Without that check an m = 8 scan of 1 MiB of zero runs
- * took 30.9-31.1 ms against 21.1-21.4 ms unsplit, and an m = 4 scan of 1 MiB
- * of zeros 41.1-43.8 against 28.0 ms; with it, 21.4-21.6 and 27.9 ms
- * (medians of 11, interleaved).
- * MERGE_PREFIX: the helper records its first attempts one at a time. Over
- * 10 rounds of the dna-short workload, the calling thread met a record
- * within the first 16 in 234 of 315 library splits, within 64 in 68 more,
- * within 128 in 10 and within 256 in the other 3; of the 320 CLI splits
- * (m = 16), 160, 130, 27 and 3. Chained probes (k > 1) meet later or not at
- * all: at m = 8 on 64 symbols, 7 of 8 k = 4 splits met none of 256, and the
- * calling thread scanned on alone. 256 records take 12 KiB. The second of
- * a thread's two orbits records its first attempts the same way: a struct
- * half with cap = 4096 positions takes 44 KiB, and a split call that takes
- * the entry allocates three at a time (the helper's, then one second orbit
- * in each thread), 132 KiB.
+ * MERGE_PREFIX: a part that another orbit joins records its first attempts
+ * one at a time. Over 10 rounds of the dna-short workload, the calling
+ * thread met a record within the first 16 in 234 of 315 library splits,
+ * within 64 in 68 more, within 128 in 10 and within 256 in the other 3; of
+ * the 320 CLI splits (m = 16), 160, 130, 27 and 3. Chained probes (k > 1)
+ * meet later or not at all: at m = 8 on 64 symbols, 7 of 8 k = 4 splits met
+ * none of 256, and the calling thread scanned on alone. 256 records take
+ * 12 KiB: a struct half with cap = 4096 positions takes 44 KiB, and a split
+ * call that takes the entry allocates three (the calling thread's second
+ * orbit and the helper's two parts), 132 KiB.
+ * SPLIT_STEP: the calling thread renews its bound under a lock once per
+ * step, and the helper's part starts half the rest past that bound, so the
+ * helper's share falls short of half by up to half a step. Against 16 KiB,
+ * m = 8 and 16 scans of 1 MiB ACGT took 0.98-1.02 times as long with steps
+ * of 4 and 8 KiB, back to back and after a pause, 0.99-1.03 times with
+ * 32 KiB and 1.08 times back to back with 64 KiB (medians of 21,
+ * interleaved in one process). 16 KiB also holds the calling thread's
+ * second orbit's records, at most MERGE_PREFIX attempts of at most m <=
+ * ENTRY_M_MAX bytes, so a part the helper takes never starts among them.
  * Times are from a 2-vCPU Xeon VM. */
 #define SPLIT_MIN_WINDOWS (1 << 15)
-#define SPLIT_LEAD 16
 #define MERGE_PREFIX 256
+#define SPLIT_STEP (16 << 10)
 
-/* A second orbit of a range: the helper's part of a split call, or the
- * second of a thread's two orbits (see scan_two). Its scan of y[0..n) from
- * window end st[0] into pos, which has cap slots. Record t is st before its
- * attempt t, then the positions found before it. */
+/* A part of a range scanned as its own orbit: a part the helper of a split
+ * call takes (see steal), or the calling thread's second orbit (see split
+ * and scan_two). Its scan of
+ * y[0..n) from window end st[0] into pos, which has cap slots. Record t is
+ * st before its attempt t, then the positions found before it. */
 struct half {
     const struct call *c;
     int64_t n, cap, found, records;
@@ -555,25 +565,24 @@ struct half {
     int64_t pos[];
 };
 
-/* A struct half for the orbit of window end `start` up to n, with the
- * counters of st; NULL when malloc fails. */
-static struct half *new_half(const struct call *c, int64_t n, int64_t cap, const int64_t *st,
-                             int64_t start)
+/* A struct half for the orbit of window end `start` up to n, with counters
+ * from 0 (join adds only their differences); NULL when malloc fails. */
+static struct half *new_half(const struct call *c, int64_t n, int64_t cap, int64_t start)
 {
     struct half *h = malloc(sizeof *h + cap * sizeof *h->pos);
     if (h) {
         h->c = c;
         h->n = n;
         h->cap = cap;
-        memcpy(h->st, st, sizeof h->st);
+        memset(h->st, 0, sizeof h->st);
         h->st[0] = start;
     }
     return h;
 }
 
 /* h's first MERGE_PREFIX attempts, each a scan of one window end that
- * records the state before it. Returns the positions found. */
-static int64_t record(struct half *h)
+ * records the state before it, and the positions they find. */
+static void record(struct half *h)
 {
     int64_t found = 0, t = 0;
     for (; t < MERGE_PREFIX && h->st[0] < h->n; t++) {
@@ -582,7 +591,7 @@ static int64_t record(struct half *h)
         found += scan(h->c, h->st[0] + 1, h->pos + found, h->cap - found, h->st);
     }
     h->records = t;
-    return found;
+    h->found = found;
 }
 
 /* The CPUs this process may run on, counted once; read atomically, since
@@ -599,7 +608,7 @@ static int usable_cpus(void)
     return n;
 }
 
-/* The rest of a scan on two orbits once the second, h, has ended: this
+/* The rest of a scan once the part h that follows it has ended: this
  * thread, at or past h's first window end unless pos is full, walks on one
  * scan per record until its window end equals the record's, and there
  * takes h's state, counters and positions. found positions are already in
@@ -654,40 +663,32 @@ next_end(const uint8_t *y, int64_t m, const uint8_t *tbl, int s, uint64_t mask, 
     return cursor == i && HAS(tbl, v) ? j : cursor + m;
 }
 
-/* scan, on two orbits where the call takes the entry and the filter has no
- * set: a second orbit starts at the midpoint of the range in a struct half
- * and records its first attempts (see record). Then one loop makes one
- * attempt of each orbit per pass, so that the chain of loads and hash steps
- * that leads from one window end to the next in one orbit overlaps that of
- * the other, and hands both attempts to scan where one of them verifies.
- * Each orbit then finishes its own bound alone, and join merges them, so
- * positions and counters are those of one orbit. When pos fills before the
- * midpoint, the second orbit is not needed. A failed malloc leaves the range
- * on one orbit.
+/* Two orbits of a call that takes the entry and whose filter has no set:
+ * the one of st up to window end ea, into pos after its found positions,
+ * and h's up to eb. One loop makes one attempt of each orbit per pass, so
+ * that the chain of loads and hash steps that leads from one window end to
+ * the next in one orbit overlaps that of the other, and hands both attempts
+ * to scan where one of them verifies; each orbit then finishes its bound
+ * alone, h's only while pos has room. Returns the first orbit's positions,
+ * found included; h->found counts h's.
  * The loop reads tbl alone. With the set's probes in it as well, four more
  * values were live there, and 1 MiB ACGT scans on two threads took 0.268
  * against 0.252 ms at m = 16 and 0.409 against 0.404 ms at m = 8, and on
  * one CPU 0.432 against 0.409 and 0.685 against 0.665 ms (medians of 15,
  * 8 patterns each, interleaved in one process, 2-vCPU Xeon VM), so a call
  * with the set scans on one orbit; the benchmark workloads have none that
- * takes the entry. Against one orbit, 1 MiB ACGT on two threads: m = 4 1.43
- * -> 1.01 ms, m = 8 0.55 -> 0.39 ms, m = 16 0.32 -> 0.25 ms; on one CPU:
- * m = 4 1.98 -> 1.77 ms (its 4,096 or so positions overflow pos at the join,
- * and the next call scans the second half again), m = 8 0.99 -> 0.67 ms,
- * m = 16 0.55 -> 0.41 ms (same runs). */
-static int64_t scan_two(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st)
+ * takes the entry. */
+static int64_t two_orbits(const struct call *c, int64_t *st, int64_t *pos, int64_t cap,
+                          int64_t found, struct half *h, int64_t ea, int64_t eb)
 {
-    struct half *h = c->entry && !c->slots ? new_half(c, n, cap, st, st[0] + (n - st[0]) / 2) : NULL;
-    if (!h)
-        return scan(c, n, pos, cap, st);
     const uint8_t *y = c->y, *tbl = c->tbl;
-    const int64_t m = c->m, mid = h->st[0];
+    const int64_t m = c->m;
     const int s = c->s;
     const uint64_t mask = c->mask;
-    int64_t more = record(h), found = 0, a = st[0], b = h->st[0];
-    while (a < mid && b < n && found < cap && more < cap) {
+    int64_t more = h->found, a = st[0], b = h->st[0];
+    while (a < ea && b < eb && found < cap && more < h->cap) {
         int64_t att = 0;
-        for (; a < mid && b < n; att++) {
+        for (; a < ea && b < eb; att++) {
             int64_t a2 = next_end(y, m, tbl, s, mask, a), b2 = next_end(y, m, tbl, s, mask, b);
             if (a2 == a || b2 == b)
                 break; /* one of the two attempts verifies */
@@ -696,64 +697,225 @@ static int64_t scan_two(const struct call *c, int64_t n, int64_t *pos, int64_t c
         }
         advance(st, a, att);
         advance(h->st, b, att);
-        if (a >= mid || b >= n)
+        if (a >= ea || b >= eb)
             break;
         found += scan(c, a + 1, pos + found, cap - found, st);
-        more += scan(c, b + 1, h->pos + more, cap - more, h->st);
+        more += scan(c, b + 1, h->pos + more, h->cap - more, h->st);
         a = st[0];
         b = h->st[0];
     }
-    found += scan(c, mid, pos + found, cap - found, st);
-    if (found < cap) {
-        h->found = more + scan(c, n, h->pos + more, cap - more, h->st);
+    found += scan(c, ea, pos + found, cap - found, st);
+    if (found < cap)
+        more += scan(c, eb, h->pos + more, h->cap - more, h->st);
+    h->found = more;
+    return found;
+}
+
+/* scan, on two orbits where the call takes the entry and the filter has no
+ * set: the second starts at the midpoint of the range in a struct half and
+ * records its first attempts (see record), the two run in one loop (see
+ * two_orbits), and join merges them, so positions and counters are those of
+ * one orbit. When pos fills before the midpoint, the second orbit is not
+ * needed. A failed malloc leaves the range on one orbit. Against one orbit,
+ * 1 MiB ACGT on two threads: m = 4 1.43 -> 1.01 ms, m = 8 0.55 -> 0.39 ms,
+ * m = 16 0.32 -> 0.25 ms; on one CPU: m = 4 1.98 -> 1.77 ms (its 4,096 or
+ * so positions overflow pos at the join, and the next call scans the second
+ * half again), m = 8 0.99 -> 0.67 ms, m = 16 0.55 -> 0.41 ms (medians of
+ * 15, 8 patterns each, interleaved in one process, 2-vCPU Xeon VM). */
+static int64_t scan_two(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st)
+{
+    const int64_t mid = st[0] + (n - st[0]) / 2;
+    struct half *h = c->entry && !c->slots ? new_half(c, n, cap, mid) : NULL;
+    if (!h)
+        return scan(c, n, pos, cap, st);
+    record(h);
+    int64_t found = two_orbits(c, st, pos, cap, 0, h, mid, n);
+    if (found < cap)
         found = join(c, h, pos, cap, st, found);
-    }
     free(h);
     return found;
 }
 
-/* The helper thread: its records, then the rest on two orbits. */
-static void *scan_half(void *arg)
+/* What a split call and its helper share. The calling thread's orbits are
+ * orbit 0, of st, and where two_orbits applies orbit 1, its second orbit.
+ * Orbit o scans up to end[o], and bound[o] is where its current step ends:
+ * both change only under lock. The helper's part of orbit o, if it took
+ * one, is part[o]. users counts the threads yet to leave; the last frees
+ * the block. c, cap and orbits are set before the helper starts. */
+struct share {
+    pthread_mutex_t lock;
+    pthread_cond_t finished;
+    const struct call *c;
+    int64_t cap;
+    int64_t bound[2], end[2];
+    struct half *part[2];
+    int orbits, closed, done, users;
+};
+
+/* Leave the block: the last of its two users frees it. Called under lock. */
+static void leave(struct share *sh)
 {
-    struct half *h = arg;
-    int64_t found = record(h);
-    h->found = found + scan_two(h->c, h->n, h->pos + found, h->cap - found, h->st);
+    int last = --sh->users == 0;
+    pthread_mutex_unlock(&sh->lock);
+    if (last) {
+        pthread_mutex_destroy(&sh->lock);
+        pthread_cond_destroy(&sh->finished);
+        free(sh);
+    }
+}
+
+/* The bound of a step from window end j of an orbit that ends at end. */
+static inline int64_t step_end(int64_t j, int64_t end)
+{
+    return j + SPLIT_STEP < end ? j + SPLIT_STEP : end;
+}
+
+/* The helper thread: whenever it starts, it takes the back half of what
+ * each of the calling thread's orbits has left past its current bound, and
+ * scans those parts as its own orbits, recording their first attempts, two
+ * in one loop (see two_orbits) or one alone. It takes nothing when the call
+ * has closed or when a part would be shorter than a step. It reads the
+ * call's inputs only while it holds work that the calling thread waits for.
+ * It takes its parts from dense texts too. A part that fills its buffer
+ * before the calling thread joins it stops there, and a rule that declined
+ * when the positions found so far, times 16, exceeded two buffers (the
+ * fixed-half split checked this after scanning the first 1/16 alone) made
+ * no scan faster by more than 2% and slowed some by half: 1 MiB ACGT with
+ * its 8 bytes planted every 256 bytes, searched after 1.5 ms of Python
+ * work, took 0.83 ms without the rule and 1.22 ms with it, and every 128
+ * bytes 1.46 against 1.61 ms; zero runs, zeros and runs of a with m = 4 and
+ * 8 read within 2% either way (medians of 11-21, interleaved, 2-vCPU Xeon
+ * VM). */
+static void *steal(void *arg)
+{
+    struct share *sh = arg;
+    const struct call *c = sh->c;
+    struct half *p[2] = {NULL, NULL}, *part[2] = {NULL, NULL};
+    for (int o = 0; o < sh->orbits; o++)
+        p[o] = new_half(c, 0, sh->cap, 0); /* before the lock: the caller never waits on malloc */
+    pthread_mutex_lock(&sh->lock);
+    if (!sh->closed)
+        for (int o = 0; o < sh->orbits; o++) {
+            int64_t rest = sh->end[o] - sh->bound[o];
+            if (p[o] && rest >= 2 * SPLIT_STEP) {
+                p[o]->n = sh->end[o];
+                p[o]->st[0] = sh->end[o] = sh->bound[o] + rest / 2;
+                sh->part[o] = part[o] = p[o];
+                p[o] = NULL;
+            }
+        }
+    const int taken = part[0] || part[1];
+    if (taken)
+        pthread_mutex_unlock(&sh->lock);
+    else
+        leave(sh);
+    free(p[0]);
+    free(p[1]);
+    if (!taken)
+        return NULL; /* the helper takes nothing */
+    if (part[0] && part[1]) {
+        record(part[0]);
+        record(part[1]);
+        part[0]->found = two_orbits(c, part[0]->st, part[0]->pos, part[0]->cap, part[0]->found, /* two */
+                                    part[1], part[0]->n, part[1]->n);
+    } else {
+        struct half *h = part[0] ? part[0] : part[1];
+        record(h);
+        h->found += scan(c, h->n, h->pos + h->found, h->cap - h->found, h->st); /* one */
+    }
+    pthread_mutex_lock(&sh->lock);
+    sh->done = 1;
+    pthread_cond_signal(&sh->finished);
+    leave(sh);
     return NULL;
 }
 
 /* The scan of a long call on two threads, with the positions and counters
  * of one. The next window end is a function of the window end alone, and so
  * is what an attempt adds to each counter: the scan is the orbit of st[0]
- * under that step. After a lead (see SPLIT_LEAD), a helper thread starts its
- * own orbit at the midpoint of the rest, while this thread scans up to it.
- * Then this thread walks on until its window end equals one the helper
- * recorded: from there the two orbits are one, so the helper's state at its
- * end, and its counters and positions since that record, are this
- * thread's (see join). If the positions do not fit in pos, the call returns
- * at the join and the next call resumes there; if no window end matches,
- * this thread scans on alone. The lead, this thread's part up to the
- * midpoint and the helper's after its records are each scanned on two
- * orbits of the thread (see scan_two). A failed malloc or pthread_create
- * leaves the scan on one thread. The helper touches
- * only its struct half and the call's read-only inputs, and is joined before
- * return. */
+ * under that step, and a part started anywhere ahead joins it where their
+ * window ends meet (see join). The helper thread starts at once. The
+ * calling thread scans its orbits, two where two_orbits applies (orbit 1
+ * from the midpoint), in steps of at most SPLIT_STEP bytes, and renews each
+ * step's bound under the lock. Whenever the helper starts, it takes the back
+ * half of what each orbit has left past that bound (see steal), so a late
+ * helper costs the call about its delay L and no more: with one thread's
+ * work W, the call ends near L + (W - L) / 2 rather than W / 2 + L. At the
+ * end the calling thread waits for the parts the helper took, never for a
+ * helper that has not yet run, and chains the parts in text order: orbit 0,
+ * the helper's part of it, orbit 1 and the helper's part of that, each
+ * joined to the orbit so far. When positions overflow pos at a join, the
+ * call returns there and the next call resumes, so where a call's batch
+ * ends may depend on the helper's timing; its final positions and counters
+ * do not. A failed malloc leaves the call to scan_two, and a failed
+ * pthread_create leaves it to the calling thread's steps alone.
+ * With the midpoint fixed before the helper ran, the calling thread scanned
+ * its half and then waited for the helper's late half: a thread created
+ * after 1.5 ms of idle on the other vCPU starts 138 us late (median; 11 us
+ * after a 20 us gap), and one parked on a condition variable wakes no
+ * sooner (135 us). m = 8 and m = 16 scans of 1 MiB ACGT,
+ * fixed midpoint -> this split: back to back 0.396 -> 0.365 ms and 0.259 ->
+ * 0.232 ms, after 1.5 ms of Python work on the calling thread 0.534 ->
+ * 0.430 ms and 0.399 -> 0.305 ms (medians of 15 x 8 patterns, interleaved
+ * in one process, 2-vCPU Xeon VM). Spinning up to 200,000 pauses before
+ * the wait for the helper took 1-3% more off after a pause, and was left
+ * out. */
 static int64_t split(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st)
 {
-    int64_t found = scan_two(c, st[0] + (n - st[0]) / SPLIT_LEAD, pos, cap, st);
     const int64_t mid = st[0] + (n - st[0]) / 2;
-    struct half *h = NULL;
-    pthread_t helper;
-    if (found * SPLIT_LEAD <= 2 * cap && (h = new_half(c, n, cap, st, mid)) &&
-        pthread_create(&helper, NULL, scan_half, h)) {
+    const int two = c->entry && !c->slots; /* as in scan_two */
+    struct share *sh = calloc(1, sizeof *sh);
+    struct half *h = two ? new_half(c, n, cap, mid) : NULL;
+    if (!sh || (two && !h)) {
+        free(sh);
         free(h);
-        h = NULL;
+        return scan_two(c, n, pos, cap, st);
     }
-    if (!h)
-        return found + scan(c, n, pos + found, cap - found, st); /* dense lead, or no helper */
-    found += scan_two(c, mid, pos + found, cap - found, st);
-    pthread_join(helper, NULL);
-    found = join(c, h, pos, cap, st, found);
-    free(h);
+    pthread_mutex_init(&sh->lock, NULL);
+    pthread_cond_init(&sh->finished, NULL);
+    sh->c = c;
+    sh->cap = cap;
+    sh->orbits = h ? 2 : 1;
+    sh->end[0] = h ? mid : n;
+    sh->end[1] = n;
+    sh->bound[0] = st[0];
+    sh->bound[1] = mid;
+    sh->users = 2;
+    pthread_t helper;
+    if (pthread_create(&helper, NULL, steal, sh))
+        sh->users = 1;
+    else
+        pthread_detach(helper);
+    int64_t found = 0;
+    if (h)
+        record(h);
+    for (;;) {
+        pthread_mutex_lock(&sh->lock);
+        const int64_t ea = sh->bound[0] = step_end(st[0], sh->end[0]);
+        const int64_t eb = sh->bound[1] = h ? step_end(h->st[0], sh->end[1]) : n;
+        if (found == cap || (st[0] >= sh->end[0] && (!h || h->st[0] >= sh->end[1] || h->found == cap)))
+            break; /* under lock */
+        pthread_mutex_unlock(&sh->lock);
+        if (h)
+            found = two_orbits(c, st, pos, cap, found, h, ea, eb);
+        else
+            found += scan(c, ea, pos + found, cap - found, st);
+    }
+    sh->closed = 1;
+    while ((sh->part[0] || sh->part[1]) && !sh->done)
+        pthread_cond_wait(&sh->finished, &sh->lock);
+    struct half *chain[3] = {sh->part[0], h, sh->part[1]};
+    int64_t end = sh->end[0];
+    if (h)
+        h->n = sh->end[1];
+    leave(sh);
+    for (int i = 0; i < 3; i++) {
+        if (chain[i] && found < cap && st[0] >= end) { /* the orbit so far reached chain[i] */
+            found = join(c, chain[i], pos, cap, st, found);
+            end = chain[i]->n;
+        }
+        free(chain[i]);
+    }
     return found;
 }
 

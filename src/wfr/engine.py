@@ -48,17 +48,20 @@ zero run, as in zero-padded binary files: ``0^31 x`` in 1 MiB of zeros
 takes 0.06 ms, not 11.4 ms window by window (a ``bytes.find`` loop:
 3.2 ms). The entry's copies and the Python scan go window by window. A
 call with at least 2**15 windows scans on two threads where two CPUs are
-usable: a helper thread scans from
-the midpoint while the calling thread scans up to it, and the calling thread
-takes over the helper's state where their window ends meet, so the positions
-and counters are those of one thread. The helper touches no Python object
-and ends before the call returns. Where such a call takes the entry and its
-filter has no hashed set, each thread scans its part as two sequences of
-window ends, one from the part's midpoint, one attempt of each per pass of
-one loop so that their chains of loads overlap, and joins them the same
-way; on one usable CPU the calling thread does so over the whole call. The counters, and the inspected
-bytes derived from them, stay the algorithm's logical counts: none counts
-probes, and ``check_comparisons`` counts bytes. On the first import after
+usable: the calling thread scans in steps, and a helper thread, whenever it
+starts, takes the back half of what is left past the current step; the
+calling thread takes over the helper's state where their window ends meet,
+so the positions and counters are those of one thread. The helper touches
+no Python object, and reads the text only while the call waits for it; one
+that starts after the call has ended takes nothing and exits. Where such a
+call takes the entry and its filter has no hashed set, the calling thread
+scans two sequences of window ends, the second from the midpoint, one
+attempt of each per pass of one loop so that their chains of loads overlap,
+the helper takes a part of each, and all are joined the same way; on one
+usable CPU the calling thread scans the whole call on two sequences. The
+counters, and the inspected bytes derived from them, stay the algorithm's
+logical counts: none counts probes, and ``check_comparisons`` counts
+bytes. On the first import after
 the source or the compile command changes, the kernel is compiled with
 ``cc -O2 -pthread -shared -fPIC`` (``_KERNEL_CC``) into
 ``__pycache__/_kernel-<cache tag>-<crc32 of the command and the source>.so``
@@ -478,15 +481,22 @@ def _file_windows(fh, m: int):
 
 def _buffer_size(fh) -> int:
     """The bytes of text a buffer for ``fh`` holds after the ``m-1`` it
-    keeps: the bytes left in a regular file, if fewer than ``_CHUNK_BYTES``
-    and at least 1, else ``_CHUNK_BYTES``. It only sets the memory."""
+    keeps: the bytes left in a regular file or an ``io.BytesIO``, if fewer
+    than ``_CHUNK_BYTES`` and at least 1, else ``_CHUNK_BYTES``. It only
+    sets the memory."""
     try:
-        st = os.fstat(fh.fileno())
-        if stat.S_ISREG(st.st_mode):
-            return max(min(st.st_size - fh.tell(), _CHUNK_BYTES), 1)
-    except (AttributeError, OSError, ValueError):  # no file descriptor, as io.BytesIO
-        pass
-    return _CHUNK_BYTES
+        if isinstance(fh, io.BytesIO):  # seek, not getbuffer(), which copies a shared text
+            at = fh.tell()
+            left = fh.seek(0, io.SEEK_END) - at
+            fh.seek(at)
+        else:
+            st = os.fstat(fh.fileno())
+            if not stat.S_ISREG(st.st_mode):
+                return _CHUNK_BYTES
+            left = st.st_size - fh.tell()
+    except (AttributeError, OSError, ValueError):  # no file descriptor
+        return _CHUNK_BYTES
+    return max(min(left, _CHUNK_BYTES), 1)
 
 
 def _layout(params: FilterParams, m: int) -> tuple[int, int]:

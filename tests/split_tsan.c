@@ -7,12 +7,19 @@
  * Each case searches 1 MiB of text twice with wfr_scan: once whole, so that
  * its long calls scan on two threads where two CPUs are usable, and once
  * with each call's window ends capped 8 KiB past its first, so that no call
- * splits. The positions and all four counters must be equal. Exits 1 on a
- * difference; ThreadSanitizer halts on a data race. */
+ * splits. The positions and all four counters must be equal. The cases run
+ * three times: back to back; with each whole call after a 2 ms sleep, so
+ * that its helper thread starts late and takes part of what is left; and
+ * pinned to one CPU after the kernel has counted two, so that calls still
+ * split but the helper mostly runs after the call has ended and takes
+ * nothing. Exits 1 on a difference; ThreadSanitizer halts on a data race. */
+#define _GNU_SOURCE /* sched_setaffinity */
+#include <sched.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <unistd.h>
 
 void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, int alpha);
 int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
@@ -37,15 +44,18 @@ static uint64_t next(void) /* xorshift64 */
 
 /* The positions of x in y written to out, their count returned and the
  * final state in st; each call's window ends stop at most step past its
- * first, or at n when step is 0. */
+ * first, or at n when step is 0. Each call starts pause us after the last. */
 static int64_t search(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
-                      const uint8_t *tbl, int k, int64_t step, int64_t *out, int64_t *st)
+                      const uint8_t *tbl, int k, int64_t step, useconds_t pause, int64_t *out,
+                      int64_t *st)
 {
     static int64_t pos[CAP];
     int64_t count = 0;
     memset(st, 0, 5 * sizeof *st);
     st[0] = m - 1;
     while (st[0] < n) {
+        if (pause)
+            usleep(pause);
         int64_t end = step && n - st[0] > step ? st[0] + step : n;
         int64_t found = wfr_scan(x, m, y, end, tbl, NULL, 0, SHIFT, (1u << ALPHA) - 1, k, pos, CAP,
                                  st, 0);
@@ -55,7 +65,8 @@ static int64_t search(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
     return count;
 }
 
-static int check(const char *name, const uint8_t *y, int64_t at, int64_t m, int k)
+static int check(const char *name, const uint8_t *y, int64_t at, int64_t m, int k,
+                 useconds_t pause)
 {
     static uint8_t tbl[1 << (ALPHA - 3)];
     static int64_t whole[N], capped[N];
@@ -63,34 +74,54 @@ static int check(const char *name, const uint8_t *y, int64_t at, int64_t m, int 
     const uint8_t *x = y + at;
     memset(tbl, 0, sizeof tbl);
     wfr_build(x, m, tbl, SHIFT, ALPHA);
-    int64_t a = search(x, m, y, N, tbl, k, 0, whole, st_whole);
-    int64_t b = search(x, m, y, N, tbl, k, STEP, capped, st_capped);
+    int64_t a = search(x, m, y, N, tbl, k, 0, pause, whole, st_whole);
+    int64_t b = search(x, m, y, N, tbl, k, STEP, 0, capped, st_capped);
     int same = a == b && !memcmp(whole, capped, a * sizeof *whole) &&
                !memcmp(st_whole, st_capped, sizeof st_whole);
-    printf("%s m=%lld k=%d: %lld positions, %lld attempts: %s\n", name, (long long)m, k,
-           (long long)a, (long long)st_whole[2], same ? "equal" : "DIFFERENT");
+    printf("%s m=%lld k=%d pause=%u us: %lld positions, %lld attempts: %s\n", name, (long long)m,
+           k, (unsigned)pause, (long long)a, (long long)st_whole[2], same ? "equal" : "DIFFERENT");
     return !same;
+}
+
+static uint8_t acgt[N], dense[N], sigma64[N], sevens[N], zero_runs[N];
+
+/* Every case, each whole call after a sleep of pause us. */
+static int check_all(useconds_t pause)
+{
+    int failed = 0;
+    for (int64_t m = 4; m <= 16; m *= 2)
+        for (int k = 1; k <= 4; k += 3)
+            failed |= check("acgt", acgt, 1000, m, k, pause);
+    failed |= check("dense", dense, 2000, 8, 1, pause);
+    for (int k = 1; k <= 4; k++)
+        failed |= check("sigma64", sigma64, 5000, 8, k, pause);
+    for (int k = 1; k <= 4; k += 3)
+        failed |= check("sevens", sevens, 1000, 8, k, pause);
+    /* A pattern inside the first zero run, and one across its end. */
+    failed |= check("zero-runs", zero_runs, 40, 8, 1, pause);
+    int64_t edge = 40;
+    while (!zero_runs[edge])
+        edge++;
+    failed |= check("zero-runs edge", zero_runs, edge - 4, 8, 1, pause);
+    return failed;
 }
 
 int main(void)
 {
-    static uint8_t acgt[N], dense[N], sigma64[N], sevens[N], zero_runs[N];
-    int failed = 0;
     for (int64_t i = 0; i < N; i++) {
         acgt[i] = "ACGT"[next() & 3];
         sigma64[i] = next() & 63;
     }
     /* acgt with its 8 bytes at 2000, which take the branch-free entry, back
-     * to back over 0.35-0.48 N and 0.80-0.93 N: past the lead, each thread's
-     * second orbit (see scan_two in the kernel), from near 0.30 N and 0.77
-     * N, fills its buffer. */
+     * to back over 0.35-0.48 N and 0.80-0.93 N: the orbits and parts (see
+     * split in the kernel) that scan there fill their buffers. */
     memcpy(dense, acgt, N);
     for (int64_t i = N * 35 / 100; i + 8 <= N * 48 / 100; i += 8)
         memcpy(dense + i, acgt + 2000, 8);
     for (int64_t i = N * 80 / 100; i + 8 <= N * 93 / 100; i += 8)
         memcpy(dense + i, acgt + 2000, 8);
-    /* Runs of 32 7s every 4 KiB of sigma64: few enough positions of 7^8 in
-     * the lead for a split, and each thread skips the rest of each run. */
+    /* Runs of 32 7s every 4 KiB of sigma64: few enough positions of 7^8 for
+     * the helper to take a part, and each thread skips the rest of each run. */
     memcpy(sevens, sigma64, N);
     for (int64_t i = 1000; i < N; i += 4096)
         memset(sevens + i, 7, 32);
@@ -102,19 +133,13 @@ int main(void)
         for (int64_t r = 0; r < noise && i < N; r++)
             zero_runs[i++] = 1 + next() % 255;
     }
-    for (int64_t m = 4; m <= 16; m *= 2)
-        for (int k = 1; k <= 4; k += 3)
-            failed |= check("acgt", acgt, 1000, m, k);
-    failed |= check("dense", dense, 2000, 8, 1);
-    for (int k = 1; k <= 4; k++)
-        failed |= check("sigma64", sigma64, 5000, 8, k);
-    for (int k = 1; k <= 4; k += 3)
-        failed |= check("sevens", sevens, 1000, 8, k);
-    /* A pattern inside the first zero run, and one across its end. */
-    failed |= check("zero-runs", zero_runs, 40, 8, 1);
-    int64_t edge = 40;
-    while (!zero_runs[edge])
-        edge++;
-    failed |= check("zero-runs edge", zero_runs, edge - 4, 8, 1);
+    int failed = check_all(0) | check_all(2000);
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(sched_getcpu(), &one);
+    if (sched_setaffinity(0, sizeof one, &one))
+        perror("sched_setaffinity");
+    else
+        failed |= check_all(0);
     return failed;
 }

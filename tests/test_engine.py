@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -615,6 +616,22 @@ def test_search_file_memory_is_one_buffer(tmp_path):
         assert peak < bound, (size, peak)
 
 
+def test_search_file_memory_of_a_short_bytesio():
+    """An ``io.BytesIO`` gets a buffer for the bytes it has left, not a
+    whole chunk: a 10-byte text peaks under 64 KiB, the position buffer
+    included."""
+    flt = preprocess(b"ab")
+    text = io.BytesIO(b"xxabxxabab")
+    tracemalloc.start()
+    try:
+        out = flt.search_file(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.positions == [2, 6, 8]
+    assert peak < 64 << 10, peak
+
+
 def test_search_file_non_blocking_without_data_raises():
     # A non-blocking read with no data ready returns None, which must not
     # end the search as if the text ended there.
@@ -757,18 +774,20 @@ def _run_cases():
 def _split_cases():
     """(pattern, text, k) cases of kernel calls with at least 2**15 windows,
     (n - m + 1) / m, which scan on two threads where two CPUs are usable: a
-    helper scans from the midpoint of the rest after a lead, recording its
-    first window ends, and the main thread takes over the helper's state
-    where its own window end meets one of them. Where a call takes the
-    branch-free k=1 entry, each thread scans on two orbits joined the same
-    way, and on one CPU the calling thread does so over the whole call.
-    Between them the cases take every path of both joins."""
+    helper, whenever it starts, takes the back half of what the calling
+    thread has left and scans it, recording its first window ends, and the
+    calling thread takes over the helper's state where its own window end
+    meets one of them. Where a call takes the branch-free k=1 entry, the
+    calling thread scans on two orbits, the second from the midpoint, the
+    helper takes a part of each, and all are joined the same way; on one
+    CPU the calling thread scans the whole call on two orbits. Between them
+    the cases take every path of the joins."""
     rng = random.Random(0x5B17)
     windows = 1 << 15
     acgt = bytes(rng.choices(b"ACGT", k=8 * windows + 7))
     sigma64 = bytes(rng.choices(range(64), k=8 * windows + 7))
-    # A 4-byte pattern every 16 to 32 bytes: about 6,000 positions, too few
-    # for the lead to keep the call on one thread and too many for one buffer.
+    # A 4-byte pattern every 16 to 32 bytes: about 6,000 positions, too many
+    # for one buffer.
     planted = bytearray()
     while len(planted) < 4 * windows + 4099:
         planted += acgt[1000:1004] + bytes(rng.choices(b"ACGT", k=rng.randint(12, 28)))
@@ -776,19 +795,17 @@ def _split_cases():
     while len(zero_runs) < 8 * windows + 7:
         zero_runs += bytes(rng.randint(40, 72)) + bytes(rng.choices(range(1, 256), k=rng.randint(12, 24)))
     # Runs of 7s, which a pattern with t = 8 < m matches in part: no
-    # positions, so no dense lead, and most midpoints fall inside a run.
+    # positions, and most part starts fall inside a run.
     sevens = bytearray()
     while len(sevens) < 9 * windows + 8:
         sevens += b"\x07" * rng.randint(2000, 4000) + bytes(rng.choices(range(8, 72), k=rng.randint(100, 300)))
-    # Calls that take the branch-free entry scan each range that one thread
-    # scans alone on two orbits (sequences of window ends), the second from
-    # the range's midpoint, joined as above. With two CPUs the calling
-    # thread's ranges are the lead [0, n/16) and [n/16, 17n/32), second
-    # orbits near n/32 and 0.30 n, and the helper's starts past its records,
-    # second orbit near 0.77 n; on one CPU the range is the whole text,
-    # second orbit at n/2. x8 is planted over spans of acgt given as
-    # fractions of n: back to back, more positions than one buffer holds, or
-    # every few bytes.
+    # Calls that take the branch-free entry scan on two orbits (sequences of
+    # window ends), the second from the midpoint, joined as above. With two
+    # CPUs the helper takes the back half of what each orbit has left when
+    # it starts, so its parts start between n/4 and n/2 and between 3n/4
+    # and n; on one CPU the calling thread's two orbits cover the whole
+    # text. x8 is planted over spans of acgt given as fractions of n: back
+    # to back, more positions than one buffer holds, or every few bytes.
     acgt16 = bytes(rng.choices(b"ACGT", k=16 * windows + 15))
     x8 = acgt[2000:2008]
 
@@ -811,19 +828,19 @@ def _split_cases():
         # They meet, and the helper's positions overflow the buffer: the
         # call returns at the join, and the next call scans on from there.
         (acgt[1000:1004], bytes(planted), 1),
-        # k = 3 meets none of the recorded window ends here, and the main
-        # thread scans on alone; k = 4 meets one.
+        # k = 3 and 4: window ends that differ mod k seldom meet, and the
+        # calling thread then scans on alone.
         *((sigma64[5000:5008], sigma64, k) for k in (3, 4)),
-        # Both threads skip runs, and the main thread meets the helper's
-        # first window end at the end of a skip.
+        # Both threads skip runs, and parts start inside runs.
         (b"\x07" * 8 + b"\x01", bytes(sevens), 1),
-        # A dense lead: the call stays on one thread.
+        # Dense: each buffer fills within a few KiB, long before the calling
+        # thread reaches a part the helper took.
         (bytes(8), bytes(zero_runs[: 8 * windows + 7]), 1),
-        # Zeros past the midpoint fill the helper's buffer, and the main
+        # Zeros past the midpoint fill a part's buffer, and the calling
         # thread takes over its stopped state.
         (bytes(8), acgt[: 5 * windows] + bytes(3 * windows + 7), 1),
-        # Zeros before the midpoint fill the main thread's buffer before it
-        # reaches the helper's window ends.
+        # Zeros before the midpoint fill the calling thread's buffer before
+        # it reaches the later parts.
         (bytes(8), acgt[: 5 * windows] + bytes(100_000) + acgt[: 3 * windows], 1),
         # Two orbits per thread. Their window ends meet and the second
         # orbit's positions fit, at m = 4 and 16 (m = 8 is the first case).
@@ -831,13 +848,11 @@ def _split_cases():
         (acgt16[5000:5016], acgt16, 1),
         # The first orbit's buffer fills before it reaches the second's start.
         (x8, planted_in([(0.10, 0.25, 8)]), 1),
-        # The second orbit's buffer fills before the join: the calling
-        # thread's with two CPUs, and on one CPU the first orbit's.
+        # A second orbit's or a part's buffer fills before the join.
         (x8, planted_in([(0.35, 0.48, 8)]), 1),
-        # The helper's second orbit fills, and on one CPU the second orbit.
+        # A part of the second orbit fills, and on one CPU the second orbit.
         (x8, planted_in([(0.80, 0.93, 8)]), 1),
-        # The second orbit's positions overflow pos at the join: the calling
-        # thread's with two CPUs, and on one CPU across the whole text.
+        # Positions overflow pos at a join.
         (x8, planted_in([(0.07, 0.53, 20)]), 1),
         (x8, planted_in([(0.0, 1.0, 48)]), 1),
         # The window ends never meet, and the first orbit scans on alone.
@@ -883,20 +898,37 @@ def test_native_matches_python_reference(monkeypatch):
     assert len(cases) > 600
 
 
-def _compare_split_cases():
+def _compare_split_cases(pause=0.0):
     for pattern, text, k in _split_cases():
         flt = preprocess(pattern)
-        assert flt.search(text, k) == flt.search_file(_ShortReads(text, 8192), k)
+        time.sleep(pause)
+        assert flt.search(text, k) == flt.search_file(_ShortReads(text, 8192), k), (pattern, k)
 
 
 def test_split_scan_equals_short_calls():
-    """A search whose kernel calls scan on two threads, each of them on two
-    orbits where the call takes the branch-free entry, gives the positions
-    and counters of the same kernel in calls of about 8 KiB, which neither
-    split nor interleave."""
+    """A search whose kernel calls scan on two threads, on two orbits of the
+    calling thread where the call takes the branch-free entry, gives the
+    positions and counters of the same kernel in calls of about 8 KiB,
+    which neither split nor interleave. Each case runs back to back and
+    after a 2 ms sleep, which makes the helper thread start late, so that it
+    takes part of what the calling thread has left rather than half."""
     if engine._native is None:
         pytest.skip("native kernel unavailable: cc missing or the build failed")
     _compare_split_cases()
+    _compare_split_cases(pause=0.002)
+
+
+def _run_test_engine_child(code):
+    """Run ``code`` in a child interpreter that has imported this module as
+    ``test_engine``, and assert that it exits 0."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(engine.__file__)))
+    code = (
+        f"import os, sys; sys.path[:0] = [{here!r}, {src!r}]; import test_engine; "
+        f"assert test_engine.engine._native is not None; {code}"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert child.returncode == 0, child.stderr
 
 
 def test_one_cpu_scan_equals_short_calls():
@@ -910,15 +942,31 @@ def test_one_cpu_scan_equals_short_calls():
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("os.sched_setaffinity is unavailable on this platform")
     cpu = min(os.sched_getaffinity(0))
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(engine.__file__)))
-    code = (
-        f"import os, sys; os.sched_setaffinity(0, {{{cpu}}}); sys.path[:0] = [{here!r}, {src!r}]; "
-        "import test_engine; assert len(os.sched_getaffinity(0)) == 1; "
-        "assert test_engine.engine._native is not None; test_engine._compare_split_cases()"
+    _run_test_engine_child(
+        f"os.sched_setaffinity(0, {{{cpu}}}); assert len(os.sched_getaffinity(0)) == 1; "
+        "test_engine._compare_split_cases()"
     )
-    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
-    assert child.returncode == 0, child.stderr
+
+
+def test_split_pinned_after_count_equals_short_calls():
+    """A long call still splits in a process pinned to one CPU after the
+    kernel has counted two, but its helper thread runs only when the
+    scheduler takes the CPU from the calling thread, mostly after the call
+    has ended: it then takes nothing and exits. Positions and counters equal
+    those of calls of about 8 KiB."""
+    if engine._native is None:
+        pytest.skip("native kernel unavailable: cc missing or the build failed")
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("os.sched_setaffinity is unavailable on this platform")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two usable CPUs, so that the kernel counts two")
+    cpu = min(os.sched_getaffinity(0))
+    _run_test_engine_child(
+        "pattern, text, k = test_engine._split_cases()[0]; "
+        "test_engine.preprocess(pattern).search(text, k); "
+        f"os.sched_setaffinity(0, {{{cpu}}}); assert len(os.sched_getaffinity(0)) == 1; "
+        "test_engine._compare_split_cases()"
+    )
 
 
 def test_runs_across_reads(backend):
