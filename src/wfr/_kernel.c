@@ -71,8 +71,9 @@
  * takes a part of each, all joined the same way (see two_orbits): the k = 1
  * entry waits about 20 cycles on a chain of loads and hash steps from one
  * window end to the next, and two orbits in one loop overlap their chains.
- * On one usable CPU such a call scans its whole range on two orbits (see
- * scan_two).
+ * On one usable CPU split starts no helper: the calling thread scans such
+ * a call's two orbits in the same steps and joins them the same way, and
+ * scans any other long call as it scans a short one.
  *
  * Hash arithmetic is unsigned 64-bit; with alpha <= 30 and shift_s <= 2 no
  * intermediate value overflows. Built by engine.py with cc -O2 -pthread
@@ -436,17 +437,20 @@ static int64_t run_length(const uint8_t *p, uint8_t b, int64_t n)
  * to the verification, attempt and shift counters and w (t == m ? m : t +
  * 1) to the comparisons, and when t == m their positions go to pos, at most
  * cap of them, so that a full pos stops the scan where the window by window
- * scan stops. Returns the positions written; when y[i..j + 1] is not one
- * run, it writes none and leaves st as it is. */
+ * scan stops; the run is read no further than one window past them.
+ * Returns the positions written; when y[i..j + 1] is not one run, it writes
+ * none and leaves st as it is. */
 static __attribute__((noinline, cold)) int64_t
 run_skip(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st)
 {
     const int64_t m = c->m, i = st[0] - m;
     const uint8_t b = c->y[i];
-    int64_t w = run_length(c->y + i, b, n - i) - m; /* the window ends st[0], ... in the run */
+    const int64_t t = run_length(c->x, b, m);
+    /* where t == m, a run of cap + 1 windows or more is cut below */
+    const int64_t most = t == m && n - i > m + cap + 1 ? m + cap + 1 : n - i;
+    int64_t w = run_length(c->y + i, b, most) - m; /* the window ends st[0], ... in the run */
     if (w < 1)
         return 0;
-    const int64_t t = run_length(c->x, b, m);
     if (t < m)
         st[4] += w * (t + 1); /* each verification stops at the byte after the match */
     else {
@@ -518,8 +522,9 @@ static int64_t scan(const struct call *c, int64_t n, int64_t *pos, int64_t cap, 
     return found;
 }
 
-/* A call with at least SPLIT_MIN_WINDOWS windows, (n - st[0]) / m, scans
- * on two threads (see split); shorter calls stay on one.
+/* A call with at least SPLIT_MIN_WINDOWS windows, (n - st[0]) / m, goes
+ * to split, which scans it on two threads where two CPUs are usable;
+ * shorter calls go to scan.
  * SPLIT_MIN_WINDOWS: starting and joining the helper costs tens of us. An
  * m = 8 search of 4-symbol text took 57.4 us split against 57.9 us not at
  * 8,192 windows, 81 against 111 us at 16,384 and 150 against 226 us at
@@ -553,10 +558,9 @@ static int64_t scan(const struct call *c, int64_t n, int64_t *pos, int64_t cap, 
 #define SPLIT_STEP (16 << 10)
 
 /* A part of a range scanned as its own orbit: a part the helper of a split
- * call takes (see steal), or the calling thread's second orbit (see split
- * and scan_two). Its scan of
- * y[0..n) from window end st[0] into pos, which has cap slots. Record t is
- * st before its attempt t, then the positions found before it. */
+ * call takes (see steal), or the calling thread's second orbit (see split).
+ * Its scan of y[0..n) from window end st[0] into pos, which has cap slots.
+ * Record t is st before its attempt t, then the positions found before it. */
 struct half {
     const struct call *c;
     int64_t n, cap, found, records;
@@ -677,7 +681,14 @@ next_end(const uint8_t *y, int64_t m, const uint8_t *tbl, int s, uint64_t mask, 
  * one CPU 0.432 against 0.409 and 0.685 against 0.665 ms (medians of 15,
  * 8 patterns each, interleaved in one process, 2-vCPU Xeon VM), so a call
  * with the set scans on one orbit; the benchmark workloads have none that
- * takes the entry. */
+ * takes the entry.
+ * Two orbits gain on one CPU as well, so the calling thread scans on two
+ * where split has no helper. Against one orbit, 1 MiB ACGT on two threads:
+ * m = 4 1.43 -> 1.01 ms, m = 8 0.55 -> 0.39 ms, m = 16 0.32 -> 0.25 ms; on
+ * one CPU: m = 4 1.98 -> 1.77 ms (its 4,096 or so positions overflow pos at
+ * the join, and the next call scans the second half again), m = 8 0.99 ->
+ * 0.67 ms, m = 16 0.55 -> 0.41 ms (medians of 15, 8 patterns each,
+ * interleaved in one process, 2-vCPU Xeon VM). */
 static int64_t two_orbits(const struct call *c, int64_t *st, int64_t *pos, int64_t cap,
                           int64_t found, struct half *h, int64_t ea, int64_t eb)
 {
@@ -708,31 +719,6 @@ static int64_t two_orbits(const struct call *c, int64_t *st, int64_t *pos, int64
     if (found < cap)
         more += scan(c, eb, h->pos + more, h->cap - more, h->st);
     h->found = more;
-    return found;
-}
-
-/* scan, on two orbits where the call takes the entry and the filter has no
- * set: the second starts at the midpoint of the range in a struct half and
- * records its first attempts (see record), the two run in one loop (see
- * two_orbits), and join merges them, so positions and counters are those of
- * one orbit. When pos fills before the midpoint, the second orbit is not
- * needed. A failed malloc leaves the range on one orbit. Against one orbit,
- * 1 MiB ACGT on two threads: m = 4 1.43 -> 1.01 ms, m = 8 0.55 -> 0.39 ms,
- * m = 16 0.32 -> 0.25 ms; on one CPU: m = 4 1.98 -> 1.77 ms (its 4,096 or
- * so positions overflow pos at the join, and the next call scans the second
- * half again), m = 8 0.99 -> 0.67 ms, m = 16 0.55 -> 0.41 ms (medians of
- * 15, 8 patterns each, interleaved in one process, 2-vCPU Xeon VM). */
-static int64_t scan_two(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st)
-{
-    const int64_t mid = st[0] + (n - st[0]) / 2;
-    struct half *h = c->entry && !c->slots ? new_half(c, n, cap, mid) : NULL;
-    if (!h)
-        return scan(c, n, pos, cap, st);
-    record(h);
-    int64_t found = two_orbits(c, st, pos, cap, 0, h, mid, n);
-    if (found < cap)
-        found = join(c, h, pos, cap, st, found);
-    free(h);
     return found;
 }
 
@@ -830,25 +816,28 @@ static void *steal(void *arg)
     return NULL;
 }
 
-/* The scan of a long call on two threads, with the positions and counters
- * of one. The next window end is a function of the window end alone, and so
- * is what an attempt adds to each counter: the scan is the orbit of st[0]
- * under that step, and a part started anywhere ahead joins it where their
- * window ends meet (see join). The helper thread starts at once. The
- * calling thread scans its orbits, two where two_orbits applies (orbit 1
- * from the midpoint), in steps of at most SPLIT_STEP bytes, and renews each
- * step's bound under the lock. Whenever the helper starts, it takes the back
- * half of what each orbit has left past that bound (see steal), so a late
- * helper costs the call about its delay L and no more: with one thread's
- * work W, the call ends near L + (W - L) / 2 rather than W / 2 + L. At the
- * end the calling thread waits for the parts the helper took, never for a
- * helper that has not yet run, and chains the parts in text order: orbit 0,
- * the helper's part of it, orbit 1 and the helper's part of that, each
- * joined to the orbit so far. When positions overflow pos at a join, the
- * call returns there and the next call resumes, so where a call's batch
- * ends may depend on the helper's timing; its final positions and counters
- * do not. A failed malloc leaves the call to scan_two, and a failed
- * pthread_create leaves it to the calling thread's steps alone.
+/* The scan of a long call, on two threads where helper is set, with the
+ * positions and counters of one. The next window end is a function of the
+ * window end alone, and so is what an attempt adds to each counter: the
+ * scan is the orbit of st[0] under that step, and a part started anywhere
+ * ahead joins it where their window ends meet (see join). The helper thread
+ * starts at once. The calling thread scans its orbits, two where two_orbits
+ * applies (orbit 1 from the midpoint), in steps of at most SPLIT_STEP
+ * bytes, and renews each step's bound under the lock. Whenever the helper
+ * starts, it takes the back half of what each orbit has left past that
+ * bound (see steal), so a late helper costs the call about its delay L and
+ * no more: with one thread's work W, the call ends near L + (W - L) / 2
+ * rather than W / 2 + L. At the end the calling thread waits for the parts
+ * the helper took, never for a helper that has not yet run, and chains the
+ * parts in text order: orbit 0, the helper's part of it, orbit 1 and the
+ * helper's part of that, each joined to the orbit so far. When positions
+ * overflow pos at a join, the call returns there and the next call resumes,
+ * so where a call's batch ends may depend on the helper's timing; its final
+ * positions and counters do not. Without a helper, where one CPU is usable
+ * or pthread_create fails, the calling thread's steps run alone and end in
+ * the same chain of joins. A call on one orbit where one CPU is usable,
+ * whose steps would gain nothing, and a failed malloc leave the call to
+ * scan, on one orbit.
  * With the midpoint fixed before the helper ran, the calling thread scanned
  * its half and then waited for the helper's late half: a thread created
  * after 1.5 ms of idle on the other vCPU starts 138 us late (median; 11 us
@@ -860,16 +849,19 @@ static void *steal(void *arg)
  * in one process, 2-vCPU Xeon VM). Spinning up to 200,000 pauses before
  * the wait for the helper took 1-3% more off after a pause, and was left
  * out. */
-static int64_t split(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st)
+static int64_t split(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st,
+                     int helper)
 {
     const int64_t mid = st[0] + (n - st[0]) / 2;
-    const int two = c->entry && !c->slots; /* as in scan_two */
+    const int two = c->entry && !c->slots; /* see two_orbits */
+    if (!helper && !two)
+        return scan(c, n, pos, cap, st);
     struct share *sh = calloc(1, sizeof *sh);
     struct half *h = two ? new_half(c, n, cap, mid) : NULL;
     if (!sh || (two && !h)) {
         free(sh);
         free(h);
-        return scan_two(c, n, pos, cap, st);
+        return scan(c, n, pos, cap, st);
     }
     pthread_mutex_init(&sh->lock, NULL);
     pthread_cond_init(&sh->finished, NULL);
@@ -881,11 +873,11 @@ static int64_t split(const struct call *c, int64_t n, int64_t *pos, int64_t cap,
     sh->bound[0] = st[0];
     sh->bound[1] = mid;
     sh->users = 2;
-    pthread_t helper;
-    if (pthread_create(&helper, NULL, steal, sh))
+    pthread_t thread;
+    if (!helper || pthread_create(&thread, NULL, steal, sh))
         sh->users = 1;
     else
-        pthread_detach(helper);
+        pthread_detach(thread);
     int64_t found = 0;
     if (h)
         record(h);
@@ -935,10 +927,10 @@ static int64_t split(const struct call *c, int64_t n, int64_t *pos, int64_t cap,
  *
  * A k = 1 call chooses once whether its scans take the branch-free entry,
  * from the window ends at st[0] (see ENTRY_MISS_SHARE). A call with at least
- * SPLIT_MIN_WINDOWS windows scans on two threads where two CPUs are usable
- * (see split), and on two orbits of the calling thread where one is, if it
- * takes the entry without the hashed set (see scan_two); the rest scan on
- * the calling thread alone, on one orbit. */
+ * SPLIT_MIN_WINDOWS windows goes to split, with a helper thread where two
+ * CPUs are usable; where one is, split scans it on the calling thread's two
+ * orbits if two_orbits applies. The rest scan on the calling thread alone,
+ * on one orbit. */
 int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
                  const uint8_t *tbl, const uint32_t *set, int64_t slots, int s, uint64_t mask,
                  int k, int64_t *pos, int64_t cap, int64_t *st, int64_t base)
@@ -949,7 +941,5 @@ int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
     };
     if ((n - st[0]) / m < SPLIT_MIN_WINDOWS)
         return scan(&c, n, pos, cap, st);
-    if (usable_cpus() < 2)
-        return scan_two(&c, n, pos, cap, st);
-    return split(&c, n, pos, cap, st);
+    return split(&c, n, pos, cap, st, usable_cpus() > 1);
 }

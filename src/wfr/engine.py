@@ -57,11 +57,12 @@ that starts after the call has ended takes nothing and exits. Where such a
 call takes the entry and its filter has no hashed set, the calling thread
 scans two sequences of window ends, the second from the midpoint, one
 attempt of each per pass of one loop so that their chains of loads overlap,
-the helper takes a part of each, and all are joined the same way; on one
-usable CPU the calling thread scans the whole call on two sequences. The
-counters, and the inspected bytes derived from them, stay the algorithm's
-logical counts: none counts probes, and ``check_comparisons`` counts
-bytes. On the first import after
+the helper takes a part of each, and all are joined the same way. On one
+usable CPU no helper starts: the calling thread scans such a call's two
+sequences in the same steps, and any other long call as it scans a short one.
+The counters, and the inspected bytes derived from them, stay the
+algorithm's logical counts: none counts probes, and ``check_comparisons``
+counts bytes. On the first import after
 the source or the compile command changes, the kernel is compiled with
 ``cc -O2 -pthread -shared -fPIC`` (``_KERNEL_CC``) into
 ``__pycache__/_kernel-<cache tag>-<crc32 of the command and the source>.so``

@@ -729,7 +729,7 @@ def _edge_cases():
     # one of them up.
     for k in (2, 3, 4):
         cases.append((b"\x07" * 16, b"\x07" * (cap + 50), k, FilterParams(alpha=24)))
-    return cases + [(p, t, k, params) for p, t, k in _run_cases() + _split_cases()]
+    return cases + [(p, t, k, params) for p, t, k in _run_cases()] + _split_cases()
 
 
 def _run_cases():
@@ -768,20 +768,24 @@ def _run_cases():
     for k in (2, 3, 4):
         cases.append((b"\x07" * 8, seven, k))
         cases.append((b"\x07" * 8 + b"\x01\x07", seven, k))
+    # A run of more positions than two buffers hold that reaches the end of
+    # the text: each call is cut where its buffer fills.
+    cases.append((b"\x07" * 8, noise[:300] + b"\x07" * (2 * cap + 100), 1))
     return cases
 
 
 def _split_cases():
-    """(pattern, text, k) cases of kernel calls with at least 2**15 windows,
-    (n - m + 1) / m, which scan on two threads where two CPUs are usable: a
-    helper, whenever it starts, takes the back half of what the calling
-    thread has left and scans it, recording its first window ends, and the
-    calling thread takes over the helper's state where its own window end
-    meets one of them. Where a call takes the branch-free k=1 entry, the
-    calling thread scans on two orbits, the second from the midpoint, the
-    helper takes a part of each, and all are joined the same way; on one
-    CPU the calling thread scans the whole call on two orbits. Between them
-    the cases take every path of the joins."""
+    """(pattern, text, k, params) cases of kernel calls with at least 2**15
+    windows, (n - m + 1) / m, which scan on two threads where two CPUs are
+    usable: a helper, whenever it starts, takes the back half of what the
+    calling thread has left and scans it, recording its first window ends,
+    and the calling thread takes over the helper's state where its own
+    window end meets one of them. Where a call takes the branch-free k=1
+    entry and its filter has no hashed set, the calling thread scans on two
+    orbits, the second from the midpoint, the helper takes a part of each,
+    and all are joined the same way; on one CPU no helper starts, and the
+    calling thread's orbits cover the whole call. Between them the cases
+    take every path of the joins."""
     rng = random.Random(0x5B17)
     windows = 1 << 15
     acgt = bytes(rng.choices(b"ACGT", k=8 * windows + 7))
@@ -822,7 +826,7 @@ def _split_cases():
     for lo, hi in ((0.24, 0.32), (0.46, 0.56)):
         lo, hi = int(lo * len(apart)), int(hi * len(apart)) + 5
         apart[lo:hi] = b"N" * (hi - lo)
-    return [
+    cases = [
         # The window ends meet, and the helper's positions fit.
         (acgt[2000:2008], acgt, 1),
         # They meet, and the helper's positions overflow the buffer: the
@@ -858,6 +862,11 @@ def _split_cases():
         # The window ends never meet, and the first orbit scans on alone.
         (x8, bytes(apart), 1),
     ]
+    cases = [(p, t, k, FilterParams()) for p, t, k in cases]
+    # At alpha=24 the filter has a hashed set, so a k=1 call that takes the
+    # entry scans on one orbit, as every k=2 call does.
+    cases.extend((acgt[3000:3008], acgt, k, FilterParams(alpha=24)) for k in (1, 2))
+    return cases
 
 
 def test_native_matches_python_reference(monkeypatch):
@@ -899,19 +908,20 @@ def test_native_matches_python_reference(monkeypatch):
 
 
 def _compare_split_cases(pause=0.0):
-    for pattern, text, k in _split_cases():
-        flt = preprocess(pattern)
+    for pattern, text, k, params in _split_cases():
+        flt = preprocess(pattern, params)
         time.sleep(pause)
-        assert flt.search(text, k) == flt.search_file(_ShortReads(text, 8192), k), (pattern, k)
+        assert flt.search(text, k) == flt.search_file(_ShortReads(text, 8192), k), (pattern, k, params)
 
 
 def test_split_scan_equals_short_calls():
     """A search whose kernel calls scan on two threads, on two orbits of the
-    calling thread where the call takes the branch-free entry, gives the
-    positions and counters of the same kernel in calls of about 8 KiB,
-    which neither split nor interleave. Each case runs back to back and
-    after a 2 ms sleep, which makes the helper thread start late, so that it
-    takes part of what the calling thread has left rather than half."""
+    calling thread where the call takes the branch-free entry and its filter
+    has no hashed set, gives the positions and counters of the same kernel
+    in calls of about 8 KiB, which neither split nor interleave. Each case
+    runs back to back and after a 2 ms sleep, which makes the helper thread
+    start late, so that it takes part of what the calling thread has left
+    rather than half."""
     if engine._native is None:
         pytest.skip("native kernel unavailable: cc missing or the build failed")
     _compare_split_cases()
@@ -932,11 +942,12 @@ def _run_test_engine_child(code):
 
 
 def test_one_cpu_scan_equals_short_calls():
-    """On one usable CPU a long kernel call that takes the branch-free entry
-    scans its whole range on two orbits of the calling thread, and gives the
-    positions and counters of calls of about 8 KiB. The kernel counts its
-    CPUs once per process, so the comparison runs in a child process that
-    first pins itself, and only itself, to one CPU."""
+    """On one usable CPU a long kernel call on two orbits scans in the same
+    steps and with the same joins as on two, with no helper thread, and any
+    other long call in one scan; both give the positions and counters of
+    calls of about 8 KiB. The kernel counts its CPUs once per process, so
+    the comparison runs in a child process that first pins itself, and only
+    itself, to one CPU."""
     if engine._native is None:
         pytest.skip("native kernel unavailable: cc missing or the build failed")
     if not hasattr(os, "sched_setaffinity"):
@@ -962,8 +973,8 @@ def test_split_pinned_after_count_equals_short_calls():
         pytest.skip("needs two usable CPUs, so that the kernel counts two")
     cpu = min(os.sched_getaffinity(0))
     _run_test_engine_child(
-        "pattern, text, k = test_engine._split_cases()[0]; "
-        "test_engine.preprocess(pattern).search(text, k); "
+        "pattern, text, k, params = test_engine._split_cases()[0]; "
+        "test_engine.preprocess(pattern, params).search(text, k); "
         f"os.sched_setaffinity(0, {{{cpu}}}); assert len(os.sched_getaffinity(0)) == 1; "
         "test_engine._compare_split_cases()"
     )
