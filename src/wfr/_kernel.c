@@ -345,23 +345,29 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
  * predictably: taken on every call, it slowed m = 8 scans of 1 MiB from
  * 0.89-0.91 to 1.35-1.41 ms on 64 symbols and from 0.58-0.64 to 1.34-1.39
  * ms on 256 (3 alternating runs each). The sample alone would take it on
- * the text-long benchmark workload (m = 256 and 1024 on 64 symbols at
- * shift_s = 2, where 2-byte hashes collide and the second probe passes
- * about half the time), whose query_ms_p95 then rose from 0.49-0.54 to
- * 0.62-0.73 ms and query_ms_p50 from 0.21-0.23 to 0.22-0.25 ms (5
- * alternating perfbench pairs). Times are from a 2-vCPU Xeon VM.
+ * long patterns, where it loses on texts that are not in cache (see
+ * ENTRY_M_MAX). Times are from a 2-vCPU Xeon VM.
  *
  * ENTRY_M_MIN: below it the probe at j - 2 is at or left of the window
  * start, whose probe the loop's verify test makes, so the entry never runs.
- * ENTRY_M_MAX: stands in for table loads that miss the cache. A predicted
- * exit branch lets the next window's loads start while a probe's load is
- * still out, and the entry makes the next window end wait for its three
- * loads. Timed in turn in one library, each search building its filter
- * afresh as text-long's queries do, the entry took 1.22-1.26 times the
- * loop's time at m = 256 on 64 symbols with a 2 MiB table (alpha = 24), but
- * 0.86-0.95 times with an 8 KiB one (alpha = 16), 0.80-0.93 times at m = 32
- * and 64 on 64 symbols with the 2 MiB one, and 0.79-0.86 times at m = 8 on
- * 4 symbols, whose probes stay in a few lines of it.
+ * ENTRY_M_MAX: guards loads of the text, not of the table. A filter with
+ * m <= 64 has a tbl of at most 16 KiB, and the entry's three probes read
+ * only hash values below 2**14, its first 2 KiB. A predicted exit branch
+ * lets the next window's loads start while a probe's load is still out,
+ * and the entry makes the next window end, up to m bytes further on, wait
+ * for its three loads. Without the bound, k = 1 searches of 16 MiB texts at alpha
+ * = 16, whose calls split on two orbits, took 1.73 times as long at m =
+ * 256 on 64 symbols and 1.23 times on 16, 1.10 and 1.03 times at m = 128,
+ * and 0.84 and 0.80 times at m = 65. With two orbits still kept to m <= 64,
+ * m = 256 on 64 symbols took 1.63 times as long; at alpha = 24, whose
+ * filter has a set and so one orbit, 1.69 times, and 1.83 times on one
+ * CPU, where the call is one plain scan. 1 MiB texts searched over and
+ * over stay in cache: there the same alpha = 24, m = 256 calls took 0.96
+ * times as long on 64 symbols and 0.74 times on 16, and the text-long
+ * workload's query_ms_p50 fell from 0.0566 to 0.0523 ms (8 of 8
+ * alternating perfbench pairs, parent IQR 1.8%; query_ms_p95 -1%). Each
+ * time is a mean over 6 patterns of the median of 5 searches, the median
+ * of 4 alternating runs. SPLIT_STEP's size rests on the bound too.
  * ENTRY_SAMPLE: at a share of 0.3 one binomial standard deviation over 256
  * window ends is 0.03. The sample took 1.1-1.8 us a call on 4, 64 and 256
  * symbols, 0.2% of an m = 8 scan of 1 MiB on 64 symbols.

@@ -107,6 +107,24 @@ def _resolve_corpus(text_path: str | None, synth: str | None, seed: int):
     return synth_corpus(sigma, length, seed)
 
 
+def _corpus_options(own):
+    """The options of bench and stats: the eight they share (the corpus, the
+    sampled patterns, the wfr hash params and the output format) with
+    ``own``, the command's own option, after --seed."""
+    options = (
+        click.option("--text", "text_path", default=None, type=click.Path(), help="Corpus file (raw bytes)."),
+        click.option("--synth", default=None, metavar="SIGMA,LENGTH", help="Synthetic corpus instead of a file."),
+        click.option("--m", "m_spec", default=DEFAULT_M, show_default=True, help="Comma-separated pattern lengths."),
+        click.option("--runs", type=int, default=50, show_default=True, help="Patterns sampled per length."),
+        click.option("--seed", type=int, default=0, show_default=True, help="Seed for corpus synthesis and pattern sampling."),
+        own,
+        click.option("--alpha", type=int, default=16, show_default=True, help="Hash bit width for wfr variants."),
+        click.option("--shift", "shift_s", type=int, default=2, help="Hash shift per character for wfr variants."),
+        click.option("--format", "fmt", type=click.Choice(["csv", "markdown", "json"]), default="markdown", show_default=True, help="Output format."),
+    )
+    return lambda fn: functools.reduce(lambda done, option: option(done), reversed(options), fn)
+
+
 @click.group()
 def main():
     """Exact string search over byte files, with benchmark and stats modes."""
@@ -130,8 +148,8 @@ def cmd_search(text_file, pattern, pattern_file, algo, k, alpha, shift_s):
     needle = _read_pattern(pattern, pattern_file)
     with _TextFile(text_file) as text:
         # The baselines use neither the hash params nor k, but reject the values
-        # that wfr rejects. stream_file checks k now, before the text opens.
-        stream = prepare(algo, needle, FilterParams(alpha=alpha, shift_s=shift_s)).stream_file(text, k)
+        # that wfr rejects. stream checks k now, before the text opens.
+        stream = prepare(algo, needle, FilterParams(alpha=alpha, shift_s=shift_s)).stream(text, k)
         occurrences = 0
         for batch in stream:
             occurrences += len(batch)
@@ -142,15 +160,7 @@ def cmd_search(text_file, pattern, pattern_file, algo, k, alpha, shift_s):
 
 
 @main.command("bench")
-@click.option("--text", "text_path", default=None, type=click.Path(), help="Corpus file (raw bytes).")
-@click.option("--synth", default=None, metavar="SIGMA,LENGTH", help="Synthetic corpus instead of a file.")
-@click.option("--m", "m_spec", default=DEFAULT_M, show_default=True, help="Comma-separated pattern lengths.")
-@click.option("--runs", type=int, default=50, show_default=True, help="Patterns sampled per length.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for corpus synthesis and pattern sampling.")
-@click.option("--algos", default="wfr,naive", show_default=True, help="Comma-separated algorithm names (wfr, wfr2-wfr4, naive, horspool).")
-@click.option("--alpha", type=int, default=16, show_default=True, help="Hash bit width for wfr variants.")
-@click.option("--shift", "shift_s", type=int, default=2, help="Hash shift per character for wfr variants.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "markdown", "json"]), default="markdown", show_default=True, help="Output format.")
+@_corpus_options(click.option("--algos", default="wfr,naive", show_default=True, help="Comma-separated algorithm names (wfr, wfr2-wfr4, naive, horspool)."))
 @_mapped_errors
 def cmd_bench(text_path, synth, m_spec, runs, seed, algos, alpha, shift_s, fmt):
     """Benchmark algorithms over seeded random patterns; timings include
@@ -171,15 +181,7 @@ def cmd_bench(text_path, synth, m_spec, runs, seed, algos, alpha, shift_s, fmt):
 
 
 @main.command("stats")
-@click.option("--text", "text_path", default=None, type=click.Path(), help="Corpus file (raw bytes).")
-@click.option("--synth", default=None, metavar="SIGMA,LENGTH", help="Synthetic corpus instead of a file.")
-@click.option("--m", "m_spec", default=DEFAULT_M, show_default=True, help="Comma-separated pattern lengths.")
-@click.option("--runs", type=int, default=50, show_default=True, help="Patterns sampled per length.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for corpus synthesis and pattern sampling.")
-@click.option("--k", type=int, default=1, show_default=True, help="Characters folded per filter probe (1-4).")
-@click.option("--alpha", type=int, default=16, show_default=True, help="Hash bit width.")
-@click.option("--shift", "shift_s", type=int, default=2, help="Hash shift per character.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "markdown", "json"]), default="markdown", show_default=True, help="Output format.")
+@_corpus_options(click.option("--k", type=int, default=1, show_default=True, help="Characters folded per filter probe (1-4)."))
 @_mapped_errors
 def cmd_stats(text_path, synth, m_spec, runs, seed, k, alpha, shift_s, fmt):
     """Report the benchmark's mean occurrences and verifications for wfr

@@ -95,10 +95,10 @@ It never holds all the positions: every scan has the kernel's contract,
 writing at most one buffer of ``_POSITIONS_PER_CALL`` positions, which the
 stream allocates once, and returning how many it wrote. Each
 non-empty batch is a view of that buffer, valid until the next call.
-``search(text, k)`` scans the text in place as its only window and
-``search_file(fh, k)`` a binary file; both extend one list from the views.
-``stream_file(fh, k)`` returns the :class:`PositionStream` itself, which
-hands each batch over as a list the caller owns.
+``stream(source, k)`` returns the :class:`PositionStream` of a text, scanned
+in place as its only window, or of a binary file; it hands each batch over
+as a list the caller owns. ``search(source, k)`` extends one list from the
+views.
 """
 
 from __future__ import annotations
@@ -374,9 +374,9 @@ def _as_pattern(arg) -> bytes:
 
 
 class Matcher:
-    """One preprocessed pattern, which scans any number of texts with
-    :meth:`search`, :meth:`search_file` and :meth:`stream_file`, all on
-    :meth:`stream`. ``pattern`` is checked by :func:`_as_pattern`, and
+    """One preprocessed pattern, which scans any number of texts or binary
+    files with :meth:`stream`, or with :meth:`search`, which collects it.
+    ``pattern`` is checked by :func:`_as_pattern`, and
     ``scan(matcher, window, k, state, base, pos)``, run by ``backend``
     (``"native"`` or ``"python"``), has the contract of the kernel's
     ``wfr_scan``: it scans ``window`` (``bytes``, or a view of a file's
@@ -398,37 +398,28 @@ class Matcher:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
-    def search(self, text: bytes, k: int = 1) -> SearchOutcome:
-        """All occurrences of the pattern in ``text`` and the scan's counters,
-        with zero attempts if ``m > n``. ``k``, for wfr the characters folded
-        per filter probe, is checked as :meth:`stream` checks it; then
-        ``text`` is taken as :meth:`stream` takes its ``source``: a ``bytes``
-        text is read in place, any other bytes-like one copied once, and
-        anything else raises ``TypeError`` unless it is a binary file."""
-        return self.stream(text, k)._collect()
+    def search(self, source, k: int = 1) -> SearchOutcome:
+        """All occurrences of the pattern in ``source`` and the scan's
+        counters, with zero attempts if ``m > n``: :meth:`stream` collected
+        into one list."""
+        return self.stream(source, k)._collect()
 
-    def search_file(self, fh, k: int = 1) -> SearchOutcome:
-        """:meth:`search` over binary file ``fh``, read with ``fh.readinto``
-        until it returns 0, with the positions and counters of
-        ``search(fh.read(), k)``. It holds one buffer of at most 1 MiB plus
-        ``m-1`` bytes of text; a short read, from a pipe, fills less of it."""
-        return self.stream(fh, k)._collect()
-
-    def stream_file(self, fh, k: int = 1) -> PositionStream:
-        """:meth:`search_file` as a :class:`PositionStream`. ``k`` is checked
-        now; ``fh`` is read as the stream is iterated, so the stream must be
-        used up before ``fh`` is closed."""
-        return self.stream(fh, k)
-
-    def stream(self, source, k: int) -> PositionStream:
+    def stream(self, source, k: int = 1) -> PositionStream:
         """The :class:`PositionStream` of ``source``, scanned as it is
-        iterated; :class:`ConfigurationError` now unless ``k`` is an ``int``
-        in ``[1, 4]`` and at most ``m``. ``source`` is a binary file, which
-        is anything with ``readinto``, or else the text, which must be
-        bytes-like (``TypeError`` otherwise, and for a text-mode file). It
-        calls the scan until ``state[0] >= len(window)`` on each
-        window, the text or each of :func:`_file_windows`, and yields each
-        non-empty batch as an int64 memoryview of ``pos``."""
+        iterated; :class:`ConfigurationError` now unless ``k``, for wfr the
+        characters folded per filter probe, is an ``int`` in ``[1, 4]`` and
+        at most ``m``. ``source`` is a binary file, which is anything with
+        ``readinto``, or else the text, which must be bytes-like
+        (``TypeError`` otherwise, and for a text-mode file): a ``bytes``
+        text is read in place, any other bytes-like one copied once. A file
+        is read with ``readinto`` until it returns 0, with the positions and
+        counters of ``search(fh.read(), k)``, through one buffer of at most
+        1 MiB plus ``m-1`` bytes of text; a short read, from a pipe, fills
+        less of it. It is read as the stream is iterated, so the stream must
+        be used up before the file is closed. The driver calls the scan until
+        ``state[0] >= len(window)`` on each window, the text or each of
+        :func:`_file_windows`, and yields each non-empty batch as an int64
+        memoryview of ``pos``."""
         m, scan = len(self.pattern), self._scan
         if not isinstance(k, int) or not K_MIN <= k <= K_MAX:
             raise ConfigurationError(f"k must be in [{K_MIN}, {K_MAX}], got {k!r}")
@@ -612,7 +603,7 @@ class FactorFilter(Matcher):
         cells = memoryview(self.hashed).cast("I").tolist()
         return int.from_bytes(self.bits, "little").bit_count() + len(cells) - cells.count(_EMPTY)
 
-    def stream(self, source, k: int) -> PositionStream:
+    def stream(self, source, k: int = 1) -> PositionStream:
         """:meth:`Matcher.stream`, after checking that both parts have the
         sizes :func:`_layout` gives for the params and the pattern: the scans
         index them without bounds checks, and a probe of the set stops only

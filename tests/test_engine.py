@@ -190,10 +190,10 @@ def test_matcher_backend_is_the_one_given():
     assert isinstance(scan, functools.partial)
     matcher = engine.Matcher(b"ab", scan, backend="native")
     assert matcher.backend == "native"
-    outcomes = [matcher.search(b"xxab"), matcher.search_file(io.BytesIO(b"xxab"))]
+    outcomes = [matcher.search(b"xxab"), matcher.search(io.BytesIO(b"xxab"))]
     assert [out.backend for out in outcomes] == ["native", "native"]
     assert outcomes[0] == outcomes[1] == baselines.prepare("horspool", b"ab").search(b"xxab")
-    stream = matcher.stream_file(io.BytesIO(b"xxab"))
+    stream = matcher.stream(io.BytesIO(b"xxab"))
     assert stream.backend == "native" and list(stream) == [[2]]
     assert engine.Matcher(b"ab", scan).backend == "python"
 
@@ -322,7 +322,7 @@ def test_search_rejects_str_inputs():
         search("ab", b"xab")
     # A text-mode file yields str chunks; they are refused the same way.
     with pytest.raises(TypeError, match="text must be bytes-like, not str"):
-        preprocess(b"ab").search_file(io.StringIO("xxab"))
+        preprocess(b"ab").search(io.StringIO("xxab"))
     # Every registry id refuses them too, and the oracle either argument.
     for algo in baselines.ALGORITHMS:
         with pytest.raises(TypeError, match="pattern must be bytes-like, not str"):
@@ -474,7 +474,7 @@ def test_counter_sweep_chunked(backend):
 
         def run(pattern, text, params, k):
             reads = _ShortReads(text, chunk(len(pattern)))
-            return preprocess(pattern, params).search_file(reads, k)
+            return preprocess(pattern, params).search(reads, k)
 
         records = _counter_sweep(run)
         assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == COUNTER_SWEEP_SHA256
@@ -486,16 +486,16 @@ def test_counter_sweep_chunked(backend):
         pattern = bytes(rng.choices(b"ab", k=m))
         flt = preprocess(pattern, FilterParams(alpha=rng.choice([8, 16]), shift_s=rng.choice([1, 2])))
         for k in range(1, min(4, m) + 1):
-            assert flt.search_file(_ShortReads(text, 1), k) == flt.search(text, k)
+            assert flt.search(_ShortReads(text, 1), k) == flt.search(text, k)
     with open(os.devnull, "rb") as empty:
-        assert preprocess(b"ab").search_file(empty) == SearchOutcome()
+        assert preprocess(b"ab").search(empty) == SearchOutcome()
 
 
-def test_stream_file_batches(backend):
-    """stream_file yields the positions of search_file in non-empty batches
-    that the caller owns, for reads shorter than, equal to and longer than
-    the pattern, 1-byte reads and whole-text reads; once it is exhausted
-    its counters are those of the whole-text search."""
+def test_file_stream_batches(backend):
+    """The stream of a file yields the positions of its search in non-empty
+    batches that the caller owns, for reads shorter than, equal to and
+    longer than the pattern, 1-byte reads and whole-text reads; once it is
+    exhausted its counters are those of the whole-text search."""
     rng = random.Random(0x57EA)
     cap = engine._POSITIONS_PER_CALL
     # A full kernel buffer, then a call that finds nothing; and several
@@ -513,7 +513,7 @@ def test_stream_file_batches(backend):
         whole = flt.search(text, k)
         m = len(pattern)
         for most in (max(m - 1, 1), m, m + 1, 97, 1, engine._CHUNK_BYTES):
-            stream = flt.stream_file(_ShortReads(text, most), k)
+            stream = flt.stream(_ShortReads(text, most), k)
             kept = []
             for batch in stream:
                 assert type(batch) is list and batch
@@ -523,19 +523,19 @@ def test_stream_file_batches(backend):
             counters = [stream.verification_count, stream.attempt_count, stream.total_shift, stream.check_comparisons]
             assert counters == _record(whole)[1:]
             assert stream.backend == backend
-    batches = list(preprocess(b"aaaa").stream_file(io.BytesIO(b"a" * (cap + 3) + b"x" * 10)))
+    batches = list(preprocess(b"aaaa").stream(io.BytesIO(b"a" * (cap + 3) + b"x" * 10)))
     assert [len(batch) for batch in batches] == [cap]
     # k is checked when the stream is made, before anything is read.
     with pytest.raises(ConfigurationError):
-        preprocess(b"ab").stream_file(None, 3)
+        preprocess(b"ab").stream(None, 3)
 
 
 def test_baselines_chunked_equal_whole_text(backend, monkeypatch):
     """Every algorithm of the registry, on the one scan driver, gives the
     positions and all four counters of a whole-text run for reads shorter
     than, equal to and longer than the pattern, and for 1-byte reads, both
-    from search_file and as stream_file's non-empty batches. It does so
-    with a 3-position buffer too, which makes every scan stop mid-window
+    from the search of a file and as its stream's non-empty batches. It does
+    so with a 3-position buffer too, which makes every scan stop mid-window
     whenever the buffer fills and resume from its state."""
     cap = engine._POSITIONS_PER_CALL
     rng = random.Random(0xBA5E)
@@ -559,8 +559,8 @@ def test_baselines_chunked_equal_whole_text(backend, monkeypatch):
                 monkeypatch.setattr(engine, "_POSITIONS_PER_CALL", buffer)
                 assert matcher.search(text) == want
                 for most in (max(m - 1, 1), m, m + 1, 97, 1):
-                    assert matcher.search_file(_ShortReads(text, most)) == want
-                    stream = matcher.stream_file(_ShortReads(text, most))
+                    assert matcher.search(_ShortReads(text, most)) == want
+                    stream = matcher.stream(_ShortReads(text, most))
                     batches = list(stream)
                     assert all(type(batch) is list and batch for batch in batches)
                     assert [p for batch in batches for p in batch] == want.positions
@@ -593,12 +593,12 @@ def test_stale_bytes_past_the_last_window(backend, monkeypatch):
                 for algo in baselines.ALGORITHMS:
                     matcher = baselines.prepare(algo, pattern)
                     for k in range(1, min(4, m) + 1) if algo == "wfr" else (1,):
-                        assert matcher.search_file(io.BytesIO(text), k) == matcher.search(text, k), (pattern, t, algo, k)
+                        assert matcher.search(io.BytesIO(text), k) == matcher.search(text, k), (pattern, t, algo, k)
                         cases += 1
     assert cases > 100
 
 
-def test_search_file_memory_is_one_buffer(tmp_path):
+def test_file_search_memory_is_one_buffer(tmp_path):
     """A file search allocates one buffer of at most _CHUNK_BYTES + m - 1
     bytes, sized down to a smaller regular file, and no copy of the text,
     as tracemalloc counts the allocations."""
@@ -609,14 +609,14 @@ def test_search_file_memory_is_one_buffer(tmp_path):
         with open(path, "rb") as fh:
             tracemalloc.start()
             try:
-                flt.search_file(fh)
+                flt.search(fh)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
         assert peak < bound, (size, peak)
 
 
-def test_search_file_memory_of_a_short_bytesio():
+def test_file_search_memory_of_a_short_bytesio():
     """An ``io.BytesIO`` gets a buffer for the bytes it has left, not a
     whole chunk: a 10-byte text peaks under 64 KiB, the position buffer
     included."""
@@ -624,7 +624,7 @@ def test_search_file_memory_of_a_short_bytesio():
     text = io.BytesIO(b"xxabxxabab")
     tracemalloc.start()
     try:
-        out = flt.search_file(text)
+        out = flt.search(text)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -632,7 +632,7 @@ def test_search_file_memory_of_a_short_bytesio():
     assert peak < 64 << 10, peak
 
 
-def test_search_file_non_blocking_without_data_raises():
+def test_file_search_non_blocking_without_data_raises():
     # A non-blocking read with no data ready returns None, which must not
     # end the search as if the text ended there.
     r, w = os.pipe()
@@ -640,7 +640,7 @@ def test_search_file_non_blocking_without_data_raises():
         os.set_blocking(r, False)
         with open(r, "rb", buffering=0, closefd=False) as fh:
             with pytest.raises(BlockingIOError):
-                preprocess(b"ab").search_file(fh)
+                preprocess(b"ab").search(fh)
     finally:
         os.close(r)
         os.close(w)
@@ -911,7 +911,7 @@ def _compare_split_cases(pause=0.0):
     for pattern, text, k, params in _split_cases():
         flt = preprocess(pattern, params)
         time.sleep(pause)
-        assert flt.search(text, k) == flt.search_file(_ShortReads(text, 8192), k), (pattern, k, params)
+        assert flt.search(text, k) == flt.search(_ShortReads(text, 8192), k), (pattern, k, params)
 
 
 def test_split_scan_equals_short_calls():
@@ -987,7 +987,7 @@ def test_runs_across_reads(backend):
         flt = preprocess(pattern)
         whole = flt.search(text, k)
         for most in (97, 1000):
-            assert flt.search_file(_ShortReads(text, most), k) == whole
+            assert flt.search(_ShortReads(text, most), k) == whole
 
 
 def test_edge_cases_against_oracle(backend):
@@ -1032,7 +1032,7 @@ def test_shared_matcher_concurrent_searches(backend, tmp_path):
 
     def search_path(i, k):
         with open(paths[i], "rb") as fh:
-            return flt.search_file(fh, k)
+            return flt.search(fh, k)
 
     def worker(i):
         try:
