@@ -39,7 +39,10 @@
  * cost. Where the first probes are predictable it costs more than it
  * saves, so wfr_scan chooses per call, from what it observes of the
  * pattern and the text, whether the scan takes it. Either way every probe
- * has the same outcome.
+ * has the same outcome. Each attempt of a pattern longer than SHORT_M_MAX
+ * prefetches the text PREFETCH_WINDOWS windows ahead: the entry makes the
+ * next window end wait for its loads, and on a text that is not in cache
+ * those loads would no longer overlap.
  *
  * As in engine.py, one loop serves every k: k = 1 is the chained loop with
  * one character per probe. scan_copy inlines that loop five times (scan_k
@@ -66,11 +69,12 @@
  * after a 20 us gap, and a thread parked on a condition variable wakes no
  * sooner (135 us). When a call's positions overflow pos at a join, where its batch
  * ends may depend on that timing; its final positions and counters do not.
- * Where such a call takes the entry without the hashed set, the calling
- * thread scans on two orbits, the second from the midpoint, and the helper
- * takes a part of each, all joined the same way (see two_orbits): the k = 1
- * entry waits about 20 cycles on a chain of loads and hash steps from one
- * window end to the next, and two orbits in one loop overlap their chains.
+ * Where such a call takes the entry without the hashed set and m <=
+ * SHORT_M_MAX, the calling thread scans on two orbits, the second from the
+ * midpoint, and the helper takes a part of each, all joined the same way
+ * (see two_orbits): the k = 1 entry waits about 20 cycles on a chain of
+ * loads and hash steps from one window end to the next, and two orbits in
+ * one loop overlap their chains.
  * On one usable CPU split starts no helper: the calling thread scans such
  * a call's two orbits in the same steps and joins them the same way, and
  * scans any other long call as it scans a short one.
@@ -207,6 +211,36 @@ entry_probes(const uint8_t *y, const uint8_t *tbl, int s, uint64_t mask, int64_t
     return (struct entry){p1 & p2 & p3, j - p1 - (p1 & p2), v3};
 }
 
+/* SHORT_M_MAX: the longest pattern whose calls scan on two orbits (see
+ * split), whose attempts issue no prefetch, and that needs no number of
+ * windows to take the entry (see ENTRY_LONG_WINDOWS).
+ * PREFETCH_WINDOWS: an attempt of a longer pattern first prefetches the
+ * text this many windows of m bytes past its window end, unless that is at
+ * or past n. An attempt shifts by about m, so each window lands on a cache
+ * line the scan has not touched, and the k = 1 entry makes the next window
+ * end wait for its loads; with a predicted exit branch the loop lets the
+ * next window's loads start while a probe's load is still out. Against
+ * the kernel that kept the entry to m <= 64 and issued no prefetch, k = 1
+ * searches of 16 MiB on 64 symbols at m = 256, alpha 16 and 24, took 1.70
+ * and 1.80 times as long with the entry and no prefetch, 1.50 and 1.49
+ * times with a prefetch 1 window ahead, 1.16 and 1.14 with 2, 0.92 and
+ * 0.90 with 4, and 1.02 and 1.00 with 8. At m = 1024, on 16 and 64
+ * symbols, 4 windows took 0.57-0.73 times as long at k = 1 (8: 0.59-0.80)
+ * and 0.75-0.84 times at k = 4 (8: 0.83-0.92). Each time is a
+ * mean over 6 patterns of the median of 5 searches, the median of 6
+ * alternating processes pinned to one CPU (2-vCPU Xeon VM). The test of the
+ * address is a branch, not a clamp to j: a conditional move kept n live,
+ * and m = 1024, k = 1 searches of 1 MiB on 64 symbols at alpha = 24, which
+ * stay in cache and do not take the entry, took 1.13 times as long as
+ * without the prefetch, against 1.01 times with the branch (medians of 6
+ * and 8 alternating processes). The test of m is inline: in a prototype, a local holding the
+ * distance kept one more value live in the k = 1 copies, and the dna-short
+ * benchmark workload's query_ms_p50 read 1.3% slower in 3 alternating
+ * pairs, against flat in 4. Where m <= SHORT_M_MAX the second orbit's
+ * MERGE_PREFIX records fit in one SPLIT_STEP (see there). */
+#define SHORT_M_MAX 64
+#define PREFETCH_WINDOWS 4
+
 /* The scan loop for one k: fold up to k characters into the suffix hash
  * (fewer at the window's left end), probe the filter, and repeat until a
  * probe fails or the window is used up; verify when the probe at the window
@@ -283,6 +317,8 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
     int64_t end = cap > 0 ? n : 0; /* 0 once pos is full */
     while (j < end) {
         att++;
+        if (m > SHORT_M_MAX && j + PREFETCH_WINDOWS * m < n) /* see PREFETCH_WINDOWS */
+            __builtin_prefetch(y + j + PREFETCH_WINDOWS * m);
         int64_t i = j - m + 1, cursor = j + 1;
         int64_t lim = k == 1 && hi >= i ? hi + 1 : i;
         uint64_t v = 0;
@@ -339,46 +375,37 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
     return found;
 }
 
-/* When a k = 1 call takes the branch-free entry (see scan_k): when
- * ENTRY_M_MIN <= m <= ENTRY_M_MAX and entry_pays. Both are needed. The
- * bounds on m alone would take the entry where the first probe fails
- * predictably: taken on every call, it slowed m = 8 scans of 1 MiB from
- * 0.89-0.91 to 1.35-1.41 ms on 64 symbols and from 0.58-0.64 to 1.34-1.39
- * ms on 256 (3 alternating runs each). The sample alone would take it on
- * long patterns, where it loses on texts that are not in cache (see
- * ENTRY_M_MAX). Times are from a 2-vCPU Xeon VM.
+/* When a k = 1 call takes the branch-free entry (see scan_k): when m >=
+ * ENTRY_M_MIN, the call of a pattern longer than SHORT_M_MAX has at least
+ * ENTRY_LONG_WINDOWS windows, and entry_pays. The bound on m alone would
+ * take the entry where the first probe fails predictably: taken on every
+ * call, it slowed m = 8 scans of 1 MiB from 0.89-0.91 to 1.35-1.41 ms on 64
+ * symbols and from 0.58-0.64 to 1.34-1.39 ms on 256 (3 alternating runs
+ * each, 2-vCPU Xeon VM). Long patterns take it too, with the prefetch of
+ * PREFETCH_WINDOWS.
  *
  * ENTRY_M_MIN: below it the probe at j - 2 is at or left of the window
  * start, whose probe the loop's verify test makes, so the entry never runs.
- * ENTRY_M_MAX: guards loads of the text, not of the table. A filter with
- * m <= 64 has a tbl of at most 16 KiB, and the entry's three probes read
- * only hash values below 2**14, its first 2 KiB. A predicted exit branch
- * lets the next window's loads start while a probe's load is still out,
- * and the entry makes the next window end, up to m bytes further on, wait
- * for its three loads. Without the bound, k = 1 searches of 16 MiB texts at alpha
- * = 16, whose calls split on two orbits, took 1.73 times as long at m =
- * 256 on 64 symbols and 1.23 times on 16, 1.10 and 1.03 times at m = 128,
- * and 0.84 and 0.80 times at m = 65. With two orbits still kept to m <= 64,
- * m = 256 on 64 symbols took 1.63 times as long; at alpha = 24, whose
- * filter has a set and so one orbit, 1.69 times, and 1.83 times on one
- * CPU, where the call is one plain scan. 1 MiB texts searched over and
- * over stay in cache: there the same alpha = 24, m = 256 calls took 0.96
- * times as long on 64 symbols and 0.74 times on 16, and the text-long
- * workload's query_ms_p50 fell from 0.0566 to 0.0523 ms (8 of 8
- * alternating perfbench pairs, parent IQR 1.8%; query_ms_p95 -1%). Each
- * time is a mean over 6 patterns of the median of 5 searches, the median
- * of 4 alternating runs. SPLIT_STEP's size rests on the bound too.
  * ENTRY_SAMPLE: at a share of 0.3 one binomial standard deviation over 256
  * window ends is 0.03. The sample took 1.1-1.8 us a call on 4, 64 and 256
  * symbols, 0.2% of an m = 8 scan of 1 MiB on 64 symbols.
+ * ENTRY_LONG_WINDOWS: a long pattern's window ends lie about m apart, so its
+ * call makes about as many attempts as it has windows, and the sample costs
+ * about as much as 50 of its attempts. At m = 1024 on 1 MiB of 16 symbols (1,023
+ * windows, k = 1), searched over and over so that the text stays in cache,
+ * the sample alone made a search 3-4% slower (16.26 -> 16.83 us at alpha =
+ * 16, 17.97 -> 18.50 us at 24), and the entry it chose gained nothing
+ * there (16.87 and 18.55 us); medians of 8 alternating processes pinned to
+ * one CPU, 2-vCPU Xeon VM. A pattern of at most SHORT_M_MAX bytes has 2**14
+ * windows or more in any 1 MiB call.
  * ENTRY_MISS_SHARE: the ratio of the entry's time to the loop's, per
  * pattern, with both copies in one library timed in turn on 1 MiB, was
  * 0.96-1.52 for shares below 0.2 (1.35-1.52 on 64 and 256 symbols),
  * 0.87-1.15 from 0.2 to 0.3, 0.93-1.04 from 0.3 to 0.35 and 0.64-0.98
  * above (114 patterns, sigma 2 to 256, m 4 to 64). */
 #define ENTRY_M_MIN 4
-#define ENTRY_M_MAX 64
 #define ENTRY_SAMPLE 256
+#define ENTRY_LONG_WINDOWS (8 * ENTRY_SAMPLE)
 #define ENTRY_MISS_SHARE 0.3
 
 /* Whether a predictor that guesses, for each of the first three k = 1
@@ -557,7 +584,7 @@ static int64_t scan(const struct call *c, int64_t n, int64_t *pos, int64_t cap, 
  * 32 KiB and 1.08 times back to back with 64 KiB (medians of 21,
  * interleaved in one process). 16 KiB also holds the calling thread's
  * second orbit's records, at most MERGE_PREFIX attempts of at most m <=
- * ENTRY_M_MAX bytes, so a part the helper takes never starts among them.
+ * SHORT_M_MAX bytes, so a part the helper takes never starts among them.
  * Times are from a 2-vCPU Xeon VM. */
 #define SPLIT_MIN_WINDOWS (1 << 15)
 #define MERGE_PREFIX 256
@@ -673,7 +700,8 @@ next_end(const uint8_t *y, int64_t m, const uint8_t *tbl, int s, uint64_t mask, 
     return cursor == i && HAS(tbl, v) ? j : cursor + m;
 }
 
-/* Two orbits of a call that takes the entry and whose filter has no set:
+/* Two orbits of a call that takes the entry, whose filter has no set and
+ * whose m is at most SHORT_M_MAX:
  * the one of st up to window end ea, into pos after its found positions,
  * and h's up to eb. One loop makes one attempt of each orbit per pass, so
  * that the chain of loads and hash steps that leads from one window end to
@@ -686,8 +714,7 @@ next_end(const uint8_t *y, int64_t m, const uint8_t *tbl, int s, uint64_t mask, 
  * against 0.252 ms at m = 16 and 0.409 against 0.404 ms at m = 8, and on
  * one CPU 0.432 against 0.409 and 0.685 against 0.665 ms (medians of 15,
  * 8 patterns each, interleaved in one process, 2-vCPU Xeon VM), so a call
- * with the set scans on one orbit; the benchmark workloads have none that
- * takes the entry.
+ * with the set scans on one orbit.
  * Two orbits gain on one CPU as well, so the calling thread scans on two
  * where split has no helper. Against one orbit, 1 MiB ACGT on two threads:
  * m = 4 1.43 -> 1.01 ms, m = 8 0.55 -> 0.39 ms, m = 16 0.32 -> 0.25 ms; on
@@ -859,7 +886,7 @@ static int64_t split(const struct call *c, int64_t n, int64_t *pos, int64_t cap,
                      int helper)
 {
     const int64_t mid = st[0] + (n - st[0]) / 2;
-    const int two = c->entry && !c->slots; /* see two_orbits */
+    const int two = c->entry && !c->slots && c->m <= SHORT_M_MAX; /* see two_orbits */
     if (!helper && !two)
         return scan(c, n, pos, cap, st);
     struct share *sh = calloc(1, sizeof *sh);
@@ -943,7 +970,8 @@ int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
 {
     const struct call c = {
         x, y, tbl, set, m, slots, base, mask, s, k,
-        k == 1 && m >= ENTRY_M_MIN && m <= ENTRY_M_MAX && entry_pays(y, n, tbl, s, mask, st[0]),
+        k == 1 && m >= ENTRY_M_MIN && (m <= SHORT_M_MAX || (n - st[0]) / m >= ENTRY_LONG_WINDOWS) &&
+            entry_pays(y, n, tbl, s, mask, st[0]),
     };
     if ((n - st[0]) / m < SPLIT_MIN_WINDOWS)
         return scan(&c, n, pos, cap, st);

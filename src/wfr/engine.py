@@ -34,10 +34,13 @@ bytes of its suffix, so after a verified window ``[i, j]`` every probe at or
 left of ``j-L+1`` is known to pass, and the next window does not repeat
 them. It also verifies a word at a time. Its ``k=1`` scan has a second,
 branch-free entry that tests the first three probes of a window at once. A
-call takes it when ``4 <= m <= 64`` and its first 256 window ends show
-those probes hard to predict, as for short patterns on small alphabets;
-the outcomes are the same either way. The kernel's other copies of the
-scan do the windows inside a run of one byte value ``b`` in O(1) each:
+call takes it when ``m >= 4`` and its first 256 window ends show those
+probes hard to predict, as for short patterns on small alphabets, and for a
+pattern longer than 64 bytes only when the call has at least 2048 windows;
+the outcomes are the same either way. Each attempt of a pattern longer than
+64 bytes prefetches the text four windows ahead, so that on a text not in
+cache the entry's loads still overlap. The kernel's other copies of the scan
+do the windows inside a run of one byte value ``b`` in O(1) each:
 once a verified window holds ``b`` alone, every later window that ends in
 the same run holds the same bytes and repeats that attempt, for every
 ``k``, with the same match length ``t`` and a shift of 1, so the kernel
@@ -54,12 +57,13 @@ calling thread takes over the helper's state where their window ends meet,
 so the positions and counters are those of one thread. The helper touches
 no Python object, and reads the text only while the call waits for it; one
 that starts after the call has ended takes nothing and exits. Where such a
-call takes the entry and its filter has no hashed set, the calling thread
-scans two sequences of window ends, the second from the midpoint, one
-attempt of each per pass of one loop so that their chains of loads overlap,
-the helper takes a part of each, and all are joined the same way. On one
-usable CPU no helper starts: the calling thread scans such a call's two
-sequences in the same steps, and any other long call as it scans a short one.
+call takes the entry, its filter has no hashed set and ``m <= 64``, the
+calling thread scans two sequences of window ends, the second from the
+midpoint, one attempt of each per pass of one loop so that their chains of
+loads overlap, the helper takes a part of each, and all are joined the same
+way. On one usable CPU no helper starts: the calling thread scans such a
+call's two sequences in the same steps, and any other long call as it scans
+a short one.
 The counters, and the inspected bytes derived from them, stay the
 algorithm's logical counts: none counts probes, and ``check_comparisons``
 counts bytes. On the first import after
@@ -77,9 +81,10 @@ builds the :class:`FactorFilter`, and its ``search(text, k)`` scans a text;
 module-level :func:`search` composes the two. Every algorithm of
 :func:`wfr.baselines.prepare` is a :class:`Matcher` like the filter: its
 constructor is the one check of a pattern, and :meth:`Matcher.stream` the
-one scan driver and check of ``k``. A ``bytes`` pattern or text is read in
-place; any other bytes-like one is copied once into ``bytes``, so both
-backends see the same bytes.
+one scan driver and check of ``k``. A ``bytes`` pattern or text, and a
+``bytearray`` text that a stream scans, is read in place; any other
+bytes-like one is copied once into ``bytes``, so both backends see the same
+bytes.
 
 The scan is resumable: every scan (the filter's two backends, Horspool and
 naive) scans one window of the text at a time and carries the next window
@@ -379,10 +384,10 @@ class Matcher:
     ``pattern`` is checked by :func:`_as_pattern`, and
     ``scan(matcher, window, k, state, base, pos)``, run by ``backend``
     (``"native"`` or ``"python"``), has the contract of the kernel's
-    ``wfr_scan``: it scans ``window`` (``bytes``, or a view of a file's
-    ``bytearray``) from window end ``state[0]``, writes at most ``len(pos)``
-    occurrences plus ``base`` to ``pos``, updates ``state`` and returns how
-    many it wrote. A matcher is immutable (assigning an attribute raises
+    ``wfr_scan``: it scans ``window`` (``bytes``, a ``bytearray``, or a
+    view of a file's ``bytearray``) from window end ``state[0]``, writes at
+    most ``len(pos)`` occurrences plus ``base`` to ``pos``, updates
+    ``state`` and returns how many it wrote. A matcher is immutable (assigning an attribute raises
     ``AttributeError``) and safe for concurrent searches."""
 
     __slots__ = ("pattern", "backend", "_scan")
@@ -410,12 +415,13 @@ class Matcher:
         characters folded per filter probe, is an ``int`` in ``[1, 4]`` and
         at most ``m``. ``source`` is a binary file, which is anything with
         ``readinto``, or else the text, which must be bytes-like
-        (``TypeError`` otherwise, and for a text-mode file): a ``bytes``
-        text is read in place, any other bytes-like one copied once. A file
-        is read with ``readinto`` until it returns 0, with the positions and
-        counters of ``search(fh.read(), k)``, through one buffer of at most
-        1 MiB plus ``m-1`` bytes of text; a short read, from a pipe, fills
-        less of it. It is read as the stream is iterated, so the stream must
+        (``TypeError`` otherwise, and for a text-mode file): a ``bytes`` or
+        ``bytearray`` text is read in place, so changing a ``bytearray``
+        while its stream is in use changes what is found, and any other
+        bytes-like text is copied once. A file is read with ``readinto``
+        until it returns 0, with the positions and counters of
+        ``search(fh.read(), k)``, through one buffer of at most 1 MiB plus
+        ``m-1`` bytes of text; a short read, from a pipe, fills less of it. It is read as the stream is iterated, so the stream must
         be used up before the file is closed. The driver calls the scan until
         ``state[0] >= len(window)`` on each window, the text or each of
         :func:`_file_windows`, and yields each non-empty batch as an int64
@@ -435,6 +441,8 @@ class Matcher:
             base = 0  # offset of the window's first byte in the text
             if hasattr(source, "readinto"):
                 windows = _file_windows(source, m)
+            elif type(source) is bytearray:
+                windows = (source,)
             else:
                 windows = (_as_bytes(source, "text"),)  # one window, scanned in place
             for window in windows:
@@ -666,8 +674,9 @@ def search(
 
 
 def _scan_native(flt: FactorFilter, y: bytes, k: int, state, base: int, pos) -> int:
-    """The filter's scan as one call of the C kernel. A file's window, a
-    view of a ``bytearray``, goes in as a pointer to its first byte."""
+    """The filter's scan as one call of the C kernel. A ``bytearray`` text,
+    or a file's window, a view of one, goes in as a pointer to its first
+    byte."""
     x, hashed, params = flt.pattern, flt.hashed, flt.params
     text = y if type(y) is bytes else ctypes.byref(ctypes.c_char.from_buffer(y))
     return _native.wfr_scan(

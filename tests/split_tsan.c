@@ -4,10 +4,11 @@
  *   cc -O1 -g -fsanitize=thread -pthread -o split_tsan tests/split_tsan.c src/wfr/_kernel.c
  *   TSAN_OPTIONS=halt_on_error=1 ./split_tsan
  *
- * Each case searches 1 MiB of text twice with wfr_scan: once whole, so that
- * its long calls scan on two threads where two CPUs are usable, and once
- * with each call's window ends capped 8 KiB past its first, so that no call
- * splits. The positions and all four counters must be equal. The cases run
+ * Each case searches 1 MiB of text (3 MiB for a pattern longer than 64
+ * bytes, so that the call still has 2**15 windows) twice with wfr_scan:
+ * once whole, so that its long calls scan on two threads where two CPUs are
+ * usable, and once with each call's window ends capped 8 KiB past its
+ * first, so that no call splits. The positions and all four counters must be equal. The cases run
  * three times: back to back; with each whole call after a 2 ms sleep, so
  * that its helper thread starts late and takes part of what is left; and
  * pinned to one CPU after the kernel has counted two, so that calls still
@@ -27,6 +28,7 @@ int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
                  int k, int64_t *pos, int64_t cap, int64_t *st, int64_t base);
 
 #define N (1 << 20)
+#define LONG_N (3 << 20)
 #define CAP 4096
 #define ALPHA 16
 #define SHIFT 2
@@ -65,17 +67,17 @@ static int64_t search(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
     return count;
 }
 
-static int check(const char *name, const uint8_t *y, int64_t at, int64_t m, int k,
+static int check(const char *name, const uint8_t *y, int64_t n, int64_t at, int64_t m, int k,
                  useconds_t pause)
 {
     static uint8_t tbl[1 << (ALPHA - 3)];
-    static int64_t whole[N], capped[N];
+    static int64_t whole[LONG_N], capped[LONG_N];
     int64_t st_whole[5], st_capped[5];
     const uint8_t *x = y + at;
     memset(tbl, 0, sizeof tbl);
     wfr_build(x, m, tbl, SHIFT, ALPHA);
-    int64_t a = search(x, m, y, N, tbl, k, 0, pause, whole, st_whole);
-    int64_t b = search(x, m, y, N, tbl, k, STEP, 0, capped, st_capped);
+    int64_t a = search(x, m, y, n, tbl, k, 0, pause, whole, st_whole);
+    int64_t b = search(x, m, y, n, tbl, k, STEP, 0, capped, st_capped);
     int same = a == b && !memcmp(whole, capped, a * sizeof *whole) &&
                !memcmp(st_whole, st_capped, sizeof st_whole);
     printf("%s m=%lld k=%d pause=%u us: %lld positions, %lld attempts: %s\n", name, (long long)m,
@@ -83,7 +85,7 @@ static int check(const char *name, const uint8_t *y, int64_t at, int64_t m, int 
     return !same;
 }
 
-static uint8_t acgt[N], dense[N], sigma64[N], sevens[N], zero_runs[N];
+static uint8_t acgt[N], dense[N], sigma64[N], sevens[N], zero_runs[N], sigma16[LONG_N];
 
 /* Every case, each whole call after a sleep of pause us. */
 static int check_all(useconds_t pause)
@@ -91,18 +93,20 @@ static int check_all(useconds_t pause)
     int failed = 0;
     for (int64_t m = 4; m <= 16; m *= 2)
         for (int k = 1; k <= 4; k += 3)
-            failed |= check("acgt", acgt, 1000, m, k, pause);
-    failed |= check("dense", dense, 2000, 8, 1, pause);
+            failed |= check("acgt", acgt, N, 1000, m, k, pause);
+    failed |= check("dense", dense, N, 2000, 8, 1, pause);
     for (int k = 1; k <= 4; k++)
-        failed |= check("sigma64", sigma64, 5000, 8, k, pause);
+        failed |= check("sigma64", sigma64, N, 5000, 8, k, pause);
     for (int k = 1; k <= 4; k += 3)
-        failed |= check("sevens", sevens, 1000, 8, k, pause);
+        failed |= check("sevens", sevens, N, 1000, 8, k, pause);
     /* A pattern inside the first zero run, and one across its end. */
-    failed |= check("zero-runs", zero_runs, 40, 8, 1, pause);
+    failed |= check("zero-runs", zero_runs, N, 40, 8, 1, pause);
     int64_t edge = 40;
     while (!zero_runs[edge])
         edge++;
-    failed |= check("zero-runs edge", zero_runs, edge - 4, 8, 1, pause);
+    failed |= check("zero-runs edge", zero_runs, N, edge - 4, 8, 1, pause);
+    /* Longer than 64 bytes: the branch-free entry on one orbit, prefetching. */
+    failed |= check("sigma16", sigma16, LONG_N, 7000, 65, 1, pause);
     return failed;
 }
 
@@ -133,6 +137,9 @@ int main(void)
         for (int64_t r = 0; r < noise && i < N; r++)
             zero_runs[i++] = 1 + next() % 255;
     }
+    /* Drawn last, so that the texts above stay as they were. */
+    for (int64_t i = 0; i < LONG_N; i++)
+        sigma16[i] = next() & 15;
     int failed = check_all(0) | check_all(2000);
     cpu_set_t one;
     CPU_ZERO(&one);

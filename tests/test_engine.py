@@ -666,8 +666,8 @@ def _edge_cases():
     k=1 probes that it knows pass (those at or left of j-L+1 after a
     verified window ending at j). The rest are at the edges of the kernel's
     branch-free k=1 entry, which tests the probes at j, j-1 and j-2 at once
-    and which each call takes only when 4 <= m <= 64 and its first 256
-    window ends make those probes hard to predict."""
+    and which each call takes only when m >= 4 and its first 256 window
+    ends make those probes hard to predict."""
     cap = engine._POSITIONS_PER_CALL
     params = FilterParams()
     L = -(-params.alpha // params.shift_s)
@@ -704,7 +704,8 @@ def _edge_cases():
         # and m = L, where none is skipped.
         (b"\0" * (L + 1), (b"\0" * 40 + b"\x07") * 40, 1),
         (b"\0" * L, (b"\0" * 40 + b"\x07") * 40, 1),
-        # m around the entry's bounds: it is never taken at m = 3 and 65.
+        # m around the entry's bound, which it never takes at m = 3, and
+        # around 64, above which attempts prefetch the text ahead.
         *((sigma8[1000 : 1000 + m], sigma8, 1) for m in (3, 4, 64, 65)),
         # The first 256 window ends choose one copy of the scan and the rest
         # of the text favours the other: zeros, on which no probe passes,
@@ -781,11 +782,11 @@ def _split_cases():
     calling thread has left and scans it, recording its first window ends,
     and the calling thread takes over the helper's state where its own
     window end meets one of them. Where a call takes the branch-free k=1
-    entry and its filter has no hashed set, the calling thread scans on two
-    orbits, the second from the midpoint, the helper takes a part of each,
-    and all are joined the same way; on one CPU no helper starts, and the
-    calling thread's orbits cover the whole call. Between them the cases
-    take every path of the joins."""
+    entry, its filter has no hashed set and m <= 64, the calling thread
+    scans on two orbits, the second from the midpoint, the helper takes a
+    part of each, and all are joined the same way; on one CPU no helper
+    starts, and the calling thread's orbits cover the whole call. Between
+    them the cases take every path of the joins."""
     rng = random.Random(0x5B17)
     windows = 1 << 15
     acgt = bytes(rng.choices(b"ACGT", k=8 * windows + 7))
@@ -866,6 +867,25 @@ def _split_cases():
     # At alpha=24 the filter has a hashed set, so a k=1 call that takes the
     # entry scans on one orbit, as every k=2 call does.
     cases.extend((acgt[3000:3008], acgt, k, FilterParams(alpha=24)) for k in (1, 2))
+    # A k=1 pattern longer than 64 bytes on 16 symbols takes the entry on one
+    # orbit, with the hashed set (alpha=24) and without it (alpha=16).
+    sigma16 = bytes(rng.choices(range(16), k=65 * windows + 64))
+    cases.extend((sigma16[7000:7065], sigma16, 1, FilterParams(alpha=alpha)) for alpha in (16, 24))
+    return cases
+
+
+def _long_entry_cases():
+    """(pattern, text, k, params) cases of k=1 patterns longer than 64 bytes
+    on 16 symbols, where the first 256 window ends make the branch-free entry
+    pay, with the hashed set (alpha=24) and without it (alpha=16). Such a
+    pattern takes the entry only in a call of at least 2048 windows, and
+    each of its attempts prefetches the text ahead, except near the end."""
+    rng = random.Random(0x10E7)
+    cases = []
+    for m in (65, 128, 256):
+        text = bytes(rng.choices(range(16), k=2050 * m))
+        start = rng.randint(0, len(text) - m)
+        cases.extend((text[start : start + m], text, 1, FilterParams(alpha=alpha)) for alpha in (16, 24))
     return cases
 
 
@@ -893,6 +913,7 @@ def test_native_matches_python_reference(monkeypatch):
                     else:
                         pattern = bytes(rng.choices(range(sigma), k=m))
                     cases.extend((pattern, text, k, params) for k in range(1, min(4, m) + 1))
+    cases += _long_entry_cases()
     for pattern, text, k, params in cases:
         native = search(pattern, text, params=params, k=k)
         native_filter = FactorFilter(pattern, params)
@@ -916,12 +937,12 @@ def _compare_split_cases(pause=0.0):
 
 def test_split_scan_equals_short_calls():
     """A search whose kernel calls scan on two threads, on two orbits of the
-    calling thread where the call takes the branch-free entry and its filter
-    has no hashed set, gives the positions and counters of the same kernel
-    in calls of about 8 KiB, which neither split nor interleave. Each case
-    runs back to back and after a 2 ms sleep, which makes the helper thread
-    start late, so that it takes part of what the calling thread has left
-    rather than half."""
+    calling thread where the call takes the branch-free entry, its filter
+    has no hashed set and m <= 64, gives the positions and counters of the
+    same kernel in calls of about 8 KiB, which neither split nor interleave.
+    Each case runs back to back and after a 2 ms sleep, which makes the
+    helper thread start late, so that it takes part of what the calling
+    thread has left rather than half."""
     if engine._native is None:
         pytest.skip("native kernel unavailable: cc missing or the build failed")
     _compare_split_cases()
@@ -1012,6 +1033,27 @@ def test_bytes_like_inputs_searched_as_bytes(backend):
     # Every registry id builds its tables from the pattern's bytes.
     for algo in baselines.ALGORITHMS:
         assert baselines.prepare(algo, array.array("H", [1, 2])).search(wide).positions == [0, 4]
+
+
+def test_bytearray_text_scanned_in_place(backend):
+    """A ``bytearray`` text gives the positions and counters of its ``bytes``
+    copy, through ``search`` and ``stream``. It is read in place: a change
+    made between two batches of a stream is what the next batch finds."""
+    text = bytes(random.Random(0xBA).choices(b"ACGT", k=20_000))
+    for pattern, k in ((text[500:508], 1), (text[900:1000], 1), (text[900:1000], 4)):
+        flt = preprocess(pattern)
+        whole = flt.search(text, k)
+        assert flt.search(bytearray(text), k) == whole
+        stream = flt.stream(bytearray(text), k)
+        assert [p for batch in stream for p in batch] == whole.positions
+        counters = (stream.verification_count, stream.attempt_count, stream.total_shift, stream.check_comparisons)
+        assert counters == (whole.verification_count, whole.attempt_count, whole.total_shift, whole.check_comparisons)
+    cap = engine._POSITIONS_PER_CALL
+    live = bytearray(b"a" * (cap + 100))
+    stream = preprocess(b"a").stream(live)
+    assert next(stream) == list(range(cap))
+    live[cap + 50 :] = b"b" * 50
+    assert list(stream) == [list(range(cap, cap + 50))]
 
 
 def test_shared_matcher_concurrent_searches(backend, tmp_path):
