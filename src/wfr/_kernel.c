@@ -32,17 +32,21 @@
  * stays quadratic.
  *
  * The k = 1 scan also has a branch-free entry. It tests the probes at j,
- * j - 1 and j - 2 of a window at once and branches only on "all three
- * pass". Where an attempt stops at its 2nd or 3rd probe about equally
- * often, as for short patterns on small alphabets, the loop's exit branch
- * is mispredicted on a large share of attempts, and the entry saves that
- * cost. Where the first probes are predictable it costs more than it
+ * j - 1 and j - 2 of a window at once (entry_probes) and branches only on
+ * "all three pass". Where an attempt stops at its 2nd or 3rd probe about
+ * equally often, as for short patterns on small alphabets, the loop's exit
+ * branch is mispredicted on a large share of attempts, and the entry saves
+ * that cost. Where the first probes are predictable it costs more than it
  * saves, so wfr_scan chooses per call, from what it observes of the
  * pattern and the text, whether the scan takes it. Either way every probe
  * has the same outcome. Each attempt of a pattern longer than SHORT_M_MAX
  * prefetches the text PREFETCH_WINDOWS windows ahead: the entry makes the
  * next window end wait for its loads, and on a text that is not in cache
  * those loads would no longer overlap.
+ *
+ * Each probe is written once: entry_probes makes the entry's three,
+ * probe_loop the loop's, and has tests a value's membership. scan_k, the
+ * two-orbit loop's next_end and the sampler entry_pays call them.
  *
  * As in engine.py, one loop serves every k: k = 1 is the chained loop with
  * one character per probe. scan_copy inlines that loop five times (scan_k
@@ -97,9 +101,9 @@
  * would take no less memory than the 2**(alpha-3)-byte bitset of all
  * values. A value is in the filter iff it is in its part, so every probe
  * has the outcome a 2**alpha-bit bitset would give.
- * The k = 1 entry and entry_pays read tbl alone, which holds every value
- * they probe: their probes hash at most 3 bytes, so each value is below
- * 2**14 < 2**DIRECT_BITS and below 2**alpha. */
+ * entry_probes reads tbl alone, which holds every value it probes: its
+ * probes hash at most 3 bytes, so each value is below 2**14 <
+ * 2**DIRECT_BITS and below 2**alpha. */
 #define _GNU_SOURCE /* sched_getaffinity */
 #include <pthread.h>
 #include <sched.h>
@@ -107,7 +111,6 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define HAS(tbl, v) ((tbl)[(v) >> 3] & (1u << ((v) & 7)))
 #define BIT(tbl, v) ((tbl)[(v) >> 3] >> ((v) & 7) & 1)
 
 #define DIRECT_BITS 16
@@ -136,7 +139,7 @@ static inline __attribute__((always_inline)) int
 has(const uint8_t *tbl, const uint32_t *set, uint32_t last, int sh, const int hashed, uint64_t v)
 {
     if (!hashed || v < (1u << DIRECT_BITS))
-        return HAS(tbl, v) != 0;
+        return (tbl[v >> 3] & (1u << (v & 7))) != 0;
     return set[find_slot(set, last, sh, v)] == v;
 }
 
@@ -188,16 +191,17 @@ void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, int alpha)
     build(x, m, tbl, 0, 0, s, alpha);
 }
 
-/* The branch-free entry of a k = 1 attempt at window end j (see scan_k):
- * the hashes of the probes at j, j - 1 and j - 2 and their three table bits,
- * loaded with no branch between the loads. pN is 1 when the Nth probe
- * passes; pass is 1 when all three pass, and otherwise stop = j - p1 - (p1 &
- * p2) is where the first failing probe stands and the attempt ends. v3 is
- * the hash of y[j - 2..j]. Reads y[j - 2..j]. scan_k and next_end make
- * every entry attempt here: written with a branch inside, or with pointers
- * out, it changed gcc 12's block layout of scan_copy's copies. */
+/* The branch-free entry of a k = 1 attempt at window end j: the hashes of
+ * the probes at j, j - 1 and j - 2 and their three table bits, loaded with
+ * no branch between the loads. p1 is 1 when the first probe passes, p12 when
+ * the first two pass and pass when all three pass; otherwise stop = j - p1 -
+ * p12 is where the first failing probe stands and the attempt ends. v3 is
+ * the hash of y[j - 2..j]. Reads y[j - 2..j]. Every entry attempt is made
+ * here, by scan_k and next_end, and entry_pays samples these outcomes here:
+ * written with a branch inside, or with pointers out, it changed gcc 12's
+ * block layout of scan_copy's copies. */
 struct entry {
-    int64_t pass, stop;
+    int64_t p1, p12, pass, stop;
     uint64_t v3;
 };
 
@@ -207,8 +211,29 @@ entry_probes(const uint8_t *y, const uint8_t *tbl, int s, uint64_t mask, int64_t
     uint64_t v1 = y[j] & mask;
     uint64_t v2 = ((v1 << s) + y[j - 1]) & mask;
     uint64_t v3 = ((v2 << s) + y[j - 2]) & mask;
-    int64_t p1 = BIT(tbl, v1), p2 = BIT(tbl, v2), p3 = BIT(tbl, v3);
-    return (struct entry){p1 & p2 & p3, j - p1 - (p1 & p2), v3};
+    int64_t p1 = BIT(tbl, v1), p12 = p1 & BIT(tbl, v2);
+    return (struct entry){p1, p12, p12 & BIT(tbl, v3), j - p1 - p12, v3};
+}
+
+/* The probe loop of an attempt, from cursor > lim down: fold up to k
+ * characters into the suffix hash *v (fewer at lim), probe the filter, and
+ * repeat until a probe fails or the fold reaches lim. Returns the cursor
+ * where it stopped: above lim at the failing probe, or lim, whose probe the
+ * caller makes. scan_k and next_end make every attempt's loop here. The hash
+ * goes through a pointer and the cursor comes back, so that each caller's
+ * machine code is that of the loop written inline. */
+static inline __attribute__((always_inline)) int64_t
+probe_loop(const uint8_t *y, const uint8_t *tbl, const uint32_t *set, uint32_t last, int sh, int s,
+           uint64_t mask, const int k, const int hashed, int64_t cursor, int64_t lim, uint64_t *v)
+{
+    do {
+        int64_t stop = cursor - k > lim ? cursor - k : lim;
+        do {
+            cursor--;
+            *v = ((*v << s) + y[cursor]) & mask;
+        } while (cursor > stop);
+    } while (cursor > lim && has(tbl, set, last, sh, hashed, *v));
+    return cursor;
 }
 
 /* SHORT_M_MAX: the longest pattern whose calls scan on two orbits (see
@@ -241,10 +266,9 @@ entry_probes(const uint8_t *y, const uint8_t *tbl, int s, uint64_t mask, int64_t
 #define SHORT_M_MAX 64
 #define PREFETCH_WINDOWS 4
 
-/* The scan loop for one k: fold up to k characters into the suffix hash
- * (fewer at the window's left end), probe the filter, and repeat until a
- * probe fails or the window is used up; verify when the probe at the window
- * start passes. k = 1 probes after every character.
+/* The scan loop for one k: each attempt runs probe_loop from its window end
+ * towards the window start, and verifies when the probe at the window start
+ * passes. k = 1 probes after every character.
  *
  * For k = 1, every probe in [i, hi] is known to pass whenever hi >= i (see
  * the header), so the attempt scans down to lim = hi + 1 only, and a pass
@@ -255,21 +279,19 @@ entry_probes(const uint8_t *y, const uint8_t *tbl, int s, uint64_t mask, int64_t
  * way lim <= j, so cursor > lim on entry to every fold, and a fold takes
  * at least one character.
  *
- * With entry set (k = 1 only), an attempt first computes the hashes of
- * the probes at j, j - 1 and j - 2 and loads their three table bits, with
- * no branch between the loads. pN is 1 when the Nth probe passes, so
- * cursor = j - p1 - (p1 & p2) is where the first failing probe stands, and
- * the attempt ends there as the loop would end it. Only "all three pass"
- * branches, into the loop at cursor j - 2. The entry runs only when
- * j - 2 > lim, so it never reaches the window start or a probe the memo
- * knows, and it reads only y[i..j]. (With m >= 4 this always holds: i <=
- * j - 3, and hi + 1 <= j - L + 1 <= j - 3 since L >= 4.) No probe changes
- * its outcome, so positions and counters are those of the loop. The loop
- * pays a mispredicted exit branch on many attempts when the first probes
- * pass or fail about equally often: for m = 8 on 4 symbols, as on the
- * dna-short workload, 0.94, 0.41 and 0.09 of the attempts passed their 1st,
- * 2nd and 3rd probe (8 patterns, 256 KiB). Where the exit is predictable
- * the entry costs more than it saves: see ENTRY_MISS_SHARE.
+ * With entry set (k = 1 only), an attempt first makes its probes at j,
+ * j - 1 and j - 2 in entry_probes and ends at the first that fails, as the
+ * loop would end it. Only "all three pass" branches, into the loop at
+ * cursor j - 2. The entry runs only when j - 2 > lim, so it never reaches
+ * the window start or a probe the memo knows, and it reads only y[i..j].
+ * (With m >= 4 this always holds: i <= j - 3, and hi + 1 <= j - L + 1 <=
+ * j - 3 since L >= 4.) No probe changes its outcome, so positions and
+ * counters are those of the loop. The loop pays a mispredicted exit branch
+ * on many attempts when the first probes pass or fail about equally often:
+ * for m = 8 on 4 symbols, as on the dna-short workload, 0.94, 0.41 and 0.09
+ * of the attempts passed their 1st, 2nd and 3rd probe (8 patterns, 256
+ * KiB). Where the exit is predictable the entry costs more than it saves:
+ * see ENTRY_MISS_SHARE.
  *
  * The verification compares a word at a time up to the first unequal word
  * and then byte by byte, so t, the length of the match, and the comparison
@@ -333,13 +355,7 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
             cursor = j - 2;
             v = e.v3;
         }
-        do {
-            int64_t stop = cursor - k > lim ? cursor - k : lim;
-            do {
-                cursor--;
-                v = ((v << s) + y[cursor]) & mask;
-            } while (cursor > stop);
-        } while (cursor > lim && has(tbl, set, last, sh, hashed, v));
+        cursor = probe_loop(y, tbl, set, last, sh, s, mask, k, hashed, cursor, lim, &v);
         if (cursor == lim && has(tbl, set, last, sh, hashed, v)) {
             int64_t t = 0;
             cursor = i;
@@ -413,8 +429,8 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
  * on at least ENTRY_MISS_SHARE of the window ends j0, j0 + 1, ... (up to
  * ENTRY_SAMPLE of them, all < n). A window's probes stop at the first that
  * fails, so the guesses amount to one guessed stop, after d passes, and the
- * predictor misses every window that stops elsewhere. Like the entry, the
- * sample loads the three bits with no branch; it reads y[j0 - 2 ..], and
+ * predictor misses every window that stops elsewhere. The sample takes each
+ * window's outcomes from entry_probes; it reads y[j0 - 2 ..], and
  * j0 >= m - 1 >= 3. */
 static int entry_pays(const uint8_t *y, int64_t n, const uint8_t *tbl, int s,
                       uint64_t mask, int64_t j0)
@@ -422,13 +438,10 @@ static int entry_pays(const uint8_t *y, int64_t n, const uint8_t *tbl, int s,
     int64_t end = n - j0 < ENTRY_SAMPLE ? n : j0 + ENTRY_SAMPLE;
     int64_t reach[5] = {end - j0, 0, 0, 0, 0}; /* windows whose first d probes pass */
     for (int64_t j = j0; j < end; j++) {
-        uint64_t v1 = y[j] & mask;
-        uint64_t v2 = ((v1 << s) + y[j - 1]) & mask;
-        uint64_t v3 = ((v2 << s) + y[j - 2]) & mask;
-        int p1 = BIT(tbl, v1), p12 = p1 & BIT(tbl, v2);
-        reach[1] += p1;
-        reach[2] += p12;
-        reach[3] += p12 & BIT(tbl, v3);
+        struct entry e = entry_probes(y, tbl, s, mask, j);
+        reach[1] += e.p1;
+        reach[2] += e.p12;
+        reach[3] += e.pass;
     }
     int d = 0;
     while (d < 3 && 2 * reach[d + 1] > reach[d]) /* most of those reaching probe d + 1 pass it */
@@ -682,22 +695,20 @@ static inline void advance(int64_t *st, int64_t j, int64_t att)
 
 /* The next window end after the k = 1 attempt at window end j, or j itself
  * when the attempt verifies and is left to scan. The attempt is scan_k's
- * with the entry, no memo and no set: the entry's probes, and where all
- * three pass, the probe loop down to the window start. The entry's probes
- * lie right of the window start, since m >= ENTRY_M_MIN. */
+ * with the entry, no memo and no set: entry_probes, and where all three
+ * pass, probe_loop down to the window start and has for the probe there.
+ * The entry's probes lie right of the window start, since
+ * m >= ENTRY_M_MIN. */
 static inline __attribute__((always_inline)) int64_t
 next_end(const uint8_t *y, int64_t m, const uint8_t *tbl, int s, uint64_t mask, int64_t j)
 {
     struct entry e = entry_probes(y, tbl, s, mask, j);
     if (!e.pass)
         return e.stop + m;
-    int64_t i = j - m + 1, cursor = j - 2;
+    int64_t i = j - m + 1;
     uint64_t v = e.v3;
-    do {
-        cursor--;
-        v = ((v << s) + y[cursor]) & mask;
-    } while (cursor > i && HAS(tbl, v));
-    return cursor == i && HAS(tbl, v) ? j : cursor + m;
+    int64_t cursor = probe_loop(y, tbl, NULL, 0, 0, s, mask, 1, 0, j - 2, i, &v);
+    return cursor == i && has(tbl, NULL, 0, 0, 0, v) ? j : cursor + m;
 }
 
 /* Two orbits of a call that takes the entry, whose filter has no set and

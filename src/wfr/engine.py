@@ -28,46 +28,17 @@ any ``k``.
 
 Two backends run the same algorithm over the same filter layout and give
 identical probe outcomes, positions and counters. The native backend is the
-C kernel in ``_kernel.c``. It skips the ``k=1`` probes whose outcome it
-already knows: a hash depends only on the first ``L = ceil(alpha/shift_s)``
-bytes of its suffix, so after a verified window ``[i, j]`` every probe at or
-left of ``j-L+1`` is known to pass, and the next window does not repeat
-them. It also verifies a word at a time. Its ``k=1`` scan has a second,
-branch-free entry that tests the first three probes of a window at once. A
-call takes it when ``m >= 4`` and its first 256 window ends show those
-probes hard to predict, as for short patterns on small alphabets, and for a
-pattern longer than 64 bytes only when the call has at least 2048 windows;
-the outcomes are the same either way. Each attempt of a pattern longer than
-64 bytes prefetches the text four windows ahead, so that on a text not in
-cache the entry's loads still overlap. The kernel's other copies of the scan
-do the windows inside a run of one byte value ``b`` in O(1) each:
-once a verified window holds ``b`` alone, every later window that ends in
-the same run holds the same bytes and repeats that attempt, for every
-``k``, with the same match length ``t`` and a shift of 1, so the kernel
-finds the run's end and adds those windows to the counters, and their
-positions when ``t == m``, at once. The shift-add hash of ``0^r`` is 0 at
-every length, so a pattern with a zero byte passes every probe inside a
-zero run, as in zero-padded binary files: ``0^31 x`` in 1 MiB of zeros
-takes 0.06 ms, not 11.4 ms window by window (a ``bytes.find`` loop:
-3.2 ms). The entry's copies and the Python scan go window by window. A
-call with at least 2**15 windows scans on two threads where two CPUs are
-usable: the calling thread scans in steps, and a helper thread, whenever it
-starts, takes the back half of what is left past the current step; the
-calling thread takes over the helper's state where their window ends meet,
-so the positions and counters are those of one thread. The helper touches
-no Python object, and reads the text only while the call waits for it; one
-that starts after the call has ended takes nothing and exits. Where such a
-call takes the entry, its filter has no hashed set and ``m <= 64``, the
-calling thread scans two sequences of window ends, the second from the
-midpoint, one attempt of each per pass of one loop so that their chains of
-loads overlap, the helper takes a part of each, and all are joined the same
-way. On one usable CPU no helper starts: the calling thread scans such a
-call's two sequences in the same steps, and any other long call as it scans
-a short one.
-The counters, and the inspected bytes derived from them, stay the
-algorithm's logical counts: none counts probes, and ``check_comparisons``
-counts bytes. On the first import after
-the source or the compile command changes, the kernel is compiled with
+C kernel in ``_kernel.c``, whose header describes each mechanism that makes
+it faster: the probes it skips because their outcome is known, the
+word-at-a-time verification, the branch-free entry and its sampler, the
+prefetch, the run skip, the split of a long call and its orbits. A native
+call with at least 2**15 windows may scan on one helper thread where two
+CPUs are usable. The helper touches no Python object, and the call waits
+for any part of the text the helper took; one that starts after the call
+has ended takes nothing and exits. The counters, and the inspected bytes
+derived from them, stay the algorithm's logical counts: none counts probes,
+and ``check_comparisons`` counts bytes. On the first import after the
+source or the compile command changes, the kernel is compiled with
 ``cc -O2 -pthread -shared -fPIC`` (``_KERNEL_CC``) into
 ``__pycache__/_kernel-<cache tag>-<crc32 of the command and the source>.so``
 beside this module and loaded with :mod:`ctypes`. When that fails (no

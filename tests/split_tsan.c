@@ -4,8 +4,8 @@
  *   cc -O1 -g -fsanitize=thread -pthread -o split_tsan tests/split_tsan.c src/wfr/_kernel.c
  *   TSAN_OPTIONS=halt_on_error=1 ./split_tsan
  *
- * Each case searches 1 MiB of text (3 MiB for a pattern longer than 64
- * bytes, so that the call still has 2**15 windows) twice with wfr_scan:
+ * Each case searches 1 MiB of text (3 MiB for a pattern of 64 bytes or
+ * more, so that the call still has 2**15 windows) twice with wfr_scan:
  * once whole, so that its long calls scan on two threads where two CPUs are
  * usable, and once with each call's window ends capped 8 KiB past its
  * first, so that no call splits. The positions and all four counters must be equal. The cases run
@@ -107,6 +107,9 @@ static int check_all(useconds_t pause)
     failed |= check("zero-runs edge", zero_runs, N, edge - 4, 8, 1, pause);
     /* Longer than 64 bytes: the branch-free entry on one orbit, prefetching. */
     failed |= check("sigma16", sigma16, LONG_N, 7000, 65, 1, pause);
+    /* 64 bytes: two orbits at their bound, whose second orbit's records can
+     * span one whole split step. */
+    failed |= check("sigma16", sigma16, LONG_N, 7000, 64, 1, pause);
     return failed;
 }
 

@@ -871,6 +871,9 @@ def _split_cases():
     # orbit, with the hashed set (alpha=24) and without it (alpha=16).
     sigma16 = bytes(rng.choices(range(16), k=65 * windows + 64))
     cases.extend((sigma16[7000:7065], sigma16, 1, FilterParams(alpha=alpha)) for alpha in (16, 24))
+    # Two orbits at their bound, m = 64: the second orbit's 256 records can
+    # span 256 * 64 bytes, one whole 16 KiB split step.
+    cases.append((sigma16[9000:9064], sigma16, 1, FilterParams()))
     return cases
 
 
