@@ -22,14 +22,16 @@
  * passes, the verification matches the same t bytes, and the shift is 1.
  * run_skip finds the run's end a word at a time and adds those windows to
  * the counters, and their positions when t = m, in O(1) each (see scan).
- * The three copies of the scan without the branch-free entry apply this
- * rule; the two entry copies scan such runs window by window. Searches of
- * 1 MiB through engine.py, without the rule -> with it, against a loop of
- * bytes.find: 0^31 x in zeros 11.4 -> 0.058 ms (find 3.15 ms); a^8 in a's,
- * with 2**20 - 7 positions, 28.6 -> 21.4 ms (find 148 ms), most of it now
- * the Python ints of the positions (medians of 15, 2-vCPU Xeon VM).
- * Periodic text with a period of 2 or more, such as (ab)^16 in (ab)^n,
- * stays quadratic.
+ * Every copy of the scan applies this rule. Searches of 1 MiB through
+ * engine.py, without the rule -> with it, against a loop of bytes.find:
+ * 0^31 x in zeros 11.4 -> 0.058 ms (find 3.15 ms); a^8 in a's, with 2**20
+ * - 7 positions, 28.6 -> 21.4 ms (find 148 ms), most of it now the Python
+ * ints of the positions (medians of 15, 2-vCPU Xeon VM). A call on two
+ * orbits (see two_orbits) still scans the runs it meets there window by
+ * window: it hands each verifying attempt to scan as a call of one window,
+ * which ends before the byte after that window and so never stops for a
+ * run. Periodic text with a period of 2 or more, such as (ab)^16 in
+ * (ab)^n, stays quadratic.
  *
  * The k = 1 scan also has a branch-free entry. It tests the probes at j,
  * j - 1 and j - 2 of a window at once (entry_probes) and branches only on
@@ -298,13 +300,13 @@ probe_loop(const uint8_t *y, const uint8_t *tbl, const uint32_t *set, uint32_t l
  * counter are those of a byte loop; every word lies in y[i..j].
  *
  * The loop tests only j < end, and end drops to 0 when pos fills, which
- * stops the scan after that attempt. Without the entry, it also drops to 0
- * after a verified window whose bytes at i, j and j + 1 are equal, where a
- * run of one byte value may start (see run_skip). Testing found < cap on
- * every attempt as well kept one more value live in the attempt loop: the
- * dna-short benchmark workload's query_ms_p50 then rose 4.9% over the
- * kernel without the probe memo, against 1.3% with end (10 and 4
- * alternating runs, 2-vCPU Xeon VM).
+ * stops the scan after that attempt. It also drops to 0 after a verified
+ * window whose bytes at i, j and j + 1 are equal, where a run of one byte
+ * value may start (see run_skip). Testing found < cap on every attempt as
+ * well kept one more value live in the attempt loop: the dna-short
+ * benchmark workload's query_ms_p50 then rose 4.9% over the kernel without
+ * the probe memo, against 1.3% with end (10 and 4 alternating runs, 2-vCPU
+ * Xeon VM).
  *
  * With hashed set (the filter has a set), a probe of a value at or above
  * 2**DIRECT_BITS searches the set; without it every probe reads tbl alone.
@@ -377,7 +379,7 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
                 if (found == cap)
                     end = 0;
             }
-            if (!entry && j + 1 < n && y[j] == y[i] && y[j + 1] == y[i])
+            if (j + 1 < n && y[j] == y[i] && y[j + 1] == y[i])
                 end = 0; /* perhaps a run of y[i]: scan hands it to run_skip */
         }
         j = cursor + m;
@@ -549,13 +551,9 @@ scan_copy(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *s
 
 /* Scan the windows of y[0..n) from st[0]: scan_copy, and run_skip wherever
  * it stops after a verified window whose bytes at i, j and j + 1 are equal.
- * The three copies without the branch-free entry stop there. The two entry
- * copies do not: with that stop in them too, the dna-short workload's m = 8
- * and 16 queries, where they run, took 7-9% longer in a prototype, and
- * their code spilled more values to the stack (2-vCPU Xeon VM). scan_copy
- * stops for nothing else before n while pos has room. A skip ends before n,
- * so the scans of a split call, each to its own bound, pass through the
- * window ends of the window by window scan. */
+ * Every copy stops there, and for nothing else before n while pos has room.
+ * A skip ends before n, so the scans of a split call, each to its own
+ * bound, pass through the window ends of the window by window scan. */
 static int64_t scan(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st)
 {
     int64_t found = scan_copy(c, n, pos, cap, st);
@@ -717,9 +715,10 @@ next_end(const uint8_t *y, int64_t m, const uint8_t *tbl, int s, uint64_t mask, 
  * and h's up to eb. One loop makes one attempt of each orbit per pass, so
  * that the chain of loads and hash steps that leads from one window end to
  * the next in one orbit overlaps that of the other, and hands both attempts
- * to scan where one of them verifies; each orbit then finishes its bound
- * alone, h's only while pos has room. Returns the first orbit's positions,
- * found included; h->found counts h's.
+ * to scan where one of them verifies, as a call of one window, so runs of
+ * one byte value are scanned here window by window (see the header); each
+ * orbit then finishes its bound alone, h's only while pos has room.
+ * Returns the first orbit's positions, found included; h->found counts h's.
  * The loop reads tbl alone. With the set's probes in it as well, four more
  * values were live there, and 1 MiB ACGT scans on two threads took 0.268
  * against 0.252 ms at m = 16 and 0.409 against 0.404 ms at m = 8, and on

@@ -453,8 +453,11 @@ def _file_windows(fh, m: int):
 def _buffer_size(fh) -> int:
     """The bytes of text a buffer for ``fh`` holds after the ``m-1`` it
     keeps: the bytes left in a regular file or an ``io.BytesIO``, if fewer
-    than ``_CHUNK_BYTES`` and at least 1, else ``_CHUNK_BYTES``. It only
-    sets the memory."""
+    than ``_CHUNK_BYTES`` and at least 1, else ``_CHUNK_BYTES``. A regular
+    file of size 0 gets ``_CHUNK_BYTES``, as a pipe does, since files under
+    ``/proc`` and ``/sys`` report size 0 but hold data; an empty file
+    therefore allocates one ``_CHUNK_BYTES`` buffer. It only sets the
+    memory."""
     try:
         if isinstance(fh, io.BytesIO):  # seek, not getbuffer(), which copies a shared text
             at = fh.tell()
@@ -462,7 +465,7 @@ def _buffer_size(fh) -> int:
             fh.seek(at)
         else:
             st = os.fstat(fh.fileno())
-            if not stat.S_ISREG(st.st_mode):
+            if not stat.S_ISREG(st.st_mode) or not st.st_size:
                 return _CHUNK_BYTES
             left = st.st_size - fh.tell()
     except (AttributeError, OSError, ValueError):  # no file descriptor

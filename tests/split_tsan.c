@@ -85,7 +85,7 @@ static int check(const char *name, const uint8_t *y, int64_t n, int64_t at, int6
     return !same;
 }
 
-static uint8_t acgt[N], dense[N], sigma64[N], sevens[N], zero_runs[N], sigma16[LONG_N];
+static uint8_t acgt[N], dense[N], sigma64[N], sevens[N], zero_runs[N], sigma16[LONG_N], zeros4[N];
 
 /* Every case, each whole call after a sleep of pause us. */
 static int check_all(useconds_t pause)
@@ -110,6 +110,13 @@ static int check_all(useconds_t pause)
     /* 64 bytes: two orbits at their bound, whose second orbit's records can
      * span one whole split step. */
     failed |= check("sigma16", sigma16, LONG_N, 7000, 64, 1, pause);
+    /* The branch-free entry on two orbits, meeting zero runs that the scans
+     * finishing each orbit's steps hand to run_skip: a pattern of a 0 and
+     * then 7 bytes that are not all 0. */
+    int64_t at = 2000;
+    while (zeros4[at] || !zeros4[at + 1])
+        at++;
+    failed |= check("zeros4", zeros4, N, at, 8, 1, pause);
     return failed;
 }
 
@@ -140,9 +147,19 @@ int main(void)
         for (int64_t r = 0; r < noise && i < N; r++)
             zero_runs[i++] = 1 + next() % 255;
     }
-    /* Drawn last, so that the texts above stay as they were. */
+    /* sigma16 and then zeros4 are drawn after the texts above, each after
+     * those of earlier cases, so that those stay as they were. */
     for (int64_t i = 0; i < LONG_N; i++)
         sigma16[i] = next() & 15;
+    /* Stretches of 200-599 bytes of 4 symbols, 0 among them, between zero
+     * runs of 40-199 bytes. */
+    for (int64_t i = 0; i < N;) {
+        int64_t noise = 200 + next() % 400, run = 40 + next() % 160;
+        for (int64_t r = 0; r < noise && i < N; r++)
+            zeros4[i++] = next() & 3;
+        for (int64_t r = 0; r < run && i < N; r++)
+            zeros4[i++] = 0;
+    }
     int failed = check_all(0) | check_all(2000);
     cpu_set_t one;
     CPU_ZERO(&one);

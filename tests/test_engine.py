@@ -632,6 +632,44 @@ def test_file_search_memory_of_a_short_bytesio():
     assert peak < 64 << 10, peak
 
 
+class _CountedReads(io.RawIOBase):
+    """A binary file whose ``readinto`` calls are counted; ``fileno`` and
+    ``tell`` are the file's own, so its buffer is sized as the file's."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.reads = 0
+
+    def readable(self):
+        return True
+
+    def fileno(self):
+        return self._fh.fileno()
+
+    def tell(self):
+        return self._fh.tell()
+
+    def readinto(self, b):
+        self.reads += 1
+        return self._fh.readinto(b)
+
+
+def test_file_search_of_a_file_that_reports_size_0():
+    """Files under /proc report size 0 but hold data: such a file is read
+    a chunk at a time, as a pipe is, not a byte at a time."""
+    path = "/proc/version"
+    if not os.path.exists(path):
+        pytest.skip("/proc is absent on this platform")
+    assert os.stat(path).st_size == 0
+    with open(path, "rb") as fh:
+        want = search(b" ", fh.read()).positions
+    with open(path, "rb", buffering=0) as fh:
+        reads = _CountedReads(fh)
+        out = preprocess(b" ").search(reads)
+    assert want and out.positions == want
+    assert reads.reads <= 3, reads.reads
+
+
 def test_file_search_non_blocking_without_data_raises():
     # A non-blocking read with no data ready returns None, which must not
     # end the search as if the text ended there.
@@ -743,6 +781,7 @@ def _run_cases():
     rng = random.Random(0x5C1D)
     noise = bytes(rng.choices(range(8, 256), k=3000))
     sigma4 = bytes(rng.choices(range(1, 5), k=3000))
+    sigma2 = bytes(rng.choices(range(2), k=300))
     seven = noise[:300] + b"\x07" * 100 + noise[300:700] + b"\x07" * 9 + noise[700:900]
     # Runs of 7, 8 and 9 zero bytes, for m = 8, side by side, and windows
     # whose first, last and next bytes are equal with a 5 between them.
@@ -761,9 +800,15 @@ def _run_cases():
         (b"\x07" * 8, noise[:300] + b"\x07" * 300, 1),
         (b"\0" * 8, short, 1),
         (b"\0\x05" + bytes(6), short, 1),
-        # The entry's copy of the scan, chosen by the first 256 window ends,
-        # meets a zero run, which it scans window by window.
+        # The entry's copy of the scan, chosen by the first 256 window ends
+        # over a small alphabet, meets a zero run and hands it on as the
+        # loop does, with 0 < t < m.
         (bytes(2) + sigma4[1000:1006], sigma4[:300] + bytes(1000) + sigma4[300:600], 1),
+        # The same behind 0s and 1s: t == m over more positions than the
+        # buffer holds, 0 < t < m, and a run that reaches the end of the text.
+        (bytes(8), sigma2 + bytes(2 * cap + 100) + sigma2, 1),
+        (bytes(4) + b"\x01" + bytes(3), sigma2 + bytes(1000) + sigma2, 1),
+        (bytes(8), sigma2 + bytes(300), 1),
     ]
     # k = 2..4 in runs, with t == m and t < m.
     for k in (2, 3, 4):
@@ -874,6 +919,14 @@ def _split_cases():
     # Two orbits at their bound, m = 64: the second orbit's 256 records can
     # span 256 * 64 bytes, one whole 16 KiB split step.
     cases.append((sigma16[9000:9064], sigma16, 1, FilterParams()))
+    # Zero runs between stretches of 4 symbols, 0 among them: the call takes
+    # the entry, on two orbits, and the scans that finish each orbit's steps
+    # hand the zero runs they meet to run_skip, with t = 1.
+    zeros4 = bytearray()
+    while len(zeros4) < 8 * windows + 7:
+        zeros4 += bytes(rng.choices(range(4), k=rng.randint(200, 600))) + bytes(rng.randint(40, 200))
+    zeros4 = bytes(zeros4[: 8 * windows + 7])
+    cases.append((zeros4[2000:2008], zeros4, 1, FilterParams()))
     return cases
 
 
