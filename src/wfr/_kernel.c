@@ -22,16 +22,13 @@
  * passes, the verification matches the same t bytes, and the shift is 1.
  * run_skip finds the run's end a word at a time and adds those windows to
  * the counters, and their positions when t = m, in O(1) each (see scan).
- * Every copy of the scan applies this rule. Searches of 1 MiB through
+ * Every copy of the scan applies this rule, and so does each orbit of a
+ * call on two orbits (see two_orbits). Searches of 1 MiB through
  * engine.py, without the rule -> with it, against a loop of bytes.find:
  * 0^31 x in zeros 11.4 -> 0.058 ms (find 3.15 ms); a^8 in a's, with 2**20
  * - 7 positions, 28.6 -> 21.4 ms (find 148 ms), most of it now the Python
- * ints of the positions (medians of 15, 2-vCPU Xeon VM). A call on two
- * orbits (see two_orbits) still scans the runs it meets there window by
- * window: it hands each verifying attempt to scan as a call of one window,
- * which ends before the byte after that window and so never stops for a
- * run. Periodic text with a period of 2 or more, such as (ab)^16 in
- * (ab)^n, stays quadratic.
+ * ints of the positions (medians of 15, 2-vCPU Xeon VM). Periodic text
+ * with a period of 2 or more, such as (ab)^16 in (ab)^n, stays quadratic.
  *
  * The k = 1 scan also has a branch-free entry. It tests the probes at j,
  * j - 1 and j - 2 of a window at once (entry_probes) and branches only on
@@ -48,7 +45,8 @@
  *
  * Each probe is written once: entry_probes makes the entry's three,
  * probe_loop the loop's, and has tests a value's membership. scan_k, the
- * two-orbit loop's next_end and the sampler entry_pays call them.
+ * two-orbit loop's next_end and the sampler entry_pays call them;
+ * entry_probes reads the bitset, or for next_end the call's entry table.
  *
  * As in engine.py, one loop serves every k: k = 1 is the chained loop with
  * one character per probe. scan_copy inlines that loop five times (scan_k
@@ -78,9 +76,11 @@
  * Where such a call takes the entry without the hashed set and m <=
  * SHORT_M_MAX, the calling thread scans on two orbits, the second from the
  * midpoint, and the helper takes a part of each, all joined the same way
- * (see two_orbits): the k = 1 entry waits about 20 cycles on a chain of
- * loads and hash steps from one window end to the next, and two orbits in
- * one loop overlap their chains.
+ * (see two_orbits): one window end leads to the next through a chain of
+ * loads and hash steps, and one loop makes the attempts of two orbits in
+ * turn. That loop is bound by its instruction count, so it probes the
+ * entry in a byte table per call, ENTRY_VALUES(s) bytes (8 KiB at shift_s
+ * = 2), which split fills once (see fill_entry).
  * On one usable CPU split starts no helper: the calling thread scans such
  * a call's two orbits in the same steps and joins them the same way, and
  * scans any other long call as it scans a short one.
@@ -201,20 +201,26 @@ void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, int alpha)
  * the hash of y[j - 2..j]. Reads y[j - 2..j]. Every entry attempt is made
  * here, by scan_k and next_end, and entry_pays samples these outcomes here:
  * written with a branch inside, or with pointers out, it changed gcc 12's
- * block layout of scan_copy's copies. */
+ * block layout of scan_copy's copies. scan_k and entry_pays pass the
+ * filter's bitset as tbl. next_end sets bytes and passes its call's entry
+ * table (see fill_entry), a byte per value, which it reads with no mask and
+ * no bit extraction; v3 is then unmasked, equal to the hash mod 2**alpha. */
 struct entry {
     int64_t p1, p12, pass, stop;
     uint64_t v3;
 };
 
+#define ENTRY_BIT(tbl, bytes, v) ((bytes) ? (tbl)[v] : BIT(tbl, v))
+
 static inline __attribute__((always_inline)) struct entry
-entry_probes(const uint8_t *y, const uint8_t *tbl, int s, uint64_t mask, int64_t j)
+entry_probes(const uint8_t *y, const uint8_t *tbl, int s, uint64_t mask, const int bytes, int64_t j)
 {
-    uint64_t v1 = y[j] & mask;
-    uint64_t v2 = ((v1 << s) + y[j - 1]) & mask;
-    uint64_t v3 = ((v2 << s) + y[j - 2]) & mask;
-    int64_t p1 = BIT(tbl, v1), p12 = p1 & BIT(tbl, v2);
-    return (struct entry){p1, p12, p12 & BIT(tbl, v3), j - p1 - p12, v3};
+    const uint64_t keep = bytes ? ~(uint64_t)0 : mask;
+    uint64_t v1 = y[j] & keep;
+    uint64_t v2 = ((v1 << s) + y[j - 1]) & keep;
+    uint64_t v3 = ((v2 << s) + y[j - 2]) & keep;
+    int64_t p1 = ENTRY_BIT(tbl, bytes, v1), p12 = p1 & ENTRY_BIT(tbl, bytes, v2);
+    return (struct entry){p1, p12, p12 & ENTRY_BIT(tbl, bytes, v3), j - p1 - p12, v3};
 }
 
 /* The probe loop of an attempt, from cursor > lim down: fold up to k
@@ -347,7 +353,7 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
         int64_t lim = k == 1 && hi >= i ? hi + 1 : i;
         uint64_t v = 0;
         if (entry && j - 2 > lim) {
-            struct entry e = entry_probes(y, tbl, s, mask, j);
+            struct entry e = entry_probes(y, tbl, s, mask, 0, j);
             if (!e.pass) {
                 cursor = e.stop;
                 j = cursor + m;
@@ -440,7 +446,7 @@ static int entry_pays(const uint8_t *y, int64_t n, const uint8_t *tbl, int s,
     int64_t end = n - j0 < ENTRY_SAMPLE ? n : j0 + ENTRY_SAMPLE;
     int64_t reach[5] = {end - j0, 0, 0, 0, 0}; /* windows whose first d probes pass */
     for (int64_t j = j0; j < end; j++) {
-        struct entry e = entry_probes(y, tbl, s, mask, j);
+        struct entry e = entry_probes(y, tbl, s, mask, 0, j);
         reach[1] += e.p1;
         reach[2] += e.p12;
         reach[3] += e.pass;
@@ -691,22 +697,67 @@ static inline void advance(int64_t *st, int64_t j, int64_t att)
     st[0] = j;
 }
 
+/* ENTRY_VALUES(s): every entry probe's hash unmasked, (v << s) + c with v
+ * and c bytes, lies below 2**(9 + 2 s): v3 < 2**(8 + 2 s) + 2**(8 + s) +
+ * 2**8. The entry table of a call on two orbits holds a byte for each such
+ * value, 8 KiB at s = 2 and 2 KiB at s = 1. */
+#define ENTRY_VALUES(s) ((uint64_t)1 << (9 + 2 * (s)))
+
+/* Fill e, the entry table of a filter without a set: e[v] is bit v & mask of
+ * tbl for every v < ENTRY_VALUES(s). A fold (v << s) + c keeps its value
+ * mod 2**alpha, so a probe of e at an unmasked hash has the outcome of the
+ * probe of tbl at the hash. Eight values a step: a loop of e[v] = BIT(tbl,
+ * v & mask) took 6-11 us at s = 2, this one 0.3-1.1 us (2-vCPU Xeon VM). */
+static void fill_entry(uint8_t *e, const uint8_t *tbl, int s, uint64_t mask)
+{
+    const uint64_t size = ENTRY_VALUES(s), period = mask < size ? mask + 1 : size;
+    for (uint64_t q = 0; q < period / 8; q++) {
+        /* byte r of w keeps bit r of tbl[q], which the add carries to bit 7 */
+        uint64_t w = (tbl[q] * 0x0101010101010101u & 0x8040201008040201u) + 0x7F7F7F7F7F7F7F7Fu;
+        w = w >> 7 & 0x0101010101010101u;
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+        w = __builtin_bswap64(w);
+#endif
+        memcpy(e + 8 * q, &w, 8);
+    }
+    for (uint64_t v = period; v < size; v += period)
+        memcpy(e + v, e, period); /* e[v] depends on v mod 2**alpha alone */
+}
+
 /* The next window end after the k = 1 attempt at window end j, or j itself
  * when the attempt verifies and is left to scan. The attempt is scan_k's
- * with the entry, no memo and no set: entry_probes, and where all three
- * pass, probe_loop down to the window start and has for the probe there.
- * The entry's probes lie right of the window start, since
- * m >= ENTRY_M_MIN. */
+ * with the entry, no memo and no set: entry_probes on the entry table e,
+ * and where all three pass, probe_loop down to the window start and has
+ * for the probe there, on the filter's bitset tbl. The entry's probes lie
+ * right of the window start, since m >= ENTRY_M_MIN, so probe_loop folds
+ * and masks at least once before it probes, and takes v3 unmasked. */
 static inline __attribute__((always_inline)) int64_t
-next_end(const uint8_t *y, int64_t m, const uint8_t *tbl, int s, uint64_t mask, int64_t j)
+next_end(const uint8_t *y, int64_t m, const uint8_t *e, const uint8_t *tbl, int s, uint64_t mask,
+         int64_t j)
 {
-    struct entry e = entry_probes(y, tbl, s, mask, j);
-    if (!e.pass)
-        return e.stop + m;
+    struct entry p = entry_probes(y, e, s, mask, 1, j);
+    if (!p.pass)
+        return p.stop + m;
     int64_t i = j - m + 1;
-    uint64_t v = e.v3;
+    uint64_t v = p.v3;
     int64_t cursor = probe_loop(y, tbl, NULL, 0, 0, s, mask, 1, 0, j - 2, i, &v);
     return cursor == i && has(tbl, NULL, 0, 0, 0, v) ? j : cursor + m;
+}
+
+/* The attempt at window end st[0] of an orbit, which verifies, as a scan of
+ * one window, and then, where the window's bytes at i, j and j + 1 are
+ * equal and j + 1 < n, run_skip up to n: scan's run rule, for an orbit
+ * that scans up to n. Only a verified window starts a run that run_skip
+ * may count: a window of one byte value whose last probe fails also
+ * shifts by 1, and none of its repeats verifies. */
+static int64_t verify(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st)
+{
+    const uint8_t *y = c->y;
+    const int64_t j = st[0];
+    int64_t found = scan(c, j + 1, pos, cap, st);
+    if (found < cap && j + 1 < n && y[j - c->m + 1] == y[j] && y[j + 1] == y[j])
+        found += run_skip(c, n, pos + found, cap - found, st); /* a run in an orbit */
+    return found;
 }
 
 /* Two orbits of a call that takes the entry, whose filter has no set and
@@ -714,12 +765,24 @@ next_end(const uint8_t *y, int64_t m, const uint8_t *tbl, int s, uint64_t mask, 
  * the one of st up to window end ea, into pos after its found positions,
  * and h's up to eb. One loop makes one attempt of each orbit per pass, so
  * that the chain of loads and hash steps that leads from one window end to
- * the next in one orbit overlaps that of the other, and hands both attempts
- * to scan where one of them verifies, as a call of one window, so runs of
- * one byte value are scanned here window by window (see the header); each
- * orbit then finishes its bound alone, h's only while pos has room.
+ * the next in one orbit overlaps that of the other. Where an attempt
+ * verifies, its orbit hands it to verify, which applies scan's run rule,
+ * and the other orbit takes the window end next_end gave it. Each orbit
+ * then finishes its bound alone, h's only while pos has room.
  * Returns the first orbit's positions, found included; h->found counts h's.
- * The loop reads tbl alone. With the set's probes in it as well, four more
+ * The loop is bound by its instruction count. With the entry's probes on
+ * the bitset, gcc 12 -O2 made each entry attempt in 37 instructions, 5 of
+ * them shifts by s or by a bit index through %cl, with s loaded again
+ * before each; on the byte table e it makes one in 16 and keeps s in %cl.
+ * 1 MiB ACGT, 16 patterns each, bitset -> e: on two CPUs m = 4 1.18 ->
+ * 0.90 ms, m = 8 0.56 -> 0.44 ms, m = 16 0.34 -> 0.27 ms; on one, 2.31 ->
+ * 1.76, 1.03 -> 0.81 and 0.61 -> 0.49 ms. When both orbits went to a one
+ * window scan at every verification, runs of one byte value were verified
+ * window by window: 1 MiB of 4 symbols between zero runs of 40-199 bytes,
+ * searched for 8 bytes that start with a 0, took 4.76 ms on two CPUs and
+ * 8.80 on one, against 0.73 and 1.31 ms with the run rule (medians of 15,
+ * both kernels in one process, in turn, 2-vCPU Xeon VM).
+ * The loop probes no set. With the set's probes in it as well, four more
  * values were live there, and 1 MiB ACGT scans on two threads took 0.268
  * against 0.252 ms at m = 16 and 0.409 against 0.404 ms at m = 8, and on
  * one CPU 0.432 against 0.409 and 0.685 against 0.665 ms (medians of 15,
@@ -732,8 +795,8 @@ next_end(const uint8_t *y, int64_t m, const uint8_t *tbl, int s, uint64_t mask, 
  * the join, and the next call scans the second half again), m = 8 0.99 ->
  * 0.67 ms, m = 16 0.55 -> 0.41 ms (medians of 15, 8 patterns each,
  * interleaved in one process, 2-vCPU Xeon VM). */
-static int64_t two_orbits(const struct call *c, int64_t *st, int64_t *pos, int64_t cap,
-                          int64_t found, struct half *h, int64_t ea, int64_t eb)
+static int64_t two_orbits(const struct call *c, const uint8_t *e, int64_t *st, int64_t *pos,
+                          int64_t cap, int64_t found, struct half *h, int64_t ea, int64_t eb)
 {
     const uint8_t *y = c->y, *tbl = c->tbl;
     const int64_t m = c->m;
@@ -741,9 +804,10 @@ static int64_t two_orbits(const struct call *c, int64_t *st, int64_t *pos, int64
     const uint64_t mask = c->mask;
     int64_t more = h->found, a = st[0], b = h->st[0];
     while (a < ea && b < eb && found < cap && more < h->cap) {
-        int64_t att = 0;
+        int64_t att = 0, a2 = a, b2 = b;
         for (; a < ea && b < eb; att++) {
-            int64_t a2 = next_end(y, m, tbl, s, mask, a), b2 = next_end(y, m, tbl, s, mask, b);
+            a2 = next_end(y, m, e, tbl, s, mask, a);
+            b2 = next_end(y, m, e, tbl, s, mask, b);
             if (a2 == a || b2 == b)
                 break; /* one of the two attempts verifies */
             a = a2;
@@ -753,8 +817,14 @@ static int64_t two_orbits(const struct call *c, int64_t *st, int64_t *pos, int64
         advance(h->st, b, att);
         if (a >= ea || b >= eb)
             break;
-        found += scan(c, a + 1, pos + found, cap - found, st);
-        more += scan(c, b + 1, h->pos + more, h->cap - more, h->st);
+        if (a2 == a)
+            found += verify(c, ea, pos + found, cap - found, st);
+        else
+            advance(st, a2, 1);
+        if (b2 == b)
+            more += verify(c, eb, h->pos + more, h->cap - more, h->st);
+        else
+            advance(h->st, b2, 1);
         a = st[0];
         b = h->st[0];
     }
@@ -779,6 +849,7 @@ struct share {
     int64_t bound[2], end[2];
     struct half *part[2];
     int orbits, closed, done, users;
+    uint8_t entry[ENTRY_VALUES(2)]; /* where two_orbits applies: see fill_entry */
 };
 
 /* Leave the block: the last of its two users frees it. Called under lock. */
@@ -845,8 +916,8 @@ static void *steal(void *arg)
     if (part[0] && part[1]) {
         record(part[0]);
         record(part[1]);
-        part[0]->found = two_orbits(c, part[0]->st, part[0]->pos, part[0]->cap, part[0]->found, /* two */
-                                    part[1], part[0]->n, part[1]->n);
+        part[0]->found = two_orbits(c, sh->entry, part[0]->st, part[0]->pos, /* two */
+                                    part[0]->cap, part[0]->found, part[1], part[0]->n, part[1]->n);
     } else {
         struct half *h = part[0] ? part[0] : part[1];
         record(h);
@@ -916,6 +987,8 @@ static int64_t split(const struct call *c, int64_t n, int64_t *pos, int64_t cap,
     sh->bound[0] = st[0];
     sh->bound[1] = mid;
     sh->users = 2;
+    if (h)
+        fill_entry(sh->entry, c->tbl, c->s, c->mask);
     pthread_t thread;
     if (!helper || pthread_create(&thread, NULL, steal, sh))
         sh->users = 1;
@@ -932,7 +1005,7 @@ static int64_t split(const struct call *c, int64_t n, int64_t *pos, int64_t cap,
             break; /* under lock */
         pthread_mutex_unlock(&sh->lock);
         if (h)
-            found = two_orbits(c, st, pos, cap, found, h, ea, eb);
+            found = two_orbits(c, sh->entry, st, pos, cap, found, h, ea, eb);
         else
             found += scan(c, ea, pos + found, cap - found, st);
     }

@@ -5,7 +5,8 @@
  *   TSAN_OPTIONS=halt_on_error=1 ./split_tsan
  *
  * Each case searches 1 MiB of text (3 MiB for a pattern of 64 bytes or
- * more, so that the call still has 2**15 windows) twice with wfr_scan:
+ * more, so that the call still has 2**15 windows) with a filter of its own
+ * alpha and shift_s, without a hashed set, twice with wfr_scan:
  * once whole, so that its long calls scan on two threads where two CPUs are
  * usable, and once with each call's window ends capped 8 KiB past its
  * first, so that no call splits. The positions and all four counters must be equal. The cases run
@@ -30,8 +31,7 @@ int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
 #define N (1 << 20)
 #define LONG_N (3 << 20)
 #define CAP 4096
-#define ALPHA 16
-#define SHIFT 2
+#define ALPHA_MAX 16 /* no hashed set */
 #define STEP 8192
 
 static uint64_t seed = 0x9E3779B97F4A7C15u;
@@ -48,8 +48,8 @@ static uint64_t next(void) /* xorshift64 */
  * final state in st; each call's window ends stop at most step past its
  * first, or at n when step is 0. Each call starts pause us after the last. */
 static int64_t search(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
-                      const uint8_t *tbl, int k, int64_t step, useconds_t pause, int64_t *out,
-                      int64_t *st)
+                      const uint8_t *tbl, int alpha, int shift, int k, int64_t step,
+                      useconds_t pause, int64_t *out, int64_t *st)
 {
     static int64_t pos[CAP];
     int64_t count = 0;
@@ -59,7 +59,7 @@ static int64_t search(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
         if (pause)
             usleep(pause);
         int64_t end = step && n - st[0] > step ? st[0] + step : n;
-        int64_t found = wfr_scan(x, m, y, end, tbl, NULL, 0, SHIFT, (1u << ALPHA) - 1, k, pos, CAP,
+        int64_t found = wfr_scan(x, m, y, end, tbl, NULL, 0, shift, (1u << alpha) - 1, k, pos, CAP,
                                  st, 0);
         memcpy(out + count, pos, found * sizeof *pos);
         count += found;
@@ -67,21 +67,24 @@ static int64_t search(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
     return count;
 }
 
+/* The search of y[at..at + m) in y, whole and in capped calls, with the
+ * filter of alpha <= ALPHA_MAX and shift_s = shift. */
 static int check(const char *name, const uint8_t *y, int64_t n, int64_t at, int64_t m, int k,
-                 useconds_t pause)
+                 int alpha, int shift, useconds_t pause)
 {
-    static uint8_t tbl[1 << (ALPHA - 3)];
+    static uint8_t tbl[1 << (ALPHA_MAX - 3)];
     static int64_t whole[LONG_N], capped[LONG_N];
     int64_t st_whole[5], st_capped[5];
     const uint8_t *x = y + at;
     memset(tbl, 0, sizeof tbl);
-    wfr_build(x, m, tbl, SHIFT, ALPHA);
-    int64_t a = search(x, m, y, n, tbl, k, 0, pause, whole, st_whole);
-    int64_t b = search(x, m, y, n, tbl, k, STEP, 0, capped, st_capped);
+    wfr_build(x, m, tbl, shift, alpha);
+    int64_t a = search(x, m, y, n, tbl, alpha, shift, k, 0, pause, whole, st_whole);
+    int64_t b = search(x, m, y, n, tbl, alpha, shift, k, STEP, 0, capped, st_capped);
     int same = a == b && !memcmp(whole, capped, a * sizeof *whole) &&
                !memcmp(st_whole, st_capped, sizeof st_whole);
-    printf("%s m=%lld k=%d pause=%u us: %lld positions, %lld attempts: %s\n", name, (long long)m,
-           k, (unsigned)pause, (long long)a, (long long)st_whole[2], same ? "equal" : "DIFFERENT");
+    printf("%s m=%lld k=%d alpha=%d shift_s=%d pause=%u us: %lld positions, %lld attempts: %s\n",
+           name, (long long)m, k, alpha, shift, (unsigned)pause, (long long)a,
+           (long long)st_whole[2], same ? "equal" : "DIFFERENT");
     return !same;
 }
 
@@ -93,30 +96,33 @@ static int check_all(useconds_t pause)
     int failed = 0;
     for (int64_t m = 4; m <= 16; m *= 2)
         for (int k = 1; k <= 4; k += 3)
-            failed |= check("acgt", acgt, N, 1000, m, k, pause);
-    failed |= check("dense", dense, N, 2000, 8, 1, pause);
+            failed |= check("acgt", acgt, N, 1000, m, k, 16, 2, pause);
+    failed |= check("dense", dense, N, 2000, 8, 1, 16, 2, pause);
     for (int k = 1; k <= 4; k++)
-        failed |= check("sigma64", sigma64, N, 5000, 8, k, pause);
+        failed |= check("sigma64", sigma64, N, 5000, 8, k, 16, 2, pause);
     for (int k = 1; k <= 4; k += 3)
-        failed |= check("sevens", sevens, N, 1000, 8, k, pause);
+        failed |= check("sevens", sevens, N, 1000, 8, k, 16, 2, pause);
     /* A pattern inside the first zero run, and one across its end. */
-    failed |= check("zero-runs", zero_runs, N, 40, 8, 1, pause);
+    failed |= check("zero-runs", zero_runs, N, 40, 8, 1, 16, 2, pause);
     int64_t edge = 40;
     while (!zero_runs[edge])
         edge++;
-    failed |= check("zero-runs edge", zero_runs, N, edge - 4, 8, 1, pause);
+    failed |= check("zero-runs edge", zero_runs, N, edge - 4, 8, 1, 16, 2, pause);
     /* Longer than 64 bytes: the branch-free entry on one orbit, prefetching. */
-    failed |= check("sigma16", sigma16, LONG_N, 7000, 65, 1, pause);
+    failed |= check("sigma16", sigma16, LONG_N, 7000, 65, 1, 16, 2, pause);
     /* 64 bytes: two orbits at their bound, whose second orbit's records can
      * span one whole split step. */
-    failed |= check("sigma16", sigma16, LONG_N, 7000, 64, 1, pause);
-    /* The branch-free entry on two orbits, meeting zero runs that the scans
-     * finishing each orbit's steps hand to run_skip: a pattern of a 0 and
+    failed |= check("sigma16", sigma16, LONG_N, 7000, 64, 1, 16, 2, pause);
+    /* The branch-free entry on two orbits, meeting zero runs that each
+     * orbit hands to run_skip after a verified window: a pattern of a 0 and
      * then 7 bytes that are not all 0. */
     int64_t at = 2000;
     while (zeros4[at] || !zeros4[at + 1])
         at++;
-    failed |= check("zeros4", zeros4, N, at, 8, 1, pause);
+    failed |= check("zeros4", zeros4, N, at, 8, 1, 16, 2, pause);
+    /* The same at shift_s = 1, where the two orbits' entry table is 2 KiB,
+     * and alpha = 12. */
+    failed |= check("zeros4", zeros4, N, at, 8, 1, 12, 1, pause);
     return failed;
 }
 

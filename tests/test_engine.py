@@ -927,6 +927,25 @@ def _split_cases():
         zeros4 += bytes(rng.choices(range(4), k=rng.randint(200, 600))) + bytes(rng.randint(40, 200))
     zeros4 = bytes(zeros4[: 8 * windows + 7])
     cases.append((zeros4[2000:2008], zeros4, 1, FilterParams()))
+    # Two orbits probe their entry in a table indexed by the unmasked hash,
+    # 8 KiB at shift_s=2 and 2 KiB at shift_s=1. On bytes 252-255 that index
+    # reaches 2**12 and more, so at alpha=8 and 12 it differs from the
+    # masked hash.
+    high4 = acgt.translate(bytes.maketrans(b"ACGT", bytes(range(252, 256))))
+    for alpha, shift_s in ((8, 2), (12, 2), (8, 1), (16, 1)):
+        cases.append((high4[4000:4008], high4, 1, FilterParams(alpha=alpha, shift_s=shift_s)))
+    # Each orbit hands the zero runs it verifies in to run_skip, at m = 4
+    # and at m = 8 with shift_s=1.
+    cases.append((zeros4[3000:3004], zeros4, 1, FilterParams()))
+    cases.append((zeros4[2000:2008], zeros4, 1, SHIFT1))
+    # Runs of 1s, in which every window of 1111 fails only its last probe
+    # and shifts by 1 without a verification, beside equal bytes: the run
+    # rule must not apply where the other orbit verifies at that point.
+    ones4 = bytearray()
+    while len(ones4) < 8 * windows + 7:
+        ones4 += bytes(rng.choices(range(4), k=rng.randint(100, 300))) + b"\x01" * rng.randint(40, 200)
+    ones4 = bytes(ones4[: 8 * windows + 7])
+    cases.append((b"\x01\x01\x01\x02", ones4, 1, SHIFT1))
     return cases
 
 
