@@ -38,15 +38,23 @@
  * that cost. Where the first probes are predictable it costs more than it
  * saves, so wfr_scan chooses per call, from what it observes of the
  * pattern and the text, whether the scan takes it. Either way every probe
- * has the same outcome. Each attempt of a pattern longer than SHORT_M_MAX
- * prefetches the text PREFETCH_WINDOWS windows ahead: the entry makes the
- * next window end wait for its loads, and on a text that is not in cache
- * those loads would no longer overlap.
+ * has the same outcome. The entry's probes read the call's entry table, a
+ * byte per value (see fill_entry), which wfr_scan fills on its stack for a
+ * call that may take the entry: with no mask and no bit to extract, an
+ * entry attempt takes fewer instructions than on the bitset. Against the
+ * bitset, k = 1 scans of 1 MiB took 0.71 times as long on 64 symbols at
+ * m = 256 and alpha = 24, 0.85 times on 64 symbols at m = 64 and alpha =
+ * 16, and 0.81 times on 16 symbols at m = 8 and alpha = 20 (medians of 8
+ * alternating processes, each the median of 8 patterns of 15 runs, 2-vCPU
+ * Xeon VM). Each attempt of a pattern longer than SHORT_M_MAX prefetches
+ * the text PREFETCH_WINDOWS windows ahead: the entry makes the next window
+ * end wait for its loads, and on a text that is not in cache those loads
+ * would no longer overlap.
  *
- * Each probe is written once: entry_probes makes the entry's three,
- * probe_loop the loop's, and has tests a value's membership. scan_k, the
- * two-orbit loop's next_end and the sampler entry_pays call them;
- * entry_probes reads the bitset, or for next_end the call's entry table.
+ * Each probe is written once: entry_probes makes the entry's three, on the
+ * entry table, probe_loop the loop's, and has tests a value's membership,
+ * on the filter. scan_k, the two-orbit loop's next_end and the sampler
+ * entry_pays call them.
  *
  * As in engine.py, one loop serves every k: k = 1 is the chained loop with
  * one character per probe. scan_copy inlines that loop five times (scan_k
@@ -78,9 +86,7 @@
  * midpoint, and the helper takes a part of each, all joined the same way
  * (see two_orbits): one window end leads to the next through a chain of
  * loads and hash steps, and one loop makes the attempts of two orbits in
- * turn. That loop is bound by its instruction count, so it probes the
- * entry in a byte table per call, ENTRY_VALUES(s) bytes (8 KiB at shift_s
- * = 2), which split fills once (see fill_entry).
+ * turn. That loop is bound by its instruction count.
  * On one usable CPU split starts no helper: the calling thread scans such
  * a call's two orbits in the same steps and joins them the same way, and
  * scans any other long call as it scans a short one.
@@ -103,17 +109,15 @@
  * would take no less memory than the 2**(alpha-3)-byte bitset of all
  * values. A value is in the filter iff it is in its part, so every probe
  * has the outcome a 2**alpha-bit bitset would give.
- * entry_probes reads tbl alone, which holds every value it probes: its
- * probes hash at most 3 bytes, so each value is below 2**14 <
- * 2**DIRECT_BITS and below 2**alpha. */
+ * The entry table is made from tbl alone, which holds every value the
+ * entry probes: its probes hash at most 3 bytes, so each value, masked or
+ * not, is below ENTRY_VALUES(2) = 2**13 < 2**DIRECT_BITS (see fill_entry). */
 #define _GNU_SOURCE /* sched_getaffinity */
 #include <pthread.h>
 #include <sched.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-#define BIT(tbl, v) ((tbl)[(v) >> 3] >> ((v) & 7) & 1)
 
 #define DIRECT_BITS 16
 #define EMPTY 0xFFFFFFFFu
@@ -193,34 +197,60 @@ void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, int alpha)
     build(x, m, tbl, 0, 0, s, alpha);
 }
 
+/* ENTRY_VALUES(s): every entry probe's hash unmasked, (v << s) + c with v
+ * and c bytes, lies below 2**(9 + 2 s): v3 < 2**(8 + 2 s) + 2**(8 + s) +
+ * 2**8. A call's entry table holds a byte for each such value, 8 KiB at s
+ * = 2 and 2 KiB at s = 1. */
+#define ENTRY_VALUES(s) ((uint64_t)1 << (9 + 2 * (s)))
+
+/* Fill e, the entry table of the filter whose direct part is tbl: e[v] is
+ * bit v & mask of tbl for every v < ENTRY_VALUES(s). A fold (v << s) + c
+ * keeps its value mod 2**alpha, so a probe of e at an unmasked hash has the
+ * outcome of the probe of the filter at the hash. Where alpha < 9 + 2 s,
+ * tbl is the bitset of all 2**alpha values, and e repeats its bits every
+ * 2**alpha bytes. Otherwise e reads the first ENTRY_VALUES(s) bits of tbl,
+ * which holds them with or without the hashed set (DIRECT_BITS > 13).
+ * Eight values a step: a loop of one bit at a time took 6-11 us at s = 2,
+ * this one 0.3-1.1 us (2-vCPU Xeon VM). */
+static void fill_entry(uint8_t *e, const uint8_t *tbl, int s, uint64_t mask)
+{
+    const uint64_t size = ENTRY_VALUES(s), period = mask < size ? mask + 1 : size;
+    for (uint64_t q = 0; q < period / 8; q++) {
+        /* byte r of w keeps bit r of tbl[q], which the add carries to bit 7 */
+        uint64_t w = (tbl[q] * 0x0101010101010101u & 0x8040201008040201u) + 0x7F7F7F7F7F7F7F7Fu;
+        w = w >> 7 & 0x0101010101010101u;
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+        w = __builtin_bswap64(w);
+#endif
+        memcpy(e + 8 * q, &w, 8);
+    }
+    for (uint64_t v = period; v < size; v += period)
+        memcpy(e + v, e, period); /* e[v] depends on v mod 2**alpha alone */
+}
+
 /* The branch-free entry of a k = 1 attempt at window end j: the hashes of
- * the probes at j, j - 1 and j - 2 and their three table bits, loaded with
- * no branch between the loads. p1 is 1 when the first probe passes, p12 when
- * the first two pass and pass when all three pass; otherwise stop = j - p1 -
- * p12 is where the first failing probe stands and the attempt ends. v3 is
- * the hash of y[j - 2..j]. Reads y[j - 2..j]. Every entry attempt is made
- * here, by scan_k and next_end, and entry_pays samples these outcomes here:
- * written with a branch inside, or with pointers out, it changed gcc 12's
- * block layout of scan_copy's copies. scan_k and entry_pays pass the
- * filter's bitset as tbl. next_end sets bytes and passes its call's entry
- * table (see fill_entry), a byte per value, which it reads with no mask and
- * no bit extraction; v3 is then unmasked, equal to the hash mod 2**alpha. */
+ * the probes at j, j - 1 and j - 2 and their three bytes of the call's
+ * entry table et (see fill_entry), loaded with no branch between the
+ * loads. p1 is 1 when the first probe passes, p12 when the first two pass
+ * and pass when all three pass; otherwise stop = j - p1 - p12 is where the
+ * first failing probe stands and the attempt ends. v3 is the hash of
+ * y[j - 2..j] unmasked, equal to it mod 2**alpha: et is read with no mask
+ * and no bit extraction, and probe_loop masks v3 at its first fold. Reads
+ * y[j - 2..j]. Every entry attempt is made here, by scan_k and next_end,
+ * and entry_pays samples these outcomes here: written with a branch
+ * inside, or with pointers out, it changed gcc 12's block layout of
+ * scan_copy's copies. */
 struct entry {
     int64_t p1, p12, pass, stop;
     uint64_t v3;
 };
 
-#define ENTRY_BIT(tbl, bytes, v) ((bytes) ? (tbl)[v] : BIT(tbl, v))
-
 static inline __attribute__((always_inline)) struct entry
-entry_probes(const uint8_t *y, const uint8_t *tbl, int s, uint64_t mask, const int bytes, int64_t j)
+entry_probes(const uint8_t *y, const uint8_t *et, int s, int64_t j)
 {
-    const uint64_t keep = bytes ? ~(uint64_t)0 : mask;
-    uint64_t v1 = y[j] & keep;
-    uint64_t v2 = ((v1 << s) + y[j - 1]) & keep;
-    uint64_t v3 = ((v2 << s) + y[j - 2]) & keep;
-    int64_t p1 = ENTRY_BIT(tbl, bytes, v1), p12 = p1 & ENTRY_BIT(tbl, bytes, v2);
-    return (struct entry){p1, p12, p12 & ENTRY_BIT(tbl, bytes, v3), j - p1 - p12, v3};
+    uint64_t v1 = y[j], v2 = (v1 << s) + y[j - 1], v3 = (v2 << s) + y[j - 2];
+    int64_t p1 = et[v1], p12 = p1 & et[v2];
+    return (struct entry){p1, p12, p12 & et[v3], j - p1 - p12, v3};
 }
 
 /* The probe loop of an attempt, from cursor > lim down: fold up to k
@@ -288,10 +318,11 @@ probe_loop(const uint8_t *y, const uint8_t *tbl, const uint32_t *set, uint32_t l
  * at least one character.
  *
  * With entry set (k = 1 only), an attempt first makes its probes at j,
- * j - 1 and j - 2 in entry_probes and ends at the first that fails, as the
- * loop would end it. Only "all three pass" branches, into the loop at
- * cursor j - 2. The entry runs only when j - 2 > lim, so it never reaches
- * the window start or a probe the memo knows, and it reads only y[i..j].
+ * j - 1 and j - 2 in entry_probes, on the call's entry table et, and ends
+ * at the first that fails, as the loop would end it. Only "all three pass"
+ * branches, into the loop at cursor j - 2. The entry runs only when j - 2 >
+ * lim, so it never reaches the window start or a probe the memo knows, and
+ * it reads only y[i..j].
  * (With m >= 4 this always holds: i <= j - 3, and hi + 1 <= j - L + 1 <=
  * j - 3 since L >= 4.) No probe changes its outcome, so positions and
  * counters are those of the loop. The loop pays a mispredicted exit branch
@@ -335,8 +366,8 @@ probe_loop(const uint8_t *y, const uint8_t *tbl, const uint32_t *set, uint32_t l
  * 12.2 -O2). */
 static inline __attribute__((always_inline)) int64_t
 scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
-       const uint8_t *tbl, const uint32_t *set, int64_t slots, int s, uint64_t mask,
-       const int k, const int entry, const int hashed,
+       const uint8_t *tbl, const uint8_t *et, const uint32_t *set, int64_t slots, int s,
+       uint64_t mask, const int k, const int entry, const int hashed,
        int64_t *pos, int64_t cap, int64_t *st, int64_t base)
 {
     const int64_t L = horizon(s, mask);
@@ -353,7 +384,7 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
         int64_t lim = k == 1 && hi >= i ? hi + 1 : i;
         uint64_t v = 0;
         if (entry && j - 2 > lim) {
-            struct entry e = entry_probes(y, tbl, s, mask, 0, j);
+            struct entry e = entry_probes(y, et, s, j);
             if (!e.pass) {
                 cursor = e.stop;
                 j = cursor + m;
@@ -400,19 +431,24 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
 }
 
 /* When a k = 1 call takes the branch-free entry (see scan_k): when m >=
- * ENTRY_M_MIN, the call of a pattern longer than SHORT_M_MAX has at least
- * ENTRY_LONG_WINDOWS windows, and entry_pays. The bound on m alone would
- * take the entry where the first probe fails predictably: taken on every
- * call, it slowed m = 8 scans of 1 MiB from 0.89-0.91 to 1.35-1.41 ms on 64
- * symbols and from 0.58-0.64 to 1.34-1.39 ms on 256 (3 alternating runs
- * each, 2-vCPU Xeon VM). Long patterns take it too, with the prefetch of
- * PREFETCH_WINDOWS.
+ * ENTRY_M_MIN, the call has at least ENTRY_SAMPLE windows (ENTRY_LONG_WINDOWS
+ * for a pattern longer than SHORT_M_MAX), and entry_pays. The bound on m
+ * alone would take the entry where the first probe fails predictably: taken
+ * on every call, it slowed m = 8 scans of 1 MiB from 0.89-0.91 to
+ * 1.35-1.41 ms on 64 symbols and from 0.58-0.64 to 1.34-1.39 ms on 256 (3
+ * alternating runs each, 2-vCPU Xeon VM). Long patterns take it too, with
+ * the prefetch of PREFETCH_WINDOWS.
  *
  * ENTRY_M_MIN: below it the probe at j - 2 is at or left of the window
  * start, whose probe the loop's verify test makes, so the entry never runs.
  * ENTRY_SAMPLE: at a share of 0.3 one binomial standard deviation over 256
  * window ends is 0.03. The sample took 1.1-1.8 us a call on 4, 64 and 256
- * symbols, 0.2% of an m = 8 scan of 1 MiB on 64 symbols.
+ * symbols, 0.2% of an m = 8 scan of 1 MiB on 64 symbols. A call of fewer
+ * windows pays neither the sample nor the entry table's fill: k = 1 scans
+ * of 100 bytes of ACGT at m = 8 took 0.23 us, against 0.93 us with the
+ * sample alone and 2.30 us with the fill and the sample (medians of 8
+ * alternating processes, each the median of 8 patterns of 2,001 runs,
+ * 2-vCPU Xeon VM).
  * ENTRY_LONG_WINDOWS: a long pattern's window ends lie about m apart, so its
  * call makes about as many attempts as it has windows, and the sample costs
  * about as much as 50 of its attempts. At m = 1024 on 1 MiB of 16 symbols (1,023
@@ -432,21 +468,31 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
 #define ENTRY_LONG_WINDOWS (8 * ENTRY_SAMPLE)
 #define ENTRY_MISS_SHARE 0.3
 
+/* The arguments of one wfr_scan call that all of its scans share. et is the
+ * call's entry table (see fill_entry), filled only where the call may take
+ * the entry. It lies on wfr_scan's stack, and a helper thread reads it, as
+ * it reads c, only while the calling thread waits for its work. */
+struct call {
+    const uint8_t *x, *y, *tbl, *et;
+    const uint32_t *set;
+    int64_t m, slots, base;
+    uint64_t mask;
+    int s, k, entry;
+};
+
 /* Whether a predictor that guesses, for each of the first three k = 1
  * probes, the outcome that most of the windows reaching it have would miss
- * on at least ENTRY_MISS_SHARE of the window ends j0, j0 + 1, ... (up to
- * ENTRY_SAMPLE of them, all < n). A window's probes stop at the first that
- * fails, so the guesses amount to one guessed stop, after d passes, and the
- * predictor misses every window that stops elsewhere. The sample takes each
- * window's outcomes from entry_probes; it reads y[j0 - 2 ..], and
- * j0 >= m - 1 >= 3. */
-static int entry_pays(const uint8_t *y, int64_t n, const uint8_t *tbl, int s,
-                      uint64_t mask, int64_t j0)
+ * on at least ENTRY_MISS_SHARE of the ENTRY_SAMPLE window ends j0, j0 + 1,
+ * ..., all < n since the call has at least ENTRY_SAMPLE windows. A window's
+ * probes stop at the first that fails, so the guesses amount to one guessed
+ * stop, after d passes, and the predictor misses every window that stops
+ * elsewhere. The sample takes each window's outcomes from entry_probes on
+ * c->et; it reads y[j0 - 2 ..], and j0 >= m - 1 >= 3. */
+static int entry_pays(const struct call *c, int64_t j0)
 {
-    int64_t end = n - j0 < ENTRY_SAMPLE ? n : j0 + ENTRY_SAMPLE;
-    int64_t reach[5] = {end - j0, 0, 0, 0, 0}; /* windows whose first d probes pass */
-    for (int64_t j = j0; j < end; j++) {
-        struct entry e = entry_probes(y, tbl, s, mask, 0, j);
+    int64_t reach[5] = {ENTRY_SAMPLE, 0, 0, 0, 0}; /* windows whose first d probes pass */
+    for (int64_t j = j0; j < j0 + ENTRY_SAMPLE; j++) {
+        struct entry e = entry_probes(c->y, c->et, c->s, j);
         reach[1] += e.p1;
         reach[2] += e.p12;
         reach[3] += e.pass;
@@ -456,15 +502,6 @@ static int entry_pays(const uint8_t *y, int64_t n, const uint8_t *tbl, int s,
         d++;
     return reach[0] - (reach[d] - reach[d + 1]) >= ENTRY_MISS_SHARE * (double)reach[0];
 }
-
-/* The arguments of one wfr_scan call that all of its scans share. */
-struct call {
-    const uint8_t *x, *y, *tbl;
-    const uint32_t *set;
-    int64_t m, slots, base;
-    uint64_t mask;
-    int s, k, entry;
-};
 
 /* The length of the run of byte b at p, at most n: a word at a time. */
 static int64_t run_length(const uint8_t *p, uint8_t b, int64_t n)
@@ -538,21 +575,21 @@ run_skip(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st
 static __attribute__((noinline, aligned(64))) int64_t
 scan_copy(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st)
 {
-    const uint8_t *x = c->x, *y = c->y, *tbl = c->tbl;
+    const uint8_t *x = c->x, *y = c->y, *tbl = c->tbl, *et = c->et;
     const uint32_t *set = c->set;
     const int64_t m = c->m, slots = c->slots, base = c->base;
     const uint64_t mask = c->mask;
     const int s = c->s, k = c->k;
     if (k == 1) {
         if (c->entry && slots)
-            return scan_k(x, m, y, n, tbl, set, slots, s, mask, 1, 1, 1, pos, cap, st, base);
+            return scan_k(x, m, y, n, tbl, et, set, slots, s, mask, 1, 1, 1, pos, cap, st, base);
         if (c->entry)
-            return scan_k(x, m, y, n, tbl, set, slots, s, mask, 1, 1, 0, pos, cap, st, base);
+            return scan_k(x, m, y, n, tbl, et, set, slots, s, mask, 1, 1, 0, pos, cap, st, base);
         if (slots)
-            return scan_k(x, m, y, n, tbl, set, slots, s, mask, 1, 0, 1, pos, cap, st, base);
-        return scan_k(x, m, y, n, tbl, set, slots, s, mask, 1, 0, 0, pos, cap, st, base);
+            return scan_k(x, m, y, n, tbl, et, set, slots, s, mask, 1, 0, 1, pos, cap, st, base);
+        return scan_k(x, m, y, n, tbl, et, set, slots, s, mask, 1, 0, 0, pos, cap, st, base);
     }
-    return scan_k(x, m, y, n, tbl, set, slots, s, mask, k, 0, slots != 0, pos, cap, st, base);
+    return scan_k(x, m, y, n, tbl, et, set, slots, s, mask, k, 0, slots != 0, pos, cap, st, base);
 }
 
 /* Scan the windows of y[0..n) from st[0]: scan_copy, and run_skip wherever
@@ -697,45 +734,19 @@ static inline void advance(int64_t *st, int64_t j, int64_t att)
     st[0] = j;
 }
 
-/* ENTRY_VALUES(s): every entry probe's hash unmasked, (v << s) + c with v
- * and c bytes, lies below 2**(9 + 2 s): v3 < 2**(8 + 2 s) + 2**(8 + s) +
- * 2**8. The entry table of a call on two orbits holds a byte for each such
- * value, 8 KiB at s = 2 and 2 KiB at s = 1. */
-#define ENTRY_VALUES(s) ((uint64_t)1 << (9 + 2 * (s)))
-
-/* Fill e, the entry table of a filter without a set: e[v] is bit v & mask of
- * tbl for every v < ENTRY_VALUES(s). A fold (v << s) + c keeps its value
- * mod 2**alpha, so a probe of e at an unmasked hash has the outcome of the
- * probe of tbl at the hash. Eight values a step: a loop of e[v] = BIT(tbl,
- * v & mask) took 6-11 us at s = 2, this one 0.3-1.1 us (2-vCPU Xeon VM). */
-static void fill_entry(uint8_t *e, const uint8_t *tbl, int s, uint64_t mask)
-{
-    const uint64_t size = ENTRY_VALUES(s), period = mask < size ? mask + 1 : size;
-    for (uint64_t q = 0; q < period / 8; q++) {
-        /* byte r of w keeps bit r of tbl[q], which the add carries to bit 7 */
-        uint64_t w = (tbl[q] * 0x0101010101010101u & 0x8040201008040201u) + 0x7F7F7F7F7F7F7F7Fu;
-        w = w >> 7 & 0x0101010101010101u;
-#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-        w = __builtin_bswap64(w);
-#endif
-        memcpy(e + 8 * q, &w, 8);
-    }
-    for (uint64_t v = period; v < size; v += period)
-        memcpy(e + v, e, period); /* e[v] depends on v mod 2**alpha alone */
-}
-
 /* The next window end after the k = 1 attempt at window end j, or j itself
  * when the attempt verifies and is left to scan. The attempt is scan_k's
- * with the entry, no memo and no set: entry_probes on the entry table e,
- * and where all three pass, probe_loop down to the window start and has
- * for the probe there, on the filter's bitset tbl. The entry's probes lie
- * right of the window start, since m >= ENTRY_M_MIN, so probe_loop folds
- * and masks at least once before it probes, and takes v3 unmasked. */
+ * with the entry, no memo and no set: entry_probes on the call's entry
+ * table e, and where all three pass, probe_loop down to the window start
+ * and has for the probe there, on the filter's bitset tbl. The entry's
+ * probes lie right of the window start, since m >= ENTRY_M_MIN, so
+ * probe_loop folds and masks at least once before it probes, and takes v3
+ * unmasked. */
 static inline __attribute__((always_inline)) int64_t
 next_end(const uint8_t *y, int64_t m, const uint8_t *e, const uint8_t *tbl, int s, uint64_t mask,
          int64_t j)
 {
-    struct entry p = entry_probes(y, e, s, mask, 1, j);
+    struct entry p = entry_probes(y, e, s, j);
     if (!p.pass)
         return p.stop + m;
     int64_t i = j - m + 1;
@@ -773,7 +784,8 @@ static int64_t verify(const struct call *c, int64_t n, int64_t *pos, int64_t cap
  * The loop is bound by its instruction count. With the entry's probes on
  * the bitset, gcc 12 -O2 made each entry attempt in 37 instructions, 5 of
  * them shifts by s or by a bit index through %cl, with s loaded again
- * before each; on the byte table e it makes one in 16 and keeps s in %cl.
+ * before each; on the call's entry table e it makes one in 16 and keeps s
+ * in %cl.
  * 1 MiB ACGT, 16 patterns each, bitset -> e: on two CPUs m = 4 1.18 ->
  * 0.90 ms, m = 8 0.56 -> 0.44 ms, m = 16 0.34 -> 0.27 ms; on one, 2.31 ->
  * 1.76, 1.03 -> 0.81 and 0.61 -> 0.49 ms. When both orbits went to a one
@@ -794,11 +806,15 @@ static int64_t verify(const struct call *c, int64_t n, int64_t *pos, int64_t cap
  * one CPU: m = 4 1.98 -> 1.77 ms (its 4,096 or so positions overflow pos at
  * the join, and the next call scans the second half again), m = 8 0.99 ->
  * 0.67 ms, m = 16 0.55 -> 0.41 ms (medians of 15, 8 patterns each,
- * interleaved in one process, 2-vCPU Xeon VM). */
-static int64_t two_orbits(const struct call *c, const uint8_t *e, int64_t *st, int64_t *pos,
-                          int64_t cap, int64_t found, struct half *h, int64_t ea, int64_t eb)
+ * interleaved in one process, 2-vCPU Xeon VM).
+ * Aligned to a cache line, as scan_copy is, so that the loop's placement
+ * does not move with the code before it: code placement alone moves the
+ * k = 1 loops' times by 5-10% (2-vCPU Xeon VM). */
+static __attribute__((aligned(64))) int64_t
+two_orbits(const struct call *c, int64_t *st, int64_t *pos, int64_t cap, int64_t found,
+           struct half *h, int64_t ea, int64_t eb)
 {
-    const uint8_t *y = c->y, *tbl = c->tbl;
+    const uint8_t *y = c->y, *e = c->et, *tbl = c->tbl;
     const int64_t m = c->m;
     const int s = c->s;
     const uint64_t mask = c->mask;
@@ -849,7 +865,6 @@ struct share {
     int64_t bound[2], end[2];
     struct half *part[2];
     int orbits, closed, done, users;
-    uint8_t entry[ENTRY_VALUES(2)]; /* where two_orbits applies: see fill_entry */
 };
 
 /* Leave the block: the last of its two users frees it. Called under lock. */
@@ -916,8 +931,8 @@ static void *steal(void *arg)
     if (part[0] && part[1]) {
         record(part[0]);
         record(part[1]);
-        part[0]->found = two_orbits(c, sh->entry, part[0]->st, part[0]->pos, /* two */
-                                    part[0]->cap, part[0]->found, part[1], part[0]->n, part[1]->n);
+        part[0]->found = two_orbits(c, part[0]->st, part[0]->pos, part[0]->cap, /* two */
+                                    part[0]->found, part[1], part[0]->n, part[1]->n);
     } else {
         struct half *h = part[0] ? part[0] : part[1];
         record(h);
@@ -987,8 +1002,6 @@ static int64_t split(const struct call *c, int64_t n, int64_t *pos, int64_t cap,
     sh->bound[0] = st[0];
     sh->bound[1] = mid;
     sh->users = 2;
-    if (h)
-        fill_entry(sh->entry, c->tbl, c->s, c->mask);
     pthread_t thread;
     if (!helper || pthread_create(&thread, NULL, steal, sh))
         sh->users = 1;
@@ -1005,7 +1018,7 @@ static int64_t split(const struct call *c, int64_t n, int64_t *pos, int64_t cap,
             break; /* under lock */
         pthread_mutex_unlock(&sh->lock);
         if (h)
-            found = two_orbits(c, sh->entry, st, pos, cap, found, h, ea, eb);
+            found = two_orbits(c, st, pos, cap, found, h, ea, eb);
         else
             found += scan(c, ea, pos + found, cap - found, st);
     }
@@ -1041,22 +1054,26 @@ static int64_t split(const struct call *c, int64_t n, int64_t *pos, int64_t cap,
  * register in the k = 1 loop, and gcc 12 -O2 kept the window end on the
  * stack there instead.
  *
- * A k = 1 call chooses once whether its scans take the branch-free entry,
- * from the window ends at st[0] (see ENTRY_MISS_SHARE). A call with at least
- * SPLIT_MIN_WINDOWS windows goes to split, with a helper thread where two
- * CPUs are usable; where one is, split scans it on the calling thread's two
- * orbits if two_orbits applies. The rest scan on the calling thread alone,
- * on one orbit. */
+ * A k = 1 call that may take the branch-free entry fills its entry table
+ * once, on this stack (see struct call), and chooses once whether its scans
+ * take the entry, from the window ends at st[0] (see ENTRY_MISS_SHARE). A
+ * call with at least SPLIT_MIN_WINDOWS windows goes to split, with a helper
+ * thread where two CPUs are usable; where one is, split scans it on the
+ * calling thread's two orbits if two_orbits applies. The rest scan on the
+ * calling thread alone, on one orbit. */
 int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
                  const uint8_t *tbl, const uint32_t *set, int64_t slots, int s, uint64_t mask,
                  int k, int64_t *pos, int64_t cap, int64_t *st, int64_t base)
 {
-    const struct call c = {
-        x, y, tbl, set, m, slots, base, mask, s, k,
-        k == 1 && m >= ENTRY_M_MIN && (m <= SHORT_M_MAX || (n - st[0]) / m >= ENTRY_LONG_WINDOWS) &&
-            entry_pays(y, n, tbl, s, mask, st[0]),
-    };
-    if ((n - st[0]) / m < SPLIT_MIN_WINDOWS)
+    uint8_t et[ENTRY_VALUES(2)];
+    struct call c = {x, y, tbl, et, set, m, slots, base, mask, s, k, 0};
+    const int64_t windows = (n - st[0]) / m;
+    if (k == 1 && m >= ENTRY_M_MIN &&
+        windows >= (m <= SHORT_M_MAX ? ENTRY_SAMPLE : ENTRY_LONG_WINDOWS)) {
+        fill_entry(et, tbl, s, mask);
+        c.entry = entry_pays(&c, st[0]);
+    }
+    if (windows < SPLIT_MIN_WINDOWS)
         return scan(&c, n, pos, cap, st);
     return split(&c, n, pos, cap, st, usable_cpus() > 1);
 }

@@ -6,7 +6,7 @@
  *
  * Each case searches 1 MiB of text (3 MiB for a pattern of 64 bytes or
  * more, so that the call still has 2**15 windows) with a filter of its own
- * alpha and shift_s, without a hashed set, twice with wfr_scan:
+ * alpha and shift_s, with a hashed set where alpha > 16, twice with wfr_scan:
  * once whole, so that its long calls scan on two threads where two CPUs are
  * usable, and once with each call's window ends capped 8 KiB past its
  * first, so that no call splits. The positions and all four counters must be equal. The cases run
@@ -23,6 +23,8 @@
 #include <string.h>
 #include <unistd.h>
 
+void wfr_build_hashed(const uint8_t *x, int64_t m, uint8_t *tbl, uint32_t *set, int64_t slots,
+                      int s, int alpha);
 void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, int alpha);
 int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
                  const uint8_t *tbl, const uint32_t *set, int64_t slots, int s, uint64_t mask,
@@ -31,7 +33,8 @@ int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
 #define N (1 << 20)
 #define LONG_N (3 << 20)
 #define CAP 4096
-#define ALPHA_MAX 16 /* no hashed set */
+#define DIRECT_BITS 16 /* the bitset holds the values below 2**16, a hashed set the rest */
+#define SLOTS_MAX 1024
 #define STEP 8192
 
 static uint64_t seed = 0x9E3779B97F4A7C15u;
@@ -48,8 +51,8 @@ static uint64_t next(void) /* xorshift64 */
  * final state in st; each call's window ends stop at most step past its
  * first, or at n when step is 0. Each call starts pause us after the last. */
 static int64_t search(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
-                      const uint8_t *tbl, int alpha, int shift, int k, int64_t step,
-                      useconds_t pause, int64_t *out, int64_t *st)
+                      const uint8_t *tbl, const uint32_t *set, int64_t slots, int alpha, int shift,
+                      int k, int64_t step, useconds_t pause, int64_t *out, int64_t *st)
 {
     static int64_t pos[CAP];
     int64_t count = 0;
@@ -59,8 +62,8 @@ static int64_t search(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
         if (pause)
             usleep(pause);
         int64_t end = step && n - st[0] > step ? st[0] + step : n;
-        int64_t found = wfr_scan(x, m, y, end, tbl, NULL, 0, shift, (1u << alpha) - 1, k, pos, CAP,
-                                 st, 0);
+        int64_t found = wfr_scan(x, m, y, end, tbl, set, slots, shift, (1u << alpha) - 1, k, pos,
+                                 CAP, st, 0);
         memcpy(out + count, pos, found * sizeof *pos);
         count += found;
     }
@@ -68,18 +71,28 @@ static int64_t search(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
 }
 
 /* The search of y[at..at + m) in y, whole and in capped calls, with the
- * filter of alpha <= ALPHA_MAX and shift_s = shift. */
+ * filter of alpha and shift_s = shift. Where alpha > DIRECT_BITS the filter
+ * has a hashed set of the smallest power of two of slots at least 2 m L,
+ * L = ceil(alpha / shift), as engine._layout sizes it; m L <= SLOTS_MAX / 2. */
 static int check(const char *name, const uint8_t *y, int64_t n, int64_t at, int64_t m, int k,
                  int alpha, int shift, useconds_t pause)
 {
-    static uint8_t tbl[1 << (ALPHA_MAX - 3)];
+    static uint8_t tbl[1 << (DIRECT_BITS - 3)];
+    static uint32_t set[SLOTS_MAX];
     static int64_t whole[LONG_N], capped[LONG_N];
-    int64_t st_whole[5], st_capped[5];
+    int64_t st_whole[5], st_capped[5], slots = 0;
     const uint8_t *x = y + at;
     memset(tbl, 0, sizeof tbl);
-    wfr_build(x, m, tbl, shift, alpha);
-    int64_t a = search(x, m, y, n, tbl, alpha, shift, k, 0, pause, whole, st_whole);
-    int64_t b = search(x, m, y, n, tbl, alpha, shift, k, STEP, 0, capped, st_capped);
+    if (alpha > DIRECT_BITS) {
+        slots = 1;
+        while (slots < 2 * m * ((alpha + shift - 1) / shift))
+            slots *= 2;
+        memset(set, 0xFF, slots * sizeof *set); /* every slot EMPTY */
+        wfr_build_hashed(x, m, tbl, set, slots, shift, alpha);
+    } else
+        wfr_build(x, m, tbl, shift, alpha);
+    int64_t a = search(x, m, y, n, tbl, set, slots, alpha, shift, k, 0, pause, whole, st_whole);
+    int64_t b = search(x, m, y, n, tbl, set, slots, alpha, shift, k, STEP, 0, capped, st_capped);
     int same = a == b && !memcmp(whole, capped, a * sizeof *whole) &&
                !memcmp(st_whole, st_capped, sizeof st_whole);
     printf("%s m=%lld k=%d alpha=%d shift_s=%d pause=%u us: %lld positions, %lld attempts: %s\n",
@@ -123,6 +136,10 @@ static int check_all(useconds_t pause)
     /* The same at shift_s = 1, where the two orbits' entry table is 2 KiB,
      * and alpha = 12. */
     failed |= check("zeros4", zeros4, N, at, 8, 1, 12, 1, pause);
+    /* alpha = 20: the filter has a hashed set, so the call scans on one
+     * orbit, and a helper's part probes the entry through scan_k's copy
+     * with the set, in the entry table on the calling thread's stack. */
+    failed |= check("acgt", acgt, N, 1000, 8, 1, 20, 2, pause);
     return failed;
 }
 

@@ -989,6 +989,19 @@ def test_native_matches_python_reference(monkeypatch):
                         pattern = bytes(rng.choices(range(sigma), k=m))
                     cases.extend((pattern, text, k, params) for k in range(1, min(4, m) + 1))
     cases += _long_entry_cases()
+    # k=1 calls too short to split whose first window ends make the
+    # branch-free entry pay, so that the entry probes the call's entry
+    # table: on bytes 252-255, whose unmasked entry hashes reach past
+    # 2**alpha, so the table repeats the filter's bits (except at alpha=12,
+    # shift_s=1); at alpha=20, whose filter has a hashed set; and on texts
+    # of 255 and 256 windows at m=8, each side of the fewest windows with
+    # which a call takes the entry.
+    high = bytes(rng.choices(range(252, 256), k=4000))
+    for alpha in (8, 12):
+        cases.extend((high[1000:1008], high, 1, FilterParams(alpha=alpha, shift_s=s)) for s in (1, 2))
+    acgt = bytes(rng.choices(b"ACGT", k=4000))
+    cases.append((acgt[500:508], acgt, 1, FilterParams(alpha=20)))
+    cases.extend((acgt[500:508], acgt[: 7 + 8 * windows], 1, FilterParams()) for windows in (255, 256))
     for pattern, text, k, params in cases:
         native = search(pattern, text, params=params, k=k)
         native_filter = FactorFilter(pattern, params)
