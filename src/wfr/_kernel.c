@@ -373,7 +373,7 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
     const int64_t L = horizon(s, mask);
     const uint32_t last = (uint32_t)(slots - 1);
     const int sh = hashed ? slot_shift(slots) : 0;
-    int64_t j = st[0], ver = st[1], att = st[2], shift = st[3], cmp = st[4];
+    int64_t j = st[0], ver = st[1], att = st[2], cmp = st[3];
     int64_t found = 0, hi = -1;
     int64_t end = cap > 0 ? n : 0; /* 0 once pos is full */
     while (j < end) {
@@ -386,9 +386,7 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
         if (entry && j - 2 > lim) {
             struct entry e = entry_probes(y, et, s, j);
             if (!e.pass) {
-                cursor = e.stop;
-                j = cursor + m;
-                shift += cursor + 1 - i;
+                j = e.stop + m;
                 continue;
             }
             cursor = j - 2;
@@ -420,13 +418,11 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
                 end = 0; /* perhaps a run of y[i]: scan hands it to run_skip */
         }
         j = cursor + m;
-        shift += cursor + 1 - i;
     }
     st[0] = j;
     st[1] = ver;
     st[2] = att;
-    st[3] = shift;
-    st[4] = cmp;
+    st[3] = cmp;
     return found;
 }
 
@@ -468,7 +464,8 @@ scan_k(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
 #define ENTRY_LONG_WINDOWS (8 * ENTRY_SAMPLE)
 #define ENTRY_MISS_SHARE 0.3
 
-/* The arguments of one wfr_scan call that all of its scans share. et is the
+/* The arguments of one wfr_scan call that all of its scans share, with base
+ * read from st[4], the last slot of the stream's state block. et is the
  * call's entry table (see fill_entry), filled only where the call may take
  * the entry. It lies on wfr_scan's stack, and a helper thread reads it, as
  * it reads c, only while the calling thread waits for its work. */
@@ -524,11 +521,12 @@ static int64_t run_length(const uint8_t *p, uint8_t b, int64_t n)
  * in O(1) each (see the header). scan_k has just verified [i, j], i = j - m
  * + 1, and shifted by 1 to st[0] = j + 1, and y[i] = y[j] = y[j + 1] = b.
  * If y[i..j + 1] is one run of b, each of the w windows that end inside
- * that run verifies, matches the same t bytes and shifts by 1: they add w
- * to the verification, attempt and shift counters and w (t == m ? m : t +
- * 1) to the comparisons, and when t == m their positions go to pos, at most
- * cap of them, so that a full pos stops the scan where the window by window
- * scan stops; the run is read no further than one window past them.
+ * that run verifies, matches the same t bytes and shifts by 1: they move
+ * the window end by w, add w to the verification and attempt counters and
+ * w (t == m ? m : t + 1) to the comparisons, and when t == m their
+ * positions go to pos, at most cap of them, so that a full pos stops the
+ * scan where the window by window scan stops; the run is read no further
+ * than one window past them.
  * Returns the positions written; when y[i..j + 1] is not one run, it writes
  * none and leaves st as it is. */
 static __attribute__((noinline, cold)) int64_t
@@ -543,18 +541,17 @@ run_skip(const struct call *c, int64_t n, int64_t *pos, int64_t cap, int64_t *st
     if (w < 1)
         return 0;
     if (t < m)
-        st[4] += w * (t + 1); /* each verification stops at the byte after the match */
+        st[3] += w * (t + 1); /* each verification stops at the byte after the match */
     else {
         if (w > cap)
             w = cap; /* pos fills inside the run: the next call resumes there */
         for (int64_t q = 0; q < w; q++)
             pos[q] = i + 1 + q + c->base;
-        st[4] += w * m;
+        st[3] += w * m;
     }
     st[0] += w;
     st[1] += w;
     st[2] += w;
-    st[3] += w;
     return t < m ? 0 : w;
 }
 
@@ -627,9 +624,9 @@ static int64_t scan(const struct call *c, int64_t n, int64_t *pos, int64_t cap, 
  * the 320 CLI splits (m = 16), 160, 130, 27 and 3. Chained probes (k > 1)
  * meet later or not at all: at m = 8 on 64 symbols, 7 of 8 k = 4 splits met
  * none of 256, and the calling thread scanned on alone. 256 records take
- * 12 KiB: a struct half with cap = 4096 positions takes 44 KiB, and a split
+ * 10 KiB: a struct half with cap = 4096 positions takes 42 KiB, and a split
  * call that takes the entry allocates three (the calling thread's second
- * orbit and the helper's two parts), 132 KiB.
+ * orbit and the helper's two parts), 126 KiB.
  * SPLIT_STEP: the calling thread renews its bound under a lock once per
  * step, and the helper's part starts half the rest past that bound, so the
  * helper's share falls short of half by up to half a step. Against 16 KiB,
@@ -646,13 +643,14 @@ static int64_t scan(const struct call *c, int64_t n, int64_t *pos, int64_t cap, 
 
 /* A part of a range scanned as its own orbit: a part the helper of a split
  * call takes (see steal), or the calling thread's second orbit (see split).
- * Its scan of y[0..n) from window end st[0] into pos, which has cap slots.
- * Record t is st before its attempt t, then the positions found before it. */
+ * Its scan of y[0..n) from window end st[0] into pos, which has cap slots;
+ * st is a state block without its base, which only wfr_scan reads. Record t
+ * is st before its attempt t, then the positions found before it. */
 struct half {
     const struct call *c;
     int64_t n, cap, found, records;
-    int64_t st[5];
-    int64_t rec[MERGE_PREFIX][6];
+    int64_t st[4];
+    int64_t rec[MERGE_PREFIX][5];
     int64_t pos[];
 };
 
@@ -678,7 +676,7 @@ static void record(struct half *h)
     int64_t found = 0, t = 0;
     for (; t < MERGE_PREFIX && h->st[0] < h->n; t++) {
         memcpy(h->rec[t], h->st, sizeof h->st);
-        h->rec[t][5] = found;
+        h->rec[t][4] = found;
         found += scan(h->c, h->st[0] + 1, h->pos + found, h->cap - found, h->st);
     }
     h->records = t;
@@ -712,25 +710,23 @@ static int64_t join(const struct call *c, const struct half *h, int64_t *pos, in
         found += scan(c, r[0], pos + found, cap - found, st);
         if (st[0] != r[0])
             continue; /* past r[0], or pos is full */
-        int64_t more = h->found - r[5];
+        int64_t more = h->found - r[4];
         if (more > cap - found)
             return found; /* h's positions overflow pos: the next call resumes here */
-        for (int i = 1; i < 5; i++)
+        for (int i = 1; i < 4; i++)
             st[i] += h->st[i] - r[i];
         st[0] = h->st[0];
-        memcpy(pos + found, h->pos + r[5], more * sizeof *pos);
+        memcpy(pos + found, h->pos + r[4], more * sizeof *pos);
         return found + more;
     }
     return found + scan(c, h->n, pos + found, cap - found, st); /* no join: on alone */
 }
 
 /* Bring st to window end j after att attempts made since st[0] without
- * it: each adds 1 to the attempts and moves the window end by its shift
- * (see scan_k). */
+ * it, none of them verified: each adds 1 to the attempts alone. */
 static inline void advance(int64_t *st, int64_t j, int64_t att)
 {
     st[2] += att;
-    st[3] += j - st[0];
     st[0] = j;
 }
 
@@ -1043,16 +1039,17 @@ static int64_t split(const struct call *c, int64_t n, int64_t *pos, int64_t cap,
 /* The scan contract that every scan of the engine follows: this kernel,
  * and in Python its reference scan and the naive and Horspool baselines,
  * all called by one driver, engine.Matcher.stream, with one pos buffer per
- * search. Scan windows of y[0..n) ending at st[0] and onwards. st holds, in
- * order, the next window end j and the running verification, attempt, shift
- * and comparison counters; the scan updates them in place. Writes at most
- * cap occurrence positions, each plus base (the offset of y[0] in the whole
- * text), to pos and returns how many it wrote. The scan of y is finished
- * when st[0] >= n; otherwise the caller drains pos and calls again. k is in
- * [1, 4], and tbl and set are laid out as wfr_build fills them; the caller
- * checks both. mask is 2**alpha - 1: computed here from alpha, it took a
- * register in the k = 1 loop, and gcc 12 -O2 kept the window end on the
- * stack there instead.
+ * search. Scan windows of y[0..n) ending at st[0] and onwards. st is the
+ * stream's state block: the next window end j, the running verification,
+ * attempt and comparison counters, which the scan updates in place, and
+ * base, the offset of y[0] in the whole text. Each attempt moves j by its
+ * shift, so the driver derives the shift sum from j and base. Writes at
+ * most cap occurrence positions, each plus base, to pos and returns how
+ * many it wrote. The scan of y is finished when st[0] >= n; otherwise the
+ * caller drains pos and calls again. k is in [1, 4], and tbl and set are
+ * laid out as wfr_build fills them; the caller checks both. mask is
+ * 2**alpha - 1: computed here from alpha, it took a register in the k = 1
+ * loop, and gcc 12 -O2 kept the window end on the stack there instead.
  *
  * A k = 1 call that may take the branch-free entry fills its entry table
  * once, on this stack (see struct call), and chooses once whether its scans
@@ -1063,10 +1060,10 @@ static int64_t split(const struct call *c, int64_t n, int64_t *pos, int64_t cap,
  * calling thread alone, on one orbit. */
 int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
                  const uint8_t *tbl, const uint32_t *set, int64_t slots, int s, uint64_t mask,
-                 int k, int64_t *pos, int64_t cap, int64_t *st, int64_t base)
+                 int k, int64_t *pos, int64_t cap, int64_t *st)
 {
     uint8_t et[ENTRY_VALUES(2)];
-    struct call c = {x, y, tbl, et, set, m, slots, base, mask, s, k, 0};
+    struct call c = {x, y, tbl, et, set, m, slots, st[4], mask, s, k, 0};
     const int64_t windows = (n - st[0]) / m;
     if (k == 1 && m >= ENTRY_M_MIN &&
         windows >= (m <= SHORT_M_MAX ? ENTRY_SAMPLE : ENTRY_LONG_WINDOWS)) {

@@ -51,11 +51,11 @@ def horspool_search(pattern: bytes, text: bytes) -> SearchOutcome:
     return prepare("horspool", pattern).search(text)
 
 
-def _scan_naive(matcher: Matcher, y: bytes, k: int, state, base: int, pos) -> int:
+def _scan_naive(matcher: Matcher, y: bytes, k: int, state, pos) -> int:
     """:func:`naive_search` over window ``y`` from window end ``state[0]``
     (``p + m - 1`` for the alignment ``p``); the counters stay 0."""
     x = matcher.pattern
-    m, j = len(x), state[0]
+    m, j, base = len(x), state[0], state[4]
     stop = min(j + len(pos), len(y))  # at most one position per window end
     first = j - m + 1  # the alignment that ends at j
     # Slices of a bytes copy of the call's bytes compare faster than slices
@@ -67,13 +67,12 @@ def _scan_naive(matcher: Matcher, y: bytes, k: int, state, base: int, pos) -> in
     return len(found)
 
 
-def _scan_horspool(shift: list[int], matcher: Matcher, y: bytes, k: int, state, base: int, pos) -> int:
+def _scan_horspool(shift: list[int], matcher: Matcher, y: bytes, k: int, state, pos) -> int:
     """Horspool with bad-character table ``shift`` over window ``y`` from
-    window end ``state[0]``, which is ``p + m - 1`` for the alignment ``p``;
-    the final advance counts too."""
+    window end ``state[0]``, which is ``p + m - 1`` for the alignment ``p``."""
     x = matcher.pattern
     m = len(x)
-    j, _, attempts, shifts, comparisons = state
+    j, _, attempts, comparisons, base = state
     found, end = 0, len(y)
     while j < end:
         attempts += 1
@@ -85,8 +84,6 @@ def _scan_horspool(shift: list[int], matcher: Matcher, y: bytes, k: int, state, 
             found += 1
             if found == len(pos):
                 end = 0
-        adv = shift[y[j]]
-        shifts += adv
-        j += adv
-    state[:] = (j, attempts, attempts, shifts, comparisons)
+        j += shift[y[j]]
+    state[:4] = (j, attempts, attempts, comparisons)
     return found

@@ -59,7 +59,8 @@ bytes.
 
 The scan is resumable: every scan (the filter's two backends, Horspool and
 naive) scans one window of the text at a time and carries the next window
-end and the four counters in a 5-slot state. A window reads only its own
+end and three counters in a 5-slot state, whose last slot holds the offset
+of the window's first byte in the text. A window reads only its own
 ``m`` bytes and the next window end is never before the end of the scanned
 bytes, so :meth:`Matcher.stream` reads a file in windows, each the last
 ``m-1`` bytes of the previous window plus what one ``readinto`` adds, and
@@ -171,7 +172,7 @@ def _load_kernel(source: str = KERNEL_SOURCE) -> ctypes.CDLL | None:
         lib.wfr_build_hashed.restype = None
         lib.wfr_scan.argtypes = [
             ctypes.c_char_p, i64, ctypes.c_char_p, i64, ctypes.c_char_p, ctypes.c_char_p, i64,
-            ctypes.c_int, ctypes.c_uint64, ctypes.c_int, ptr, i64, ptr, i64,
+            ctypes.c_int, ctypes.c_uint64, ctypes.c_int, ptr, i64, ptr,
         ]
         lib.wfr_scan.restype = i64
     except (OSError, AttributeError):  # AttributeError: a symbol is missing
@@ -225,7 +226,9 @@ class SearchOutcome:
     verification_count: number of byte-by-byte window verifications.
     attempt_count: number of window alignments opened.
     total_shift: sum of window advances in bytes, including the final
-        advance that moves the window past the end of the text.
+        advance that moves the window past the end of the text. Each
+        advance moves the window end by its length, so this is the final
+        window end minus ``m-1``, and 0 when no attempt was made.
     check_comparisons: total byte comparisons spent in verifications.
     backend: ``"native"`` or ``"python"``, the engine that ran; not part of
         equality, because both give the same result.
@@ -266,12 +269,13 @@ class PositionStream:
     engine that runs.
     """
 
-    __slots__ = ("backend", "_batches", "_state")
+    __slots__ = ("backend", "_batches", "_state", "_m")
 
-    def __init__(self, batches, state, backend: str) -> None:
+    def __init__(self, batches, state, backend: str, m: int) -> None:
         self._batches = batches
         self._state = state
         self.backend = backend
+        self._m = m
 
     def __iter__(self) -> PositionStream:
         return self
@@ -289,11 +293,14 @@ class PositionStream:
 
     @property
     def total_shift(self) -> int:
-        return self._state[3]
+        """The window end's travel from ``m-1`` in the text: every attempt
+        moves it by its shift, and naive, which makes none, reads 0."""
+        state = self._state
+        return state[0] + state[4] - (self._m - 1) if state[2] else 0
 
     @property
     def check_comparisons(self) -> int:
-        return self._state[4]
+        return self._state[3]
 
     def _collect(self) -> SearchOutcome:
         """Exhaust the stream into a :class:`SearchOutcome`, extending its
@@ -301,7 +308,8 @@ class PositionStream:
         positions: list[int] = []
         for batch in self._batches:
             positions.extend(batch)
-        return SearchOutcome(positions, *self._state[1:], backend=self.backend)
+        state = self._state
+        return SearchOutcome(positions, state[1], state[2], self.total_shift, state[3], backend=self.backend)
 
 
 def hash_factor(z: bytes, params: FilterParams = DEFAULT_PARAMS) -> int:
@@ -353,13 +361,15 @@ class Matcher:
     """One preprocessed pattern, which scans any number of texts or binary
     files with :meth:`stream`, or with :meth:`search`, which collects it.
     ``pattern`` is checked by :func:`_as_pattern`, and
-    ``scan(matcher, window, k, state, base, pos)``, run by ``backend``
+    ``scan(matcher, window, k, state, pos)``, run by ``backend``
     (``"native"`` or ``"python"``), has the contract of the kernel's
     ``wfr_scan``: it scans ``window`` (``bytes``, a ``bytearray``, or a
     view of a file's ``bytearray``) from window end ``state[0]``, writes at
-    most ``len(pos)`` occurrences plus ``base`` to ``pos``, updates
-    ``state`` and returns how many it wrote. A matcher is immutable (assigning an attribute raises
-    ``AttributeError``) and safe for concurrent searches."""
+    most ``len(pos)`` occurrences plus ``state[4]``, the window's offset in
+    the text, to ``pos``, updates the window end and the three counters in
+    ``state[:4]`` and returns how many it wrote. A matcher is immutable
+    (assigning an attribute raises ``AttributeError``) and safe for
+    concurrent searches."""
 
     __slots__ = ("pattern", "backend", "_scan")
 
@@ -402,14 +412,13 @@ class Matcher:
             raise ConfigurationError(f"k must be in [{K_MIN}, {K_MAX}], got {k!r}")
         if k > m:
             raise ConfigurationError(f"k={k} exceeds pattern length m={m}")
-        state = (ctypes.c_int64 * 5)(m - 1)  # window end, then the four counters
+        state = (ctypes.c_int64 * 5)(m - 1)  # window end, three counters, window offset
 
         def batches():
             pos = (ctypes.c_int64 * _POSITIONS_PER_CALL)()
             # A list extends from a slice of this native-format view about twice as
             # fast as from a ctypes slice, which boxes each item through ctypes.
             found_at = memoryview(pos).cast("B").cast("q")
-            base = 0  # offset of the window's first byte in the text
             if hasattr(source, "readinto"):
                 windows = _file_windows(source, m)
             elif type(source) is bytearray:
@@ -418,16 +427,16 @@ class Matcher:
                 windows = (_as_bytes(source, "text"),)  # one window, scanned in place
             for window in windows:
                 while state[0] < len(window):
-                    found = scan(self, window, k, state, base, pos)
+                    found = scan(self, window, k, state, pos)
                     if found:
                         yield found_at[:found]
                 # The next window end is at or past len(window), so a window not
                 # yet scanned starts in the last m-1 bytes or later.
                 dropped = max(len(window) - (m - 1), 0)
                 state[0] -= dropped
-                base += dropped
+                state[4] += dropped
 
-        return PositionStream(batches(), state, self.backend)
+        return PositionStream(batches(), state, self.backend, m)
 
 
 def _file_windows(fh, m: int):
@@ -647,7 +656,7 @@ def search(
     return factors.search(text, k)
 
 
-def _scan_native(flt: FactorFilter, y: bytes, k: int, state, base: int, pos) -> int:
+def _scan_native(flt: FactorFilter, y: bytes, k: int, state, pos) -> int:
     """The filter's scan as one call of the C kernel. A ``bytearray`` text,
     or a file's window, a view of one, goes in as a pointer to its first
     byte."""
@@ -655,11 +664,11 @@ def _scan_native(flt: FactorFilter, y: bytes, k: int, state, base: int, pos) -> 
     text = y if type(y) is bytes else ctypes.byref(ctypes.c_char.from_buffer(y))
     return _native.wfr_scan(
         x, len(x), text, len(y), flt.bits, hashed, len(hashed) >> 2,
-        params.shift_s, params.hash_mask, k, pos, len(pos), state, base,
+        params.shift_s, params.hash_mask, k, pos, len(pos), state,
     )
 
 
-def _scan_python(flt: FactorFilter, y: bytes, k: int, state, base: int, pos) -> int:
+def _scan_python(flt: FactorFilter, y: bytes, k: int, state, pos) -> int:
     """The reference scan: the kernel's loop, state and contract in Python.
     One loop serves every ``k``; ``k=1`` probes after every character."""
     # Hot loop: everything bound to locals, bit test inlined.
@@ -669,7 +678,7 @@ def _scan_python(flt: FactorFilter, y: bytes, k: int, state, base: int, pos) -> 
     s = params.shift_s
     hmask = params.hash_mask
     m = len(x)
-    j, verifications, attempts, shifts, comparisons = state
+    j, verifications, attempts, comparisons, base = state
     found, end = 0, len(y)  # end drops to 0 when pos fills, after that attempt
 
     while j < end:
@@ -699,7 +708,6 @@ def _scan_python(flt: FactorFilter, y: bytes, k: int, state, base: int, pos) -> 
                 if found == len(pos):
                     end = 0
         j = cursor + m
-        shifts += cursor + 1 - i
 
-    state[:] = (j, verifications, attempts, shifts, comparisons)
+    state[:4] = (j, verifications, attempts, comparisons)
     return found

@@ -9,12 +9,14 @@
  * alpha and shift_s, with a hashed set where alpha > 16, twice with wfr_scan:
  * once whole, so that its long calls scan on two threads where two CPUs are
  * usable, and once with each call's window ends capped 8 KiB past its
- * first, so that no call splits. The positions and all four counters must be equal. The cases run
- * three times: back to back; with each whole call after a 2 ms sleep, so
- * that its helper thread starts late and takes part of what is left; and
- * pinned to one CPU after the kernel has counted two, so that calls still
- * split but the helper mostly runs after the call has ended and takes
- * nothing. Exits 1 on a difference; ThreadSanitizer halts on a data race. */
+ * first, so that no call splits. The positions and the final state block
+ * must be equal: the window end, from which the shift sum follows, and the
+ * three counters. The cases run three times: back to back; with each whole
+ * call after a 2 ms sleep, so that its helper thread starts late and takes
+ * part of what is left; and pinned to one CPU after the kernel has counted
+ * two, so that calls still split but the helper mostly runs after the call
+ * has ended and takes nothing. Exits 1 on a difference; ThreadSanitizer
+ * halts on a data race. */
 #define _GNU_SOURCE /* sched_setaffinity */
 #include <sched.h>
 #include <stdint.h>
@@ -28,7 +30,7 @@ void wfr_build_hashed(const uint8_t *x, int64_t m, uint8_t *tbl, uint32_t *set, 
 void wfr_build(const uint8_t *x, int64_t m, uint8_t *tbl, int s, int alpha);
 int64_t wfr_scan(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
                  const uint8_t *tbl, const uint32_t *set, int64_t slots, int s, uint64_t mask,
-                 int k, int64_t *pos, int64_t cap, int64_t *st, int64_t base);
+                 int k, int64_t *pos, int64_t cap, int64_t *st);
 
 #define N (1 << 20)
 #define LONG_N (3 << 20)
@@ -48,7 +50,9 @@ static uint64_t next(void) /* xorshift64 */
 }
 
 /* The positions of x in y written to out, their count returned and the
- * final state in st; each call's window ends stop at most step past its
+ * final state in st, the kernel's 5-slot block: the window end, the
+ * verification, attempt and comparison counters, and a base of 0, since y
+ * is the whole text. Each call's window ends stop at most step past its
  * first, or at n when step is 0. Each call starts pause us after the last. */
 static int64_t search(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
                       const uint8_t *tbl, const uint32_t *set, int64_t slots, int alpha, int shift,
@@ -63,7 +67,7 @@ static int64_t search(const uint8_t *x, int64_t m, const uint8_t *y, int64_t n,
             usleep(pause);
         int64_t end = step && n - st[0] > step ? st[0] + step : n;
         int64_t found = wfr_scan(x, m, y, end, tbl, set, slots, shift, (1u << alpha) - 1, k, pos,
-                                 CAP, st, 0);
+                                 CAP, st);
         memcpy(out + count, pos, found * sizeof *pos);
         count += found;
     }

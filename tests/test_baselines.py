@@ -1,5 +1,6 @@
 """Tests for the algorithm registry, the brute-force oracle and the Horspool baseline."""
 
+import io
 import random
 
 import pytest
@@ -42,6 +43,20 @@ def test_horspool_pattern_longer_than_text():
     outcome = horspool_search(b"abcd", b"ab")
     assert outcome.positions == []
     assert outcome.attempt_count == 0
+
+
+def test_horspool_and_naive_counters():
+    # Horspool verifies each alignment it opens: here 0 and 3, each a match
+    # of 3 bytes that shifts by 3, the table's shift for b. Naive makes no
+    # attempt and counts nothing, from a text or a file.
+    outcome = prepare("horspool", b"aab").search(b"aabaab")
+    counters = (outcome.attempt_count, outcome.verification_count, outcome.total_shift, outcome.check_comparisons)
+    assert counters == (2, 2, 6, 6)
+    for source in (b"aabaab", io.BytesIO(b"aabaab")):
+        outcome = prepare("naive", b"aab").search(source)
+        assert outcome.positions == [0, 3]
+        counters = (outcome.attempt_count, outcome.verification_count, outcome.total_shift, outcome.check_comparisons)
+        assert counters == (0, 0, 0, 0)
 
 
 def test_horspool_empty_pattern_rejected():

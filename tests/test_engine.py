@@ -530,6 +530,25 @@ def test_file_stream_batches(backend):
         preprocess(b"ab").stream(None, 3)
 
 
+def test_counters_mid_stream(backend, monkeypatch):
+    """With one position per call, each batch of a^4 in a^12 ends at the
+    attempt that found it. So after batch b, wfr and Horspool have made b
+    attempts, each shifting by 1, and naive, which makes none, reads 0. The
+    stream of a text and of a file reads the same, also where the file's
+    5-byte reads put the window's offset in the text past 0 mid-stream."""
+    monkeypatch.setattr(engine, "_POSITIONS_PER_CALL", 1)
+    text = b"a" * 12
+    for algo in ("wfr", "horspool", "naive"):
+        matcher = baselines.prepare(algo, b"aaaa")
+        want = [(0, 0)] * 9 if algo == "naive" else [(b, b) for b in range(1, 10)]
+        for chunk in (engine._CHUNK_BYTES, 5):
+            monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk)
+            for source in (text, io.BytesIO(text)):
+                stream = matcher.stream(source)
+                reads = [(stream.attempt_count, stream.total_shift) for _ in stream]
+                assert reads == want, (algo, chunk, source)
+
+
 def test_baselines_chunked_equal_whole_text(backend, monkeypatch):
     """Every algorithm of the registry, on the one scan driver, gives the
     positions and all four counters of a whole-text run for reads shorter
